@@ -38,6 +38,7 @@ from .verifier import (
     characterization_check,
     lemma31_check,
     run_suite,
+    run_suites,
     search,
     thm21_check,
     thm23_check,
@@ -65,6 +66,6 @@ __all__ = [
     "GenSpec", "named", "enumerate_posets", "enumerate_lattices", "random_poset",
     "SuiteReport", "lemma31_check", "thm32_check", "thm34_check", "thm21_check",
     "thm23_check", "thm25_check", "chain_check", "characterization_check",
-    "run_suite", "search",
+    "run_suite", "run_suites", "search",
     "parse", "emit", "export_dot",
 ]

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import files, properties, verifier
-from .errors import NotALatticeError, OrderkitError, SizeLimitError
+from .errors import OrderkitError, SizeLimitError
 from .generators import named
 from .poset import FinitePoset
 from .scott import scott_closed_lattice, scott_opens
@@ -44,21 +44,12 @@ def _write_out(text, out):
 
 def _check_report(P, names):
     report = {"name": P.name, "n": P.n, "properties": {}, "witnesses": {}}
-    lattice = None
-    lattice_failed = False
+    profile = verifier.InstanceProfile(P)
     for prop in names:
-        if prop in properties.POSET_PREDICATES:
-            verdict = properties.POSET_PREDICATES[prop](P)
-        else:
-            if lattice is None and not lattice_failed:
-                try:
-                    lattice = P.as_lattice()
-                except NotALatticeError:
-                    lattice_failed = True
-            if lattice is None:
-                report["properties"][prop] = "skipped"
-                continue
-            verdict = properties.LATTICE_PREDICATES[prop](lattice)
+        verdict = profile.verdict(prop)
+        if verdict is None:
+            report["properties"][prop] = "skipped"
+            continue
         report["properties"][prop] = verdict.holds
         if not verdict.holds and verdict.witness is not None:
             report["witnesses"][prop] = verdict.witness.as_dict()
@@ -121,12 +112,11 @@ def cmd_enumerate(args):
     emitted = []
     stream = enumerate_lattices(args.n) if args.kind == "lattices" else enumerate_posets(args.n)
     for obj in stream:
-        P = obj.base if hasattr(obj, "base") else obj
-        if evaluate is not None and not evaluate(verifier.InstanceProfile(P)):
+        if evaluate is not None and not evaluate(verifier.InstanceProfile(obj)):
             continue
         count += 1
         if args.emit:
-            emitted.append(P)
+            emitted.append(obj.base if hasattr(obj, "base") else obj)
     if args.emit:
         out_dir = Path(args.emit)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -164,9 +154,14 @@ def _suite_dict(report, deterministic):
     return out
 
 
+def _detail(rec):
+    w = rec.verdict.witness
+    return f" ({_format_witness(w.as_dict())})" if w else ""
+
+
 def cmd_verify(args):
     suites = verifier.SUITE_ORDER if args.suite == "full" else (args.suite,)
-    reports = [verifier.run_suite(s, args.max_n, jobs=args.jobs) for s in suites]
+    reports = verifier.run_suites(suites, args.max_n, jobs=args.jobs)
     if args.json:
         payload = {
             "max_n": args.max_n,
@@ -183,13 +178,9 @@ def cmd_verify(args):
                 line += " [trivialized at finite scale: " + ", ".join(r.trivialized) + "]"
             print(line)
             for rec in r.failures:
-                w = rec.verdict.witness
-                detail = f" ({_format_witness(w.as_dict())})" if w else ""
-                print(f"  FAIL {rec.name} (n={rec.n}){detail}")
+                print(f"  FAIL {rec.name} (n={rec.n}){_detail(rec)}")
             for rec in r.expected_failures:
-                w = rec.verdict.witness
-                detail = f" ({_format_witness(w.as_dict())})" if w else ""
-                print(f"  outside hypothesis, equation fails: {rec.name}{detail}")
+                print(f"  outside hypothesis, equation fails: {rec.name}{_detail(rec)}")
     if any(r.failures for r in reports):
         return EXIT_FAIL
     return EXIT_PASS
@@ -221,9 +212,8 @@ def build_parser():
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("dual", help="emit the Scott open or closed set lattice")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--scott-opens", action="store_true", default=True)
-    group.add_argument("--scott-closed", action="store_true", default=False)
+    p.add_argument("--scott-closed", action="store_true",
+                   help="emit the closed-set lattice instead of the opens")
     p.add_argument("input")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_dual)
@@ -233,8 +223,6 @@ def build_parser():
     p.add_argument("--kind", choices=("posets", "lattices"), default="posets")
     p.add_argument("--filter", default=None, help="predicate expression, e.g. "
                    "'lattice & !distributive'")
-    p.add_argument("--count", action="store_true", default=True,
-                   help="print the count (default)")
     p.add_argument("--emit", metavar="DIR", default=None,
                    help="also write one poset file per instance into DIR")
     p.set_defaults(func=cmd_enumerate)

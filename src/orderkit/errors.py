@@ -40,6 +40,10 @@ class SizeLimitError(OrderkitError):
         super().__init__(f"{what}: {needed} exceeds cap {cap}")
 
 
+class InputError(OrderkitError, ValueError):
+    """A size, count or setting outside its valid range."""
+
+
 class UnknownNameError(OrderkitError):
     def __init__(self, name):
         self.name = name

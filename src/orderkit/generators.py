@@ -33,10 +33,11 @@ class GenSpec:
     def __post_init__(self):
         if self.kind not in ("posets", "lattices", "random"):
             raise ValueError(f"unknown kind {self.kind!r}")
-        if self.kind == "lattices" and self.n < 1:
-            raise ValueError("lattices need at least one element")
+        limits.check_count(self.n, "n", 1 if self.kind == "lattices" else 0)
         if self.density is not None and self.kind != "random":
             raise ValueError("density applies to random generation only")
+        if self.density is not None and not 0 <= self.density <= 1:
+            raise ValueError(f"density must lie in [0, 1], got {self.density}")
 
 
 def default_labels(n):
@@ -137,6 +138,7 @@ def _poset_level(n):
 def enumerate_posets(n: int, max_n=None):
     """One canonical representative per isomorphism class of n-element
     posets, in canonical order; deterministic across runs."""
+    limits.check_count(n, "n")
     ceiling = limits.enum_max() if max_n is None else max_n
     if n > ceiling:
         raise SizeLimitError("poset enumeration", n, ceiling)
@@ -154,14 +156,6 @@ def enumerate_lattices(n: int, max_n=None):
             continue
         k += 1
         yield lat
-
-
-def count_posets(n, max_n=None):
-    return sum(1 for _ in enumerate_posets(n, max_n))
-
-
-def count_lattices(n, max_n=None):
-    return sum(1 for _ in enumerate_lattices(n, max_n))
 
 
 def random_poset(spec: GenSpec) -> FinitePoset:

@@ -105,11 +105,9 @@ class FinitePoset:
     def leq(self, i, j):
         return bool(self.up[i] >> j & 1)
 
-    def leq_matrix(self):
-        """The relation as a tuple of boolean rows (row i: i <= j)."""
-        return tuple(
-            tuple(bool(self.up[i] >> j & 1) for j in range(self.n)) for i in range(self.n)
-        )
+    def labels_of(self, mask):
+        """Labels of the masked elements, in index order."""
+        return tuple(self.labels[i] for i in iter_bits(mask))
 
     def subset(self, indices=()):
         return Subset(self, mask_of(indices))
@@ -466,7 +464,7 @@ class Subset:
 
     @property
     def labels(self):
-        return tuple(self.owner.labels[i] for i in iter_bits(self.mask))
+        return self.owner.labels_of(self.mask)
 
     def __len__(self):
         return self.mask.bit_count()

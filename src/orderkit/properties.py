@@ -20,10 +20,6 @@ from .relations import fin_family, prec, way_below, way_way_below
 from .scott import scott_closure
 
 
-def _labels(P, mask):
-    return tuple(P.labels[i] for i in iter_bits(mask))
-
-
 def is_continuous(P: FinitePoset, mode="fast", cap=None) -> Verdict:
     """Every element is the directed supremum of its way-below approximants."""
     rel = way_below(P, mode, cap)
@@ -33,12 +29,12 @@ def is_continuous(P: FinitePoset, mode="fast", cap=None) -> Verdict:
             if rel.holds(p, x):
                 approx |= 1 << p
         if not P.is_directed_mask(approx):
-            w = Witness(elements=(P.labels[x],), subsets=(_labels(P, approx),),
+            w = Witness(elements=(P.labels[x],), subsets=(P.labels_of(approx),),
                         note="approximant set not directed")
             return Verdict(False, w)
         s = P.sup_mask(approx)
         if s != x:
-            w = Witness(elements=(P.labels[x],), subsets=(_labels(P, approx),),
+            w = Witness(elements=(P.labels[x],), subsets=(P.labels_of(approx),),
                         lhs=None if s is None else P.labels[s], rhs=P.labels[x],
                         note="approximant supremum differs from the element")
             return Verdict(False, w)
@@ -58,12 +54,12 @@ def is_quasicontinuous(P: FinitePoset, cap=None) -> Verdict:
             for b in members:
                 if not any(not m & ~(a & b) for m in members):
                     w = Witness(elements=(P.labels[x],),
-                                subsets=(_labels(P, a), _labels(P, b)),
+                                subsets=(P.labels_of(a), P.labels_of(b)),
                                 note="family not directed under reverse inclusion")
                     return Verdict(False, w)
         if fam.intersection_mask() != P.up[x]:
             w = Witness(elements=(P.labels[x],),
-                        subsets=(_labels(P, fam.intersection_mask()),),
+                        subsets=(P.labels_of(fam.intersection_mask()),),
                         note="family intersection differs from the up set")
             return Verdict(False, w)
     return Verdict(True)
@@ -79,7 +75,7 @@ def is_meet_continuous(P: FinitePoset, cap=None) -> Verdict:
                 continue
             trace = P.down[x] & P.down_closure_mask(dmask)
             if not scott_closure(P, trace).mask >> x & 1:
-                w = Witness(elements=(P.labels[x],), subsets=(_labels(P, dmask),),
+                w = Witness(elements=(P.labels[x],), subsets=(P.labels_of(dmask),),
                             note="element escapes the closure of its trace on D")
                 return Verdict(False, w)
     return Verdict(True)
@@ -95,7 +91,7 @@ def is_meet_continuous_algebraic(L: FiniteLattice, cap=None) -> Verdict:
             for d in iter_bits(dmask):
                 rhs = L.join_of(rhs, L.meet_of(x, d))
             if lhs != rhs:
-                w = Witness(elements=(P.labels[x],), subsets=(_labels(P, dmask),),
+                w = Witness(elements=(P.labels[x],), subsets=(P.labels_of(dmask),),
                             lhs=P.labels[lhs], rhs=P.labels[rhs])
                 return Verdict(False, w)
     return Verdict(True)
@@ -134,7 +130,7 @@ def is_join_continuous(L: FiniteLattice, mode="reduced", cap=None) -> Verdict:
             for s in iter_bits(smask):
                 rhs = L.meet_of(rhs, L.join_of(x, s))
             if lhs != rhs:
-                w = Witness(elements=(P.labels[x],), subsets=(_labels(P, smask),),
+                w = Witness(elements=(P.labels[x],), subsets=(P.labels_of(smask),),
                             lhs=P.labels[lhs], rhs=P.labels[rhs])
                 return Verdict(False, w)
     return Verdict(True)
@@ -173,7 +169,7 @@ def _join_of_predecessors(L, rel):
                 preds |= 1 << x
         j = L.join_mask(preds)
         if j != y:
-            w = Witness(elements=(P.labels[y],), subsets=(_labels(P, preds),),
+            w = Witness(elements=(P.labels[y],), subsets=(P.labels_of(preds),),
                         lhs=P.labels[y], rhs=P.labels[j])
             return Verdict(False, w)
     return Verdict(True)

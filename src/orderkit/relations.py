@@ -31,10 +31,6 @@ class Relation:
             for y in iter_bits(self.rows[x]):
                 yield (x, y)
 
-    def as_bool_table(self):
-        n = self.owner.n
-        return tuple(tuple(bool(self.rows[x] >> y & 1) for y in range(n)) for x in range(n))
-
 
 def _directed_with_sup(P, cap):
     """(mask, sup) for every directed subset whose supremum exists."""
@@ -105,9 +101,6 @@ class FinFamily:
     @property
     def size(self):
         return len(self.members)
-
-    def minimal_subsets(self):
-        return tuple(Subset(self.owner, m) for m in self.minimal)
 
     def intersection_mask(self):
         acc = self.owner.full_mask

@@ -8,6 +8,7 @@ implemented and cross-checked against that collapse.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import limits
 from .errors import SizeLimitError
@@ -52,16 +53,12 @@ def scott_closure(P: FinitePoset, s: Subset, mode="fast") -> Subset:
     return Subset(P, acc)
 
 
-def _subset_label(P, mask):
-    return "{" + ",".join(P.labels[i] for i in iter_bits(mask)) + "}"
-
-
 def _lattice_of_set_family(P, masks, name):
     """Lattice of a union/intersection-closed family ordered by inclusion."""
     masks = sorted(masks, key=lambda m: (m.bit_count(), tuple(iter_bits(m))))
     index = {m: i for i, m in enumerate(masks)}
     k = len(masks)
-    labels = tuple(_subset_label(P, m) for m in masks)
+    labels = tuple("{" + ",".join(P.labels_of(m)) + "}" for m in masks)
     rows = []
     for i in range(k):
         row = 0
@@ -103,10 +100,14 @@ class OpenSetLattice:
     def masks(self):
         return tuple(s.mask for s in self.opens)
 
+    @cached_property
+    def _index(self):
+        return {s.mask: i for i, s in enumerate(self.opens)}
+
     def index_of_mask(self, mask):
         try:
-            return self.masks.index(mask)
-        except ValueError:
+            return self._index[mask]
+        except KeyError:
             raise KeyError(f"{mask:#x} is not a member set") from None
 
 

@@ -1,9 +1,13 @@
 """Executable theorem checks, exhaustive suites, and counterexample search.
 
 Each check evaluates both sides of a biconditional (or an equation) on one
-instance and returns a Verdict with the full property profile.  Suites run a
-check over an enumerated universe, recording genuine failures separately
-from expected equation failures on instances outside a hypothesis.
+instance and returns a Verdict with the full property profile.  Checks read
+predicates from an InstanceProfile, which computes each predicate, the
+lattice structure, σ(P) and Γ(P) at most once per instance.  ``run_suites``
+enumerates each universe once and runs every requested suite on an
+instance before the next, dropping its profile; a suite's ``wall_time`` is
+the time in its checks, so a shared predicate is charged to the first
+suite in table order that asks for it.
 
 On finite carriers several conjuncts are always true (continuity and its
 relatives collapse); suite reports carry an explicit list of these
@@ -18,17 +22,14 @@ import re
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property, partial
 
 from . import limits, properties
-from .errors import ParseError
+from .errors import NotALatticeError, ParseError
 from .files import emit
 from .generators import enumerate_lattices, enumerate_posets
-from .poset import FiniteLattice, FinitePoset, Verdict, Witness, iter_bits
+from .poset import FiniteLattice, Verdict, Witness, iter_bits
 from .scott import scott_closed_lattice, scott_opens
-
-
-def _labels(P, mask):
-    return tuple(P.labels[i] for i in iter_bits(mask))
 
 
 def lemma31_check(L: FiniteLattice, cap=None) -> Verdict:
@@ -36,28 +37,22 @@ def lemma31_check(L: FiniteLattice, cap=None) -> Verdict:
     equals the join over m in M of the meets of the single complements.
     Both sides reduce to the bottom element for empty M.
 
-    Also asserts, for every M, the set identity behind it: the complement of
-    (down M) is the intersection of the single-element complements.
+    Asserts first, for every M, the set identity behind it: the complement
+    of (down M) is the intersection of the single-element complements.
     """
+    limits.check_subset_cap(L.n, "subset enumeration for the finite-set equation", cap)
+    identity = downset_complement_identity(L, cap)
+    if not identity.holds:
+        return identity
     P = L.base
-    n = L.n
-    limits.check_subset_cap(n, "subset enumeration for the finite-set equation", cap)
     full = P.full_mask
-    for mmask in range(1 << n):
-        down_m = P.down_closure_mask(mmask)
-        compl = full ^ down_m
-        inter = full
-        for m in iter_bits(mmask):
-            inter &= full ^ P.down[m]
-        if inter != compl:
-            w = Witness(subsets=(_labels(P, mmask),), note="set identity mismatch")
-            return Verdict(False, w)
-        lhs = L.meet_mask(compl)
+    for mmask in range(1 << L.n):
+        lhs = L.meet_mask(full ^ P.down_closure_mask(mmask))
         rhs = L.bottom
         for m in iter_bits(mmask):
             rhs = L.join_of(rhs, L.meet_mask(full ^ P.down[m]))
         if lhs != rhs:
-            w = Witness(subsets=(_labels(P, mmask),),
+            w = Witness(subsets=(P.labels_of(mmask),),
                         lhs=P.labels[lhs], rhs=P.labels[rhs])
             return Verdict(False, w)
     return Verdict(True)
@@ -73,7 +68,7 @@ def downset_complement_identity(L: FiniteLattice, cap=None) -> Verdict:
         for m in iter_bits(mmask):
             inter &= full ^ P.down[m]
         if inter != full ^ P.down_closure_mask(mmask):
-            w = Witness(subsets=(_labels(P, mmask),), note="set identity mismatch")
+            w = Witness(subsets=(P.labels_of(mmask),), note="set identity mismatch")
             return Verdict(False, w)
     return Verdict(True)
 
@@ -85,74 +80,77 @@ def _profile_verdict(holds, profile, note=""):
     return Verdict(False, Witness(note=note or "biconditional sides differ"), profile=prof)
 
 
-def thm32_check(L: FiniteLattice) -> Verdict:
+def _profile_of(instance):
+    return instance if isinstance(instance, InstanceProfile) else InstanceProfile(instance)
+
+
+def thm32_check(L) -> Verdict:
     """join continuous and hypercontinuous, together, iff prime continuous."""
-    jc = properties.is_join_continuous(L).holds
-    hc = properties.is_hypercontinuous(L).holds
-    pc = properties.is_prime_continuous(L).holds
+    p = _profile_of(L)
+    jc = p.value("join_continuous")
+    hc = p.value("hypercontinuous")
+    pc = p.value("prime_continuous")
     return _profile_verdict(
         (jc and hc) == pc,
         {"join_continuous": jc, "hypercontinuous": hc, "prime_continuous": pc},
     )
 
 
-def thm34_check(P: FinitePoset) -> Verdict:
+def thm34_check(P) -> Verdict:
     """meet continuous and quasicontinuous, together, iff continuous."""
-    mc = properties.is_meet_continuous(P).holds
-    qc = properties.is_quasicontinuous(P).holds
-    c = properties.is_continuous(P).holds
+    p = _profile_of(P)
+    mc = p.value("meet_continuous")
+    qc = p.value("quasicontinuous")
+    c = p.value("continuous")
     return _profile_verdict(
         (mc and qc) == c,
         {"meet_continuous": mc, "quasicontinuous": qc, "continuous": c},
     )
 
 
-def thm21_check(P: FinitePoset, limit=None) -> Verdict:
+def thm21_check(P) -> Verdict:
     """P continuous iff its open-set lattice is prime continuous."""
-    c = properties.is_continuous(P).holds
-    sigma = scott_opens(P, limit)
-    pc = properties.is_prime_continuous(sigma.lattice).holds
+    p = _profile_of(P)
+    c = p.value("continuous")
+    pc = p.sigma.value("prime_continuous")
     return _profile_verdict(
         c == pc, {"continuous": c, "opens_prime_continuous": pc}
     )
 
 
-def thm23_check(P: FinitePoset, limit=None) -> Verdict:
+def thm23_check(P) -> Verdict:
     """P meet continuous iff its open-set lattice is join continuous iff
     its closed-set lattice is a frame."""
-    mc = properties.is_meet_continuous(P).holds
-    jc = properties.is_join_continuous(scott_opens(P, limit).lattice).holds
-    fr = properties.is_frame(scott_closed_lattice(P, limit).lattice).holds
+    p = _profile_of(P)
+    mc = p.value("meet_continuous")
+    jc = p.sigma.value("join_continuous")
+    fr = p.gamma.value("frame")
     return _profile_verdict(
         mc == jc == fr,
         {"meet_continuous": mc, "opens_join_continuous": jc, "closeds_frame": fr},
     )
 
 
-def thm25_check(P: FinitePoset, limit=None) -> Verdict:
+def thm25_check(P) -> Verdict:
     """P quasicontinuous iff its open-set lattice is hypercontinuous."""
-    qc = properties.is_quasicontinuous(P).holds
-    hc = properties.is_hypercontinuous(scott_opens(P, limit).lattice).holds
+    p = _profile_of(P)
+    qc = p.value("quasicontinuous")
+    hc = p.sigma.value("hypercontinuous")
     return _profile_verdict(
         qc == hc, {"quasicontinuous": qc, "opens_hypercontinuous": hc}
     )
 
 
-def chain_check(L: FiniteLattice) -> Verdict:
+def chain_check(L) -> Verdict:
     """The implication chain between the lattice continuities: prime
     implies join, frame and hyper; hyper implies continuous."""
-    pc = properties.is_prime_continuous(L).holds
-    jc = properties.is_join_continuous(L).holds
-    fr = properties.is_frame(L).holds
-    hc = properties.is_hypercontinuous(L).holds
-    c = properties.is_continuous(L.base).holds
+    p = _profile_of(L)
     profile = {
-        "prime_continuous": pc,
-        "join_continuous": jc,
-        "frame": fr,
-        "hypercontinuous": hc,
-        "continuous": c,
+        name: p.value(name)
+        for name in ("prime_continuous", "join_continuous", "frame",
+                     "hypercontinuous", "continuous")
     }
+    pc, jc, fr, hc, c = profile.values()
     implications = {
         "prime_continuous->join_continuous": (not pc) or jc,
         "prime_continuous->frame": (not pc) or fr,
@@ -160,44 +158,34 @@ def chain_check(L: FiniteLattice) -> Verdict:
         "hypercontinuous->continuous": (not hc) or c,
     }
     bad = [name for name, ok in implications.items() if not ok]
-    if bad:
-        return Verdict(False, Witness(note="broken implication " + bad[0]),
-                       profile=tuple(profile.items()))
-    return Verdict(True, profile=tuple(profile.items()))
+    return _profile_verdict(not bad, profile, "broken implication " + bad[0] if bad else "")
 
 
-def characterization_check(L: FiniteLattice) -> Verdict:
+def characterization_check(L) -> Verdict:
     """Each relational predicate agrees with its sup-inf right-hand-side
     form at every element."""
-    P = L.base
+    p = _profile_of(L)
+    L, P = p.lattice, p.poset
     checks = (
-        ("continuous", properties.is_continuous(P).holds,
-         properties.supinf_continuous_rhs),
-        ("hypercontinuous", properties.is_hypercontinuous(L).holds,
-         properties.supinf_hyper_rhs),
-        ("prime_continuous", properties.is_prime_continuous(L).holds,
-         properties.supinf_prime_rhs),
+        ("continuous", properties.supinf_continuous_rhs),
+        ("hypercontinuous", properties.supinf_hyper_rhs),
+        ("prime_continuous", properties.supinf_prime_rhs),
     )
     profile = {}
-    for name, pred, rhs_fn in checks:
-        pointwise = True
-        bad_x = None
+    for name, rhs_fn in checks:
+        pred = p.value(name)
+        moved = None  # labels of the first x and its sup-inf form, if they differ
         for x in range(L.n):
             r = rhs_fn(L, x)
             if r != x:
-                pointwise = False
-                bad_x = (x, r)
+                moved = (P.labels[x], P.labels[r])
                 break
         profile[name] = pred
-        profile[name + "_supinf"] = pointwise
-        if pred != pointwise:
-            x, r = bad_x if bad_x is not None else (None, None)
-            w = Witness(
-                elements=(P.labels[x],) if x is not None else (),
-                lhs=P.labels[x] if x is not None else None,
-                rhs=P.labels[r] if r is not None else None,
-                note=f"{name} disagrees with its sup-inf form",
-            )
+        profile[name + "_supinf"] = moved is None
+        if pred != (moved is None):
+            x, r = moved or (None, None)
+            w = Witness(elements=() if x is None else (x,), lhs=x, rhs=r,
+                        note=f"{name} disagrees with its sup-inf form")
             return Verdict(False, w, profile=tuple(profile.items()))
     return Verdict(True, profile=tuple(profile.items()))
 
@@ -231,102 +219,117 @@ class SuiteReport:
         return not self.failures
 
 
-def _classify_lemma31(L):
-    v = lemma31_check(L)
+def _classify_lemma31(profile):
+    v = lemma31_check(profile.lattice)
     if v.holds:
         return ("pass", v)
     if v.witness is not None and v.witness.note == "set identity mismatch":
         return ("fail", v)
-    if properties.is_join_continuous(L).holds:
+    if profile.value("join_continuous"):
         return ("fail", v)
     # outside the hypothesis the equation may fail; report it, do not count it
     return ("expected", v)
 
 
 def _plain(check):
-    def run(obj):
-        v = check(obj)
+    def run(profile):
+        v = check(profile)
         return ("pass" if v.holds else "fail", v)
 
     return run
 
 
+# name -> (universe, classifier of a profile, trivialized conjuncts), in
+# report order.  Trivialized conjuncts cannot fail on finite carriers; a
+# green result for them only exercises the implementation, it does not
+# test the mathematics.
 SUITES = {
-    "lemma31": ("lattices", _classify_lemma31),
-    "thm32": ("lattices", _plain(thm32_check)),
-    "thm34": ("posets", _plain(thm34_check)),
-    "thm21": ("posets", _plain(thm21_check)),
-    "thm23": ("posets", _plain(thm23_check)),
-    "thm25": ("posets", _plain(thm25_check)),
-    "chains": ("lattices", _plain(chain_check)),
-    "characterizations": ("lattices", _plain(characterization_check)),
+    "lemma31": ("lattices", _classify_lemma31, ()),
+    "thm32": ("lattices", _plain(thm32_check), ("hypercontinuous",)),
+    "thm34": ("posets", _plain(thm34_check),
+              ("meet_continuous", "quasicontinuous", "continuous")),
+    "thm21": ("posets", _plain(thm21_check), ("continuous", "opens_prime_continuous")),
+    "thm23": ("posets", _plain(thm23_check),
+              ("meet_continuous", "opens_join_continuous", "closeds_frame")),
+    "thm25": ("posets", _plain(thm25_check), ("quasicontinuous", "opens_hypercontinuous")),
+    "chains": ("lattices", _plain(chain_check), ("hypercontinuous", "continuous")),
+    "characterizations": ("lattices", _plain(characterization_check),
+                          ("continuous", "hypercontinuous")),
 }
 
-SUITE_ORDER = (
-    "lemma31", "thm32", "thm34", "thm21", "thm23", "thm25",
-    "chains", "characterizations",
-)
-
-# conjuncts that cannot fail on finite carriers; a green result for them
-# only exercises the implementation, it does not test the mathematics
-TRIVIALIZED = {
-    "lemma31": (),
-    "thm32": ("hypercontinuous",),
-    "thm34": ("meet_continuous", "quasicontinuous", "continuous"),
-    "thm21": ("continuous", "opens_prime_continuous"),
-    "thm23": ("meet_continuous", "opens_join_continuous", "closeds_frame"),
-    "thm25": ("quasicontinuous", "opens_hypercontinuous"),
-    "chains": ("hypercontinuous", "continuous"),
-    "characterizations": ("continuous", "hypercontinuous"),
-}
+SUITE_ORDER = tuple(SUITES)
 
 
-def _suite_instances(kind, max_n):
-    out = []
+def _stream(kind, max_n):
+    """The enumerated universe of one kind, n = 1..max_n, in order."""
+    enumerate_kind = enumerate_lattices if kind == "lattices" else enumerate_posets
     for n in range(1, max_n + 1):
-        if kind == "lattices":
-            out.extend(enumerate_lattices(n))
-        else:
-            out.extend(enumerate_posets(n))
+        yield from enumerate_kind(n)
+
+
+def _check_instance(names, instance):
+    """(status, verdict, seconds) of each named suite on one instance; the
+    suites share one profile, which is dropped on return."""
+    profile = InstanceProfile(instance)
+    out = []
+    for name in names:
+        started = time.perf_counter()
+        status, verdict = SUITES[name][1](profile)
+        out.append((status, verdict, time.perf_counter() - started))
     return out
 
 
-def _suite_worker(item):
-    suite, obj = item
-    return SUITES[suite][1](obj)
-
-
-def run_suite(which: str, max_n: int, jobs: int = 1) -> SuiteReport:
-    """Run one suite over the full enumerated universe up to max_n.  The
-    report is deterministic and independent of the worker count."""
-    if which not in SUITES:
-        raise ValueError(f"unknown suite {which!r}")
-    kind, _ = SUITES[which]
-    started = time.perf_counter()
-    instances = _suite_instances(kind, max_n)
-    items = [(which, obj) for obj in instances]
-    if jobs > 1 and len(items) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_suite_worker, items, chunksize=8))
-    else:
-        outcomes = [_suite_worker(item) for item in items]
+def _suite_report(name, universe, instances, outcomes):
     failures = []
     expected = []
-    for obj, (status, verdict) in zip(instances, outcomes):
+    for obj, (status, verdict, _) in zip(instances, outcomes):
         if status == "pass":
             continue
         P = obj.base if isinstance(obj, FiniteLattice) else obj
         rec = CheckRecord(P.name, P.n, emit(P), verdict)
         (failures if status == "fail" else expected).append(rec)
     return SuiteReport(
-        suite=which,
-        universe=f"{kind} n=1..{max_n}",
+        suite=name,
+        universe=universe,
         instances=len(instances),
         failures=tuple(failures),
         expected_failures=tuple(expected),
-        trivialized=TRIVIALIZED[which],
-        wall_time=time.perf_counter() - started,
+        trivialized=SUITES[name][2],
+        wall_time=sum(spent for _, _, spent in outcomes),
     )
+
+
+def run_suites(names, max_n: int, jobs: int = 1) -> list:
+    """Run the named suites up to max_n, one report per name in the order
+    given.  Each universe kind is enumerated once, and every requested
+    suite on it checks one instance before the next.  The reports are
+    deterministic and independent of the worker count."""
+    for name in names:
+        if name not in SUITES:
+            raise ValueError(f"unknown suite {name!r}")
+    limits.check_count(max_n, "max_n")
+    limits.check_count(jobs, "jobs", 1)
+    reports = {}
+    for kind in ("lattices", "posets"):
+        wanted = tuple(s for s in names if SUITES[s][0] == kind)
+        if not wanted:
+            continue
+        instances = list(_stream(kind, max_n))
+        check = partial(_check_instance, wanted)
+        if jobs > 1 and len(instances) > 1:
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                outcomes = list(pool.map(check, instances, chunksize=8))
+        else:
+            outcomes = [check(obj) for obj in instances]
+        for i, name in enumerate(wanted):
+            column = [row[i] for row in outcomes]
+            reports[name] = _suite_report(name, f"{kind} n=1..{max_n}", instances, column)
+    return [reports[name] for name in names]
+
+
+def run_suite(which: str, max_n: int, jobs: int = 1) -> SuiteReport:
+    """Run one suite; see run_suites."""
+    return run_suites((which,), max_n, jobs)[0]
 
 
 # -- predicate expressions and search ----------------------------------
@@ -421,48 +424,63 @@ def compile_expression(text: str):
 
 
 class InstanceProfile:
-    """Lazy predicate values for one poset; lattice-only predicates are
-    False when the instance is not a lattice."""
+    """What the checks read about one poset or lattice, each computed at
+    most once: the lattice structure, the Scott open and closed set
+    lattices as profiles of their own, and predicate verdicts by name."""
 
-    def __init__(self, P: FinitePoset):
-        self.poset = P
-        self._values = {}
-        self._lattice = None
-        self._lattice_known = False
+    def __init__(self, instance):
+        if isinstance(instance, FiniteLattice):
+            self.lattice = instance  # known already: shadows the cached_property
+            instance = instance.base
+        self.poset = instance
+        self._verdicts = {}
 
+    @cached_property
     def lattice(self):
-        if not self._lattice_known:
-            self._lattice_known = True
-            try:
-                self._lattice = self.poset.as_lattice()
-            except Exception:
-                self._lattice = None
-        return self._lattice
+        """The poset as a lattice, or None when it is not one."""
+        try:
+            return self.poset.as_lattice()
+        except NotALatticeError:
+            return None
+
+    @cached_property
+    def sigma(self):
+        """Profile of the lattice of Scott opens."""
+        return InstanceProfile(scott_opens(self.poset).lattice)
+
+    @cached_property
+    def gamma(self):
+        """Profile of the lattice of Scott-closed sets."""
+        return InstanceProfile(scott_closed_lattice(self.poset).lattice)
+
+    def verdict(self, name):
+        """The predicate's Verdict, or None for a lattice-only predicate
+        when the instance is not a lattice."""
+        if name not in self._verdicts:
+            if name in properties.POSET_PREDICATES:
+                v = properties.POSET_PREDICATES[name](self.poset)
+            elif name not in properties.LATTICE_PREDICATES:
+                raise ParseError(f"unknown predicate name {name!r}")
+            elif self.lattice is None:
+                v = None
+            else:
+                v = properties.LATTICE_PREDICATES[name](self.lattice)
+            self._verdicts[name] = v
+        return self._verdicts[name]
 
     def value(self, name):
-        if name in self._values:
-            return self._values[name]
+        """Truth value of ``lattice`` or a predicate; False without a verdict."""
         if name == "lattice":
-            out = self.lattice() is not None
-        elif name in properties.POSET_PREDICATES:
-            out = properties.POSET_PREDICATES[name](self.poset).holds
-        elif name in properties.LATTICE_PREDICATES:
-            lat = self.lattice()
-            out = lat is not None and properties.LATTICE_PREDICATES[name](lat).holds
-        else:
-            raise ParseError(f"unknown predicate name {name!r}")
-        self._values[name] = out
-        return out
+            return self.lattice is not None
+        v = self.verdict(name)
+        return v is not None and v.holds
 
 
 def search(expression: str, max_n: int, kind: str = "posets"):
     """Smallest enumerated instance satisfying the expression (by element
     count, then canonical order), or None."""
     evaluate = compile_expression(expression)
-    for n in range(1, max_n + 1):
-        stream = enumerate_lattices(n) if kind == "lattices" else enumerate_posets(n)
-        for obj in stream:
-            P = obj.base if isinstance(obj, FiniteLattice) else obj
-            if evaluate(InstanceProfile(P)):
-                return obj
+    for obj in _stream(kind, max_n):
+        if evaluate(InstanceProfile(obj)):
+            return obj
     return None

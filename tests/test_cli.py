@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 from orderkit.cli import main
 
@@ -169,3 +170,38 @@ def test_export_dot_cli(tmp_path):
 def test_export_dot_stdout(capsys):
     assert main(["export-dot", "chain(2)"]) == 0
     assert '"0" -> "1";' in capsys.readouterr().out
+
+
+def _one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+def test_bad_max_n_env_exit(monkeypatch, capsys):
+    monkeypatch.setenv("ORDERKIT_MAX_N", "abc")
+    assert main(["enumerate", "--n", "3"]) == 2
+    assert "ORDERKIT_MAX_N" in _one_line_error(capsys)
+
+
+def test_enumerate_negative_n_exit(capsys):
+    assert main(["enumerate", "--n", "-1"]) == 2
+    _one_line_error(capsys)
+
+
+def test_verify_negative_max_n_exit(capsys):
+    assert main(["verify", "--max-n", "-1"]) == 2
+    assert "max_n" in _one_line_error(capsys)
+
+
+def test_verify_zero_jobs_exit(capsys):
+    assert main(["verify", "--suite", "thm32", "--max-n", "2", "--jobs", "0"]) == 2
+    assert "jobs" in _one_line_error(capsys)
+
+
+def test_verify_full_matches_golden(capsys):
+    golden = (Path(__file__).parent / "data" / "verify_full_n4.json").read_text()
+    for jobs in ("1", "2"):
+        assert main(["verify", "--suite", "full", "--max-n", "4", "--json",
+                     "--deterministic", "--jobs", jobs]) == 0
+        assert capsys.readouterr().out == golden

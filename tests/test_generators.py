@@ -1,7 +1,19 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orderkit import NotALatticeError, SizeLimitError, UnknownNameError
+from orderkit import (
+    NotALatticeError,
+    SizeLimitError,
+    UnknownNameError,
+    emit,
+    is_join_continuous,
+    is_scott_open,
+    parse,
+    prec,
+    scott_closure,
+    way_below,
+    way_way_below,
+)
 from orderkit.generators import (
     GenSpec,
     enumerate_lattices,
@@ -115,3 +127,35 @@ def test_random_poset_always_valid(n, seed, density):
         P.as_lattice()
     except NotALatticeError:
         pass
+
+
+def test_genspec_rejects_bad_sizes():
+    with pytest.raises(ValueError):
+        GenSpec(n=-2, kind="random")
+    with pytest.raises(ValueError):
+        GenSpec(n=-1)
+    for density in (-0.1, 1.5, 7.0, float("nan")):
+        with pytest.raises(ValueError):
+            GenSpec(n=3, kind="random", density=density)
+    GenSpec(n=0, kind="random", density=1.0)
+
+
+@given(st.integers(0, 6), st.integers(0, 2**20), st.floats(0, 1))
+@settings(max_examples=40, deadline=None)
+def test_random_poset_routes_agree(n, seed, density):
+    """Round trip through a poset file, and every relation or predicate with
+    a shortcut agrees with its definitional route on a random draw."""
+    P = random_poset(GenSpec(n=n, kind="random", seed=seed, density=density))
+    assert parse(emit(P)).is_isomorphic(P)
+    assert way_below(P, "fast") == way_below(P, "oracle")
+    for mask in range(1 << n):
+        assert scott_closure(P, mask) == scott_closure(P, mask, "definitional")
+        assert is_scott_open(P, mask, "upper") == is_scott_open(P, mask, "definitional")
+    try:
+        L = P.as_lattice()
+    except NotALatticeError:
+        return
+    assert prec(L, "fast") == prec(L, "oracle")
+    assert way_way_below(L, "closed") == way_way_below(L, "oracle")
+    assert (is_join_continuous(L, "reduced").holds
+            == is_join_continuous(L, "definitional").holds)

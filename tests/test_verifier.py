@@ -1,9 +1,12 @@
+from collections import Counter
+
 import pytest
 
-from orderkit import ParseError
+from orderkit import ParseError, properties, verifier
 from orderkit.generators import named
 from orderkit.properties import is_join_continuous
 from orderkit.verifier import (
+    SUITE_ORDER,
     chain_check,
     characterization_check,
     compile_expression,
@@ -11,6 +14,7 @@ from orderkit.verifier import (
     InstanceProfile,
     lemma31_check,
     run_suite,
+    run_suites,
     search,
     thm21_check,
     thm23_check,
@@ -183,5 +187,28 @@ def test_expression_parser():
 def test_profile_on_non_lattice():
     prof = InstanceProfile(named("antichain(2)"))
     assert prof.value("lattice") is False
+    assert prof.verdict("join_continuous") is None
     assert prof.value("join_continuous") is False
     assert prof.value("continuous") is True
+
+
+def test_run_suites_shares_work_per_instance(monkeypatch):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setitem(properties.POSET_PREDICATES, "quasicontinuous",
+                        counted("quasicontinuous",
+                                properties.POSET_PREDICATES["quasicontinuous"]))
+    monkeypatch.setattr(verifier, "scott_opens",
+                        counted("scott_opens", verifier.scott_opens))
+    reports = run_suites(SUITE_ORDER, 4)
+    assert [r.suite for r in reports] == list(SUITE_ORDER)
+    assert all(r.passed for r in reports)
+    # 24 posets up to n = 4: thm34 and thm25 share quasicontinuity, and
+    # thm21, thm23 and thm25 share the lattice of Scott opens
+    assert calls == {"quasicontinuous": 24, "scott_opens": 24}

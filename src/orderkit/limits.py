@@ -1,17 +1,21 @@
 """Size caps for definitional enumerations.
 
 Brute-force oracles loop over 2^n subsets; the caps below keep them from
-being invoked on carriers where that blows up.  The enumeration ceiling
-for generators can be raised with the ORDERKIT_MAX_N environment variable.
+being invoked on carriers where that blows up.  Tables whose size does not
+follow from n alone (directed subsets, upper sets) are bounded by their
+own count, checked before or while they are built.  The enumeration
+ceiling for generators can be raised with the ORDERKIT_MAX_N environment
+variable.
 """
 
 import os
 
 from .errors import InputError, SizeLimitError
 
-SUBSET_CAP = 24          # refuse 2^n loops beyond this carrier size
-OPENS_LIMIT = 1 << 20    # max number of upper sets materialized at once
-ENUM_MAX_DEFAULT = 7     # poset enumeration ceiling (env-overridable)
+SUBSET_CAP = 24           # refuse 2^n loops beyond this carrier size
+OPENS_LIMIT = 1 << 20     # max number of upper sets materialized or walked at once
+DIRECTED_LIMIT = 1 << 16  # max number of directed subsets tabulated per poset
+ENUM_MAX_DEFAULT = 7      # poset enumeration ceiling (env-overridable)
 ENUM_MAX_HARD = 8
 
 
@@ -21,9 +25,14 @@ def subset_cap(cap=None):
 
 def check_subset_cap(n, what, cap=None):
     cap = subset_cap(cap)
-    if n > cap:
-        raise SizeLimitError(what, n, cap)
+    check_limit(n, what, cap)
     return cap
+
+
+def check_limit(needed, what, limit):
+    """Refuse work whose size is known, or counted so far, to pass ``limit``."""
+    if needed > limit:
+        raise SizeLimitError(what, needed, limit)
 
 
 def check_count(value, what, least=0):

@@ -217,15 +217,37 @@ class FinitePoset:
 
     # -- subset enumeration ---------------------------------------------
 
-    def iter_subset_masks(self, cap=None, what="subset enumeration"):
-        limits.check_subset_cap(self.n, what, cap)
-        return range(1 << self.n)
+    def directed_sets(self, cap=None):
+        """(mask, sup) of every directed subset, in ascending mask order;
+        built once per poset."""
+        limits.check_subset_cap(self.n, "directed-subset enumeration", cap)
+        return self._directed_table
+
+    @cached_property
+    def _directed_table(self):
+        # On a finite carrier a set is directed exactly when it has a
+        # greatest element d, which is then its supremum: the directed sets
+        # are d together with any subset of the elements strictly below d.
+        # Their number, the sum over d of 2^(|down d| - 1), is bounded
+        # before any is built.
+        below = [self.down[d] & ~(1 << d) for d in range(self.n)]
+        count = sum(1 << b.bit_count() for b in below)
+        limits.check_limit(count, "directed-subset table", limits.DIRECTED_LIMIT)
+        out = []
+        for d in range(self.n):
+            top, sub = 1 << d, below[d]
+            while True:
+                out.append((sub | top, d))
+                if not sub:
+                    break
+                sub = (sub - 1) & below[d]
+        out.sort()
+        return tuple(out)
 
     def iter_directed_masks(self, cap=None):
         """Masks of all directed subsets, in ascending mask order."""
-        for mask in self.iter_subset_masks(cap, "directed-subset enumeration"):
-            if self.is_directed_mask(mask):
-                yield mask
+        for mask, _ in self.directed_sets(cap):
+            yield mask
 
     @cached_property
     def _reverse_linear_extension(self):
@@ -249,6 +271,16 @@ class FinitePoset:
                 yield from walk(k + 1, mask | (1 << e))
 
         return walk(0, 0)
+
+    def upper_masks(self, limit=None):
+        """All upper subsets as a list; refused once more than
+        ``limits.opens_limit(limit)`` of them have been walked."""
+        limit = limits.opens_limit(limit)
+        out = []
+        for m in self.iter_upper_masks():
+            out.append(m)
+            limits.check_limit(len(out), "upper-set enumeration", limit)
+        return out
 
     def count_upper_masks(self, stop_after=None):
         count = 0

@@ -45,14 +45,17 @@ def is_quasicontinuous(P: FinitePoset, cap=None) -> Verdict:
     """The family of up sets of finite approximating subsets of each element
     is directed under reverse inclusion and intersects to its up set."""
     for x in range(P.n):
-        fam = fin_family(P, x, cap)
+        fam = fin_family(P, x, cap=cap)
         members = fam.members
         if not members:
             w = Witness(elements=(P.labels[x],), note="empty approximating family")
             return Verdict(False, w)
+        # upper sets containing the up set of x are closed under
+        # intersection, so the scan below rarely runs
+        member_set = set(members)
         for a in members:
             for b in members:
-                if not any(not m & ~(a & b) for m in members):
+                if a & b not in member_set and not any(not m & ~(a & b) for m in members):
                     w = Witness(elements=(P.labels[x],),
                                 subsets=(P.labels_of(a), P.labels_of(b)),
                                 note="family not directed under reverse inclusion")
@@ -68,12 +71,12 @@ def is_quasicontinuous(P: FinitePoset, cap=None) -> Verdict:
 def is_meet_continuous(P: FinitePoset, cap=None) -> Verdict:
     """Topological form: x lies in the Scott closure of (down x) meet
     (down D) whenever a directed D has an existing supremum above x."""
-    directed = [(d, P.sup_mask(d)) for d in P.iter_directed_masks(cap)]
     for x in range(P.n):
-        for dmask, s in directed:
-            if s is None or not P.up[x] >> s & 1:
+        for dmask, s in P.directed_sets(cap):
+            if not P.up[x] >> s & 1:
                 continue
-            trace = P.down[x] & P.down_closure_mask(dmask)
+            # D contains its supremum, so down D is down (sup D)
+            trace = P.down[x] & P.down[s]
             if not scott_closure(P, trace).mask >> x & 1:
                 w = Witness(elements=(P.labels[x],), subsets=(P.labels_of(dmask),),
                             note="element escapes the closure of its trace on D")
@@ -85,8 +88,8 @@ def is_meet_continuous_algebraic(L: FiniteLattice, cap=None) -> Verdict:
     """Algebraic form: meets distribute over directed joins."""
     P = L.base
     for x in range(L.n):
-        for dmask in P.iter_directed_masks(cap):
-            lhs = L.meet_of(x, L.join_mask(dmask))
+        for dmask, s in P.directed_sets(cap):
+            lhs = L.meet_of(x, s)
             rhs = L.bottom
             for d in iter_bits(dmask):
                 rhs = L.join_of(rhs, L.meet_of(x, d))

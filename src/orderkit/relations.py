@@ -32,16 +32,6 @@ class Relation:
                 yield (x, y)
 
 
-def _directed_with_sup(P, cap):
-    """(mask, sup) for every directed subset whose supremum exists."""
-    out = []
-    for mask in P.iter_directed_masks(cap):
-        s = P.sup_mask(mask)
-        if s is not None:
-            out.append((mask, s))
-    return out
-
-
 def way_below(P: FinitePoset, mode="fast", cap=None) -> Relation:
     """x way-below y: every directed set with an existing supremum >= y
     meets the up set of x.
@@ -56,7 +46,7 @@ def way_below(P: FinitePoset, mode="fast", cap=None) -> Relation:
     if mode != "oracle":
         raise ValueError(f"unknown mode {mode!r}")
     rows = [P.full_mask] * n
-    for dmask, s in _directed_with_sup(P, cap):
+    for dmask, s in P.directed_sets(cap):
         for x in range(n):
             if not P.up[x] & dmask:
                 # D misses the up set of x: x is not way-below anything <= sup D
@@ -82,7 +72,7 @@ def way_below_sets(P: FinitePoset, f: Subset, g: Subset, cap=None) -> bool:
         raise ValueError("both subsets must be nonempty")
     up_f = P.up_closure_mask(fmask)
     up_g = P.up_closure_mask(gmask)
-    for dmask, s in _directed_with_sup(P, cap):
+    for dmask, s in P.directed_sets(cap):
         if up_g >> s & 1 and not dmask & up_f:
             return False
     return True
@@ -109,20 +99,36 @@ class FinFamily:
         return acc
 
 
-def fin_family(P: FinitePoset, x: int, cap=None) -> FinFamily:
+def fin_family(P: FinitePoset, x: int, mode="fast", cap=None) -> FinFamily:
     """Collect the up sets of all nonempty finite subsets F with F
-    approximating {x} (set way-below, singleton on the right)."""
+    approximating {x} (set way-below, singleton on the right).
+
+    The oracle tries every nonempty F.  Fast mode lists upper sets instead:
+    approximation reads F only through its up set, and every nonempty upper
+    set is the up set of its minimal elements.  A directed set meets an
+    upper set U exactly when its supremum, which it contains, lies in U,
+    and every s >= x is the supremum of {s}; so the members are the upper
+    sets containing the up set of x, the least of them.
+    """
     limits.check_subset_cap(P.n, "approximating-family enumeration", cap)
+    if mode == "fast":
+        members = sorted((u for u in P.upper_masks() if u >> x & 1), key=_member_order)
+        return FinFamily(P, x, tuple(members), (P.up[x],))
+    if mode != "oracle":
+        raise ValueError(f"unknown mode {mode!r}")
     seen = set()
-    target = Subset(P, 1 << x)
     for fmask in range(1, 1 << P.n):
-        if way_below_sets(P, Subset(P, fmask), target, cap):
+        if way_below_sets(P, fmask, 1 << x, cap):
             seen.add(P.up_closure_mask(fmask))
-    members = sorted(seen, key=lambda m: (m.bit_count(), tuple(iter_bits(m))))
+    members = sorted(seen, key=_member_order)
     minimal = tuple(
         m for m in members if not any(o != m and o & ~m == 0 for o in members)
     )
     return FinFamily(P, x, tuple(members), minimal)
+
+
+def _member_order(mask):
+    return (mask.bit_count(), tuple(iter_bits(mask)))
 
 
 def way_way_below(L: FiniteLattice, mode="closed", cap=None) -> Relation:

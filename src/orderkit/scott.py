@@ -10,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from . import limits
-from .errors import SizeLimitError
 from .poset import FiniteLattice, FinitePoset, Subset, iter_bits
 
 
@@ -27,9 +25,8 @@ def is_scott_open(P: FinitePoset, u: Subset, mode="definitional", cap=None) -> b
         raise ValueError(f"unknown mode {mode!r}")
     if not upper:
         return False
-    for dmask in P.iter_directed_masks(cap):
-        s = P.sup_mask(dmask)
-        if s is not None and mask >> s & 1 and not dmask & mask:
+    for dmask, s in P.directed_sets(cap):
+        if mask >> s & 1 and not dmask & mask:
             return False
     return True
 
@@ -111,19 +108,9 @@ class OpenSetLattice:
             raise KeyError(f"{mask:#x} is not a member set") from None
 
 
-def _collect_upper_masks(P, limit):
-    limit = limits.opens_limit(limit)
-    out = []
-    for m in P.iter_upper_masks():
-        out.append(m)
-        if len(out) > limit:
-            raise SizeLimitError("upper-set enumeration", len(out), limit)
-    return out
-
-
 def scott_opens(P: FinitePoset, limit=None) -> OpenSetLattice:
     """The lattice of Scott-open subsets ordered by inclusion."""
-    masks = _collect_upper_masks(P, limit)
+    masks = P.upper_masks(limit)
     masks, lattice = _lattice_of_set_family(P, masks, name=f"sigma({P.name or 'P'})")
     return OpenSetLattice(P, tuple(Subset(P, m) for m in masks), lattice)
 
@@ -131,7 +118,7 @@ def scott_opens(P: FinitePoset, limit=None) -> OpenSetLattice:
 def scott_closed_lattice(P: FinitePoset, limit=None) -> OpenSetLattice:
     """The lattice of Scott-closed subsets (complements of opens) ordered by
     inclusion; order-dual to the open-set lattice via complementation."""
-    masks = [P.full_mask ^ m for m in _collect_upper_masks(P, limit)]
+    masks = [P.full_mask ^ m for m in P.upper_masks(limit)]
     masks, lattice = _lattice_of_set_family(P, masks, name=f"gamma({P.name or 'P'})")
     return OpenSetLattice(P, tuple(Subset(P, m) for m in masks), lattice)
 

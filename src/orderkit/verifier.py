@@ -18,6 +18,7 @@ meet-complement equation are the non-trivial finite content.
 
 from __future__ import annotations
 
+import os
 import re
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -303,12 +304,14 @@ def run_suites(names, max_n: int, jobs: int = 1) -> list:
     """Run the named suites up to max_n, one report per name in the order
     given.  Each universe kind is enumerated once, and every requested
     suite on it checks one instance before the next.  The reports are
-    deterministic and independent of the worker count."""
+    deterministic and independent of the worker count, which is clamped
+    to the number of CPUs."""
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}")
     limits.check_count(max_n, "max_n")
     limits.check_count(jobs, "jobs", 1)
+    jobs = min(jobs, os.cpu_count() or 1)
     reports = {}
     for kind in ("lattices", "posets"):
         wanted = tuple(s for s in names if SUITES[s][0] == kind)

@@ -9,6 +9,13 @@ def posets_upto_5():
 
 
 @pytest.fixture(scope="session")
+def posets_upto_6(posets_upto_5):
+    out = dict(posets_upto_5)
+    out[6] = list(enumerate_posets(6))
+    return out
+
+
+@pytest.fixture(scope="session")
 def lattices_upto_6():
     return {n: list(enumerate_lattices(n)) for n in range(1, 7)}
 

@@ -1,8 +1,11 @@
 import json
+import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
+from orderkit import verifier
 from orderkit.cli import main
 
 RUN = [sys.executable, "-m", "orderkit"]
@@ -197,6 +200,47 @@ def test_verify_negative_max_n_exit(capsys):
 def test_verify_zero_jobs_exit(capsys):
     assert main(["verify", "--suite", "thm32", "--max-n", "2", "--jobs", "0"]) == 2
     assert "jobs" in _one_line_error(capsys)
+
+
+def test_large_carriers_exit_at_work_limit(capsys):
+    # chain(24) has 2^24 - 1 directed sets, antichain(24) 2^24 upper sets
+    for name, what in (("chain(24)", "directed-subset"), ("antichain(24)", "upper-set")):
+        started = time.perf_counter()
+        assert main(["check", name]) == 3
+        assert time.perf_counter() - started < 10
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(f"size limit: {what}")
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records the worker count and
+    maps in this process."""
+
+    workers = []
+
+    def __init__(self, max_workers):
+        self.workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+def test_verify_jobs_clamped_to_cpus(monkeypatch, capsys):
+    monkeypatch.setattr(verifier, "ProcessPoolExecutor", _InlinePool)
+    _InlinePool.workers.clear()
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert main(["verify", "--suite", "thm32", "--max-n", "3", "--jobs", "16"]) == 0
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert main(["verify", "--suite", "thm32", "--max-n", "3", "--jobs", "16"]) == 0
+    assert _InlinePool.workers == [2]
+    assert capsys.readouterr().out.count("0 failures") == 2
 
 
 def test_verify_full_matches_golden(capsys):

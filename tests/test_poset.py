@@ -4,8 +4,10 @@ from hypothesis import given, settings, strategies as st
 from orderkit import (
     CycleError,
     NotALatticeError,
+    SizeLimitError,
     UnknownLabelError,
     build_poset,
+    limits,
 )
 from orderkit.generators import GenSpec, named, random_poset
 from orderkit.poset import FinitePoset, iter_bits, mask_of
@@ -79,6 +81,36 @@ def test_sup_inf(m3):
     # sup of nothing is the bottom when there is one
     assert m3.sup(m3.subset()) == m3.index_of("0")
     assert anti.sup(anti.subset()) is None
+
+
+def test_directed_sets_examples(m3):
+    chain = named("chain(3)")
+    assert chain.directed_sets() == (
+        (0b001, 0), (0b010, 1), (0b011, 1), (0b100, 2),
+        (0b101, 2), (0b110, 2), (0b111, 2),
+    )
+    anti = named("antichain(3)")
+    assert anti.directed_sets() == ((0b001, 0), (0b010, 1), (0b100, 2))
+    assert FinitePoset((), ()).directed_sets() == ()
+    top = m3.index_of("1")
+    assert len([s for _, s in m3.directed_sets() if s == top]) == 1 << 4
+
+
+def test_directed_sets_match_literal_scan(posets_upto_6):
+    for n in range(1, 7):
+        for P in posets_upto_6[n]:
+            literal = [m for m in range(1 << n) if P.is_directed_mask(m)]
+            assert [m for m, _ in P.directed_sets()] == literal
+            assert list(P.iter_directed_masks()) == literal
+            assert all(s == P.sup_mask(m) for m, s in P.directed_sets())
+
+
+def test_directed_sets_limit(monkeypatch):
+    monkeypatch.setattr(limits, "DIRECTED_LIMIT", 6)
+    with pytest.raises(SizeLimitError) as err:
+        named("chain(3)").directed_sets()
+    assert err.value.needed == 7 and err.value.cap == 6
+    assert len(named("antichain(6)").directed_sets()) == 6
 
 
 def test_sup_is_least_upper_bound(posets_upto_5):

@@ -1,6 +1,6 @@
 import pytest
 
-from orderkit import SizeLimitError
+from orderkit import SizeLimitError, limits
 from orderkit.generators import named
 from orderkit.poset import iter_bits
 from orderkit.relations import (
@@ -76,6 +76,31 @@ def test_fin_family_invariants(posets_upto_5):
             assert P.up[x] in fam.members
             assert fam.intersection_mask() == P.up[x]
             assert fam.size == len(fam.members)
+
+
+def test_fin_family_routes_agree(posets_upto_6):
+    for n in range(1, 7):
+        for P in posets_upto_6[n]:
+            for x in range(n):
+                fast = fin_family(P, x, mode="fast")
+                oracle = fin_family(P, x, mode="oracle")
+                assert fast.members == oracle.members
+                assert fast.minimal == oracle.minimal
+
+
+def test_fin_family_upper_set_limit(monkeypatch):
+    P = named("antichain(5)")
+    assert fin_family(P, 0).size == 16
+    monkeypatch.setattr(limits, "OPENS_LIMIT", 31)
+    with pytest.raises(SizeLimitError) as err:
+        fin_family(P, 0)
+    assert err.value.needed == 32
+    assert fin_family(P, 0, mode="oracle").size == 16
+
+
+def test_fin_family_bad_mode():
+    with pytest.raises(ValueError):
+        fin_family(named("chain(2)"), 0, mode="turbo")
 
 
 def test_way_way_below_chain3():

@@ -21,10 +21,11 @@ def test_is_scott_open_examples():
 
 
 def test_scott_open_modes_agree(posets_upto_5):
-    for P in posets_upto_5[4]:
-        for mask in range(1 << P.n):
-            s = P.subset_of_mask(mask)
-            assert is_scott_open(P, s, "definitional") == is_scott_open(P, s, "upper")
+    for n in range(1, 5):
+        for P in posets_upto_5[n]:
+            for mask in range(1 << n):
+                s = P.subset_of_mask(mask)
+                assert is_scott_open(P, s, "definitional") == is_scott_open(P, s, "upper")
 
 
 def test_scott_opens_examples():

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import files, properties, verifier
-from .errors import OrderkitError, SizeLimitError
+from .errors import InputError, OrderkitError, SizeLimitError
 from .generators import named
 from .poset import FinitePoset
 from .scott import scott_closed_lattice, scott_opens
@@ -77,8 +77,9 @@ def cmd_check(args):
         names = [s.strip() for s in args.properties.split(",") if s.strip()]
         for prop in names:
             if prop not in properties.PREDICATE_NAMES:
-                print(f"unknown property {prop!r}", file=sys.stderr)
-                return EXIT_INPUT
+                raise InputError(f"unknown property {prop!r}")
+        if not names:
+            raise InputError(f"--properties {args.properties!r} names no property")
     report = _check_report(P, names)
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))

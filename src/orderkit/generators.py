@@ -60,6 +60,11 @@ def named(name: str) -> FinitePoset:
     if not m:
         raise UnknownNameError(name)
     kind, k = m.group(1), int(m.group(2))
+    # bound the carrier before building it; boolean(k) has 2^k elements,
+    # more than the cap exactly when k reaches the cap's bit length
+    if kind == "boolean" and k >= limits.SUBSET_CAP.bit_length():
+        raise SizeLimitError(f"carrier of {name}", f"2^{k}", limits.SUBSET_CAP)
+    limits.check_limit(k, f"carrier of {name}", limits.SUBSET_CAP)
     if kind == "chain":
         labels = tuple(str(i) for i in range(k))
         rows = [mask_of(range(i, k)) for i in range(k)]
@@ -130,8 +135,8 @@ def _poset_level(n):
     keys = set()
     for key in _poset_level(n - 1):
         parent = FinitePoset(default_labels(n - 1), key)
-        for down_mask in parent.iter_lower_masks():
-            keys.add(_extend_with_max(parent, down_mask).canonical_key())
+        for up_mask in parent.upper_masks():
+            keys.add(_extend_with_max(parent, parent.full_mask ^ up_mask).canonical_key())
     return tuple(sorted(keys))
 
 

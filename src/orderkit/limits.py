@@ -12,21 +12,16 @@ import os
 
 from .errors import InputError, SizeLimitError
 
-SUBSET_CAP = 24           # refuse 2^n loops beyond this carrier size
-OPENS_LIMIT = 1 << 20     # max number of upper sets materialized or walked at once
+SUBSET_CAP = 24           # refuse 2^n loops and named carriers beyond this size
+OPENS_LIMIT = 1 << 20     # max number of upper sets tabulated per poset
 DIRECTED_LIMIT = 1 << 16  # max number of directed subsets tabulated per poset
 ENUM_MAX_DEFAULT = 7      # poset enumeration ceiling (env-overridable)
 ENUM_MAX_HARD = 8
 
 
-def subset_cap(cap=None):
-    return SUBSET_CAP if cap is None else cap
-
-
-def check_subset_cap(n, what, cap=None):
-    cap = subset_cap(cap)
-    check_limit(n, what, cap)
-    return cap
+def check_subset_cap(n, what):
+    """Refuse a loop over the 2^n subsets of an n-element carrier."""
+    check_limit(n, what, SUBSET_CAP)
 
 
 def check_limit(needed, what, limit):
@@ -48,7 +43,3 @@ def enum_max():
     if not raw.strip().isdigit():
         raise InputError(f"ORDERKIT_MAX_N must be a non-negative integer, got {raw!r}")
     return min(int(raw), ENUM_MAX_HARD)
-
-
-def opens_limit(limit=None):
-    return OPENS_LIMIT if limit is None else limit

@@ -30,6 +30,11 @@ def mask_of(indices):
     return out
 
 
+def set_order(mask):
+    """Sort key of a subset: its size, then its indices."""
+    return (mask.bit_count(), tuple(iter_bits(mask)))
+
+
 class FinitePoset:
     """An immutable finite partial order with distinct element labels.
 
@@ -217,10 +222,10 @@ class FinitePoset:
 
     # -- subset enumeration ---------------------------------------------
 
-    def directed_sets(self, cap=None):
+    def directed_sets(self):
         """(mask, sup) of every directed subset, in ascending mask order;
         built once per poset."""
-        limits.check_subset_cap(self.n, "directed-subset enumeration", cap)
+        limits.check_subset_cap(self.n, "directed-subset enumeration")
         return self._directed_table
 
     @cached_property
@@ -244,9 +249,9 @@ class FinitePoset:
         out.sort()
         return tuple(out)
 
-    def iter_directed_masks(self, cap=None):
+    def iter_directed_masks(self):
         """Masks of all directed subsets, in ascending mask order."""
-        for mask, _ in self.directed_sets(cap):
+        for mask, _ in self.directed_sets():
             yield mask
 
     @cached_property
@@ -272,28 +277,22 @@ class FinitePoset:
 
         return walk(0, 0)
 
-    def upper_masks(self, limit=None):
-        """All upper subsets as a list; refused once more than
-        ``limits.opens_limit(limit)`` of them have been walked."""
-        limit = limits.opens_limit(limit)
+    def upper_masks(self):
+        """Every upper subset in ``set_order``, walked once per poset;
+        refused once more than ``limits.OPENS_LIMIT`` are counted, while
+        the table is built and on every later read."""
+        table = self._upper_table
+        limits.check_limit(len(table), "upper-set enumeration", limits.OPENS_LIMIT)
+        return table
+
+    @cached_property
+    def _upper_table(self):
         out = []
         for m in self.iter_upper_masks():
             out.append(m)
-            limits.check_limit(len(out), "upper-set enumeration", limit)
-        return out
-
-    def count_upper_masks(self, stop_after=None):
-        count = 0
-        for _ in self.iter_upper_masks():
-            count += 1
-            if stop_after is not None and count > stop_after:
-                return count
-        return count
-
-    def iter_lower_masks(self):
-        full = self.full_mask
-        for u in self.iter_upper_masks():
-            yield full ^ u
+            limits.check_limit(len(out), "upper-set enumeration", limits.OPENS_LIMIT)
+        out.sort(key=set_order)
+        return tuple(out)
 
     # -- structure ------------------------------------------------------
 

@@ -20,9 +20,9 @@ from .relations import fin_family, prec, way_below, way_way_below
 from .scott import scott_closure
 
 
-def is_continuous(P: FinitePoset, mode="fast", cap=None) -> Verdict:
+def is_continuous(P: FinitePoset, mode="fast") -> Verdict:
     """Every element is the directed supremum of its way-below approximants."""
-    rel = way_below(P, mode, cap)
+    rel = way_below(P, mode)
     for x in range(P.n):
         approx = 0
         for p in range(P.n):
@@ -41,11 +41,11 @@ def is_continuous(P: FinitePoset, mode="fast", cap=None) -> Verdict:
     return Verdict(True)
 
 
-def is_quasicontinuous(P: FinitePoset, cap=None) -> Verdict:
+def is_quasicontinuous(P: FinitePoset) -> Verdict:
     """The family of up sets of finite approximating subsets of each element
     is directed under reverse inclusion and intersects to its up set."""
     for x in range(P.n):
-        fam = fin_family(P, x, cap=cap)
+        fam = fin_family(P, x)
         members = fam.members
         if not members:
             w = Witness(elements=(P.labels[x],), note="empty approximating family")
@@ -68,11 +68,11 @@ def is_quasicontinuous(P: FinitePoset, cap=None) -> Verdict:
     return Verdict(True)
 
 
-def is_meet_continuous(P: FinitePoset, cap=None) -> Verdict:
+def is_meet_continuous(P: FinitePoset) -> Verdict:
     """Topological form: x lies in the Scott closure of (down x) meet
     (down D) whenever a directed D has an existing supremum above x."""
     for x in range(P.n):
-        for dmask, s in P.directed_sets(cap):
+        for dmask, s in P.directed_sets():
             if not P.up[x] >> s & 1:
                 continue
             # D contains its supremum, so down D is down (sup D)
@@ -84,11 +84,11 @@ def is_meet_continuous(P: FinitePoset, cap=None) -> Verdict:
     return Verdict(True)
 
 
-def is_meet_continuous_algebraic(L: FiniteLattice, cap=None) -> Verdict:
+def is_meet_continuous_algebraic(L: FiniteLattice) -> Verdict:
     """Algebraic form: meets distribute over directed joins."""
     P = L.base
     for x in range(L.n):
-        for dmask, s in P.directed_sets(cap):
+        for dmask, s in P.directed_sets():
             lhs = L.meet_of(x, s)
             rhs = L.bottom
             for d in iter_bits(dmask):
@@ -100,7 +100,7 @@ def is_meet_continuous_algebraic(L: FiniteLattice, cap=None) -> Verdict:
     return Verdict(True)
 
 
-def is_join_continuous(L: FiniteLattice, mode="reduced", cap=None) -> Verdict:
+def is_join_continuous(L: FiniteLattice, mode="reduced") -> Verdict:
     """Joins distribute over arbitrary meets: x join (meet of S) equals the
     meet of the pointwise joins, for every subset S including the empty one.
 
@@ -125,7 +125,7 @@ def is_join_continuous(L: FiniteLattice, mode="reduced", cap=None) -> Verdict:
         return Verdict(True)
     if mode != "definitional":
         raise ValueError(f"unknown mode {mode!r}")
-    limits.check_subset_cap(n, "subset enumeration for join continuity", cap)
+    limits.check_subset_cap(n, "subset enumeration for join continuity")
     for x in range(n):
         for smask in range(1 << n):
             lhs = L.join_of(x, L.meet_mask(smask))
@@ -139,10 +139,10 @@ def is_join_continuous(L: FiniteLattice, mode="reduced", cap=None) -> Verdict:
     return Verdict(True)
 
 
-def is_frame(L: FiniteLattice, mode="reduced", cap=None) -> Verdict:
+def is_frame(L: FiniteLattice, mode="reduced") -> Verdict:
     """Meets distribute over arbitrary joins; the order dual of join
     continuity, and computed that way."""
-    v = is_join_continuous(L.dual(), mode, cap)
+    v = is_join_continuous(L.dual(), mode)
     if v.holds:
         return v
     w = v.witness
@@ -150,16 +150,16 @@ def is_frame(L: FiniteLattice, mode="reduced", cap=None) -> Verdict:
                                   lhs=w.lhs, rhs=w.rhs, note="evaluated in the order dual"))
 
 
-def is_hypercontinuous(L: FiniteLattice, mode="fast", cap=None) -> Verdict:
+def is_hypercontinuous(L: FiniteLattice, mode="fast") -> Verdict:
     """Every element is the join of its predecessors in the upper-set
     interpolation order."""
-    rel = prec(L, mode, cap)
+    rel = prec(L, mode)
     return _join_of_predecessors(L, rel)
 
 
-def is_prime_continuous(L: FiniteLattice, mode="closed", cap=None) -> Verdict:
+def is_prime_continuous(L: FiniteLattice, mode="closed") -> Verdict:
     """Every element is the join of the elements way-way-below it."""
-    rel = way_way_below(L, mode, cap)
+    rel = way_way_below(L, mode)
     return _join_of_predecessors(L, rel)
 
 
@@ -195,13 +195,13 @@ def is_distributive(L: FiniteLattice) -> Verdict:
     return Verdict(True)
 
 
-def is_completely_distributive_oracle(L: FiniteLattice, family_bound=3, cap=None) -> Verdict:
+def is_completely_distributive_oracle(L: FiniteLattice, family_bound=3) -> Verdict:
     """Cross-validates the binary shortcut: checks the complete distributive
     law for every family of at most ``family_bound`` nonempty subsets,
     enumerating all choice functions."""
     P = L.base
     n = L.n
-    limits.check_subset_cap(n, "family enumeration for complete distributivity", cap)
+    limits.check_subset_cap(n, "family enumeration for complete distributivity")
     subsets = [tuple(iter_bits(m)) for m in range(1, 1 << n)]
     for k in range(1, family_bound + 1):
         for family in combinations_with_replacement(subsets, k):
@@ -236,17 +236,17 @@ def supinf_continuous_rhs(L: FiniteLattice, x: int) -> int:
     """Join over Scott opens containing x of the meet of the open."""
     P = L.base
     acc = L.bottom
-    for u in P.iter_upper_masks():
+    for u in P.upper_masks():
         if u >> x & 1:
             acc = L.join_of(acc, L.meet_mask(u))
     return acc
 
 
-def supinf_hyper_rhs(L: FiniteLattice, x: int, cap=None) -> int:
+def supinf_hyper_rhs(L: FiniteLattice, x: int) -> int:
     """Join over finite sets M avoiding x downward of the meet of the
     complement of (down M)."""
     P = L.base
-    limits.check_subset_cap(L.n, "subset enumeration for the finite-set form", cap)
+    limits.check_subset_cap(L.n, "subset enumeration for the finite-set form")
     acc = L.bottom
     for mmask in range(1 << L.n):
         if P.down_closure_mask(mmask) >> x & 1:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import limits
-from .poset import FiniteLattice, FinitePoset, Subset, iter_bits, mask_of
+from .poset import FiniteLattice, FinitePoset, Subset, iter_bits, mask_of, set_order
 
 
 @dataclass(frozen=True)
@@ -32,7 +32,7 @@ class Relation:
                 yield (x, y)
 
 
-def way_below(P: FinitePoset, mode="fast", cap=None) -> Relation:
+def way_below(P: FinitePoset, mode="fast") -> Relation:
     """x way-below y: every directed set with an existing supremum >= y
     meets the up set of x.
 
@@ -46,7 +46,7 @@ def way_below(P: FinitePoset, mode="fast", cap=None) -> Relation:
     if mode != "oracle":
         raise ValueError(f"unknown mode {mode!r}")
     rows = [P.full_mask] * n
-    for dmask, s in P.directed_sets(cap):
+    for dmask, s in P.directed_sets():
         for x in range(n):
             if not P.up[x] & dmask:
                 # D misses the up set of x: x is not way-below anything <= sup D
@@ -54,9 +54,9 @@ def way_below(P: FinitePoset, mode="fast", cap=None) -> Relation:
     return Relation(P, tuple(rows))
 
 
-def approximants(P: FinitePoset, x: int, mode="fast", cap=None) -> Subset:
+def approximants(P: FinitePoset, x: int, mode="fast") -> Subset:
     """All elements way-below x; equals the down set of x on finite carriers."""
-    rel = way_below(P, mode, cap)
+    rel = way_below(P, mode)
     mask = 0
     for p in range(P.n):
         if rel.holds(p, x):
@@ -64,7 +64,7 @@ def approximants(P: FinitePoset, x: int, mode="fast", cap=None) -> Subset:
     return Subset(P, mask)
 
 
-def way_below_sets(P: FinitePoset, f: Subset, g: Subset, cap=None) -> bool:
+def way_below_sets(P: FinitePoset, f: Subset, g: Subset) -> bool:
     """Set-to-set approximation: every directed set whose existing supremum
     lies in the up set of g already meets the up set of f."""
     fmask, gmask = P._mask(f), P._mask(g)
@@ -72,7 +72,7 @@ def way_below_sets(P: FinitePoset, f: Subset, g: Subset, cap=None) -> bool:
         raise ValueError("both subsets must be nonempty")
     up_f = P.up_closure_mask(fmask)
     up_g = P.up_closure_mask(gmask)
-    for dmask, s in P.directed_sets(cap):
+    for dmask, s in P.directed_sets():
         if up_g >> s & 1 and not dmask & up_f:
             return False
     return True
@@ -85,7 +85,7 @@ class FinFamily:
 
     owner: FinitePoset
     element: int
-    members: tuple  # all distinct up-set masks, sorted by (size, indices)
+    members: tuple  # all distinct up-set masks, in set_order
     minimal: tuple  # the inclusion-minimal members, same order
 
     @property
@@ -99,7 +99,7 @@ class FinFamily:
         return acc
 
 
-def fin_family(P: FinitePoset, x: int, mode="fast", cap=None) -> FinFamily:
+def fin_family(P: FinitePoset, x: int, mode="fast") -> FinFamily:
     """Collect the up sets of all nonempty finite subsets F with F
     approximating {x} (set way-below, singleton on the right).
 
@@ -110,28 +110,24 @@ def fin_family(P: FinitePoset, x: int, mode="fast", cap=None) -> FinFamily:
     and every s >= x is the supremum of {s}; so the members are the upper
     sets containing the up set of x, the least of them.
     """
-    limits.check_subset_cap(P.n, "approximating-family enumeration", cap)
+    limits.check_subset_cap(P.n, "approximating-family enumeration")
     if mode == "fast":
-        members = sorted((u for u in P.upper_masks() if u >> x & 1), key=_member_order)
-        return FinFamily(P, x, tuple(members), (P.up[x],))
+        members = tuple(u for u in P.upper_masks() if u >> x & 1)
+        return FinFamily(P, x, members, (P.up[x],))
     if mode != "oracle":
         raise ValueError(f"unknown mode {mode!r}")
     seen = set()
     for fmask in range(1, 1 << P.n):
-        if way_below_sets(P, fmask, 1 << x, cap):
+        if way_below_sets(P, fmask, 1 << x):
             seen.add(P.up_closure_mask(fmask))
-    members = sorted(seen, key=_member_order)
+    members = sorted(seen, key=set_order)
     minimal = tuple(
         m for m in members if not any(o != m and o & ~m == 0 for o in members)
     )
     return FinFamily(P, x, tuple(members), minimal)
 
 
-def _member_order(mask):
-    return (mask.bit_count(), tuple(iter_bits(mask)))
-
-
-def way_way_below(L: FiniteLattice, mode="closed", cap=None) -> Relation:
+def way_way_below(L: FiniteLattice, mode="closed") -> Relation:
     """u way-way-below v: every subset S with join >= v has a member above u.
 
     Oracle mode quantifies over all 2^n subsets including the empty one.
@@ -149,7 +145,7 @@ def way_way_below(L: FiniteLattice, mode="closed", cap=None) -> Relation:
         return Relation(P, tuple(rows))
     if mode != "oracle":
         raise ValueError(f"unknown mode {mode!r}")
-    limits.check_subset_cap(n, "subset enumeration for way-way-below", cap)
+    limits.check_subset_cap(n, "subset enumeration for way-way-below")
     rows = [P.full_mask] * n
     for smask in range(1 << n):
         j = L.join_mask(smask)
@@ -161,7 +157,7 @@ def way_way_below(L: FiniteLattice, mode="closed", cap=None) -> Relation:
     return Relation(P, tuple(rows))
 
 
-def prec(L: FiniteLattice, mode="fast", cap=None) -> Relation:
+def prec(L: FiniteLattice, mode="fast") -> Relation:
     """x below y in the upper-set interpolation order: every upper set
     inside the up set of y is already inside the up set of x.
 
@@ -176,9 +172,9 @@ def prec(L: FiniteLattice, mode="fast", cap=None) -> Relation:
         return Relation(P, P.up)
     if mode != "oracle":
         raise ValueError(f"unknown mode {mode!r}")
-    limits.check_subset_cap(n, "upper-set enumeration for interpolation order", cap)
+    limits.check_subset_cap(n, "upper-set enumeration for interpolation order")
     rows = [P.full_mask] * n
-    for v in P.iter_upper_masks():
+    for v in P.upper_masks():
         inside_y = mask_of(y for y in range(n) if not v & ~P.up[y])
         for x in range(n):
             if v & ~P.up[x]:

@@ -10,10 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .poset import FiniteLattice, FinitePoset, Subset, iter_bits
+from .poset import FiniteLattice, FinitePoset, Subset, set_order
 
 
-def is_scott_open(P: FinitePoset, u: Subset, mode="definitional", cap=None) -> bool:
+def is_scott_open(P: FinitePoset, u: Subset, mode="definitional") -> bool:
     """Upper, and every directed set with an existing supremum inside the
     set already meets it.  The ``upper`` mode checks upperness only, the
     finite-carrier equivalent."""
@@ -25,7 +25,7 @@ def is_scott_open(P: FinitePoset, u: Subset, mode="definitional", cap=None) -> b
         raise ValueError(f"unknown mode {mode!r}")
     if not upper:
         return False
-    for dmask, s in P.directed_sets(cap):
+    for dmask, s in P.directed_sets():
         if mask >> s & 1 and not dmask & mask:
             return False
     return True
@@ -43,7 +43,7 @@ def scott_closure(P: FinitePoset, s: Subset, mode="fast") -> Subset:
     if mode != "definitional":
         raise ValueError(f"unknown mode {mode!r}")
     acc = P.full_mask
-    for u in P.iter_upper_masks():
+    for u in P.upper_masks():
         closed = P.full_mask ^ u
         if not mask & ~closed:
             acc &= closed
@@ -51,8 +51,8 @@ def scott_closure(P: FinitePoset, s: Subset, mode="fast") -> Subset:
 
 
 def _lattice_of_set_family(P, masks, name):
-    """Lattice of a union/intersection-closed family ordered by inclusion."""
-    masks = sorted(masks, key=lambda m: (m.bit_count(), tuple(iter_bits(m))))
+    """A union/intersection-closed family in set_order, with its lattice."""
+    masks = sorted(masks, key=set_order)
     index = {m: i for i, m in enumerate(masks)}
     k = len(masks)
     labels = tuple("{" + ",".join(P.labels_of(m)) + "}" for m in masks)
@@ -81,7 +81,7 @@ def _lattice_of_set_family(P, masks, name):
         bottom=index[0],
         top=index[P.full_mask],
     )
-    return masks, lattice
+    return OpenSetLattice(P, tuple(Subset(P, m) for m in masks), lattice)
 
 
 @dataclass(frozen=True)
@@ -108,19 +108,16 @@ class OpenSetLattice:
             raise KeyError(f"{mask:#x} is not a member set") from None
 
 
-def scott_opens(P: FinitePoset, limit=None) -> OpenSetLattice:
+def scott_opens(P: FinitePoset) -> OpenSetLattice:
     """The lattice of Scott-open subsets ordered by inclusion."""
-    masks = P.upper_masks(limit)
-    masks, lattice = _lattice_of_set_family(P, masks, name=f"sigma({P.name or 'P'})")
-    return OpenSetLattice(P, tuple(Subset(P, m) for m in masks), lattice)
+    return _lattice_of_set_family(P, P.upper_masks(), name=f"sigma({P.name or 'P'})")
 
 
-def scott_closed_lattice(P: FinitePoset, limit=None) -> OpenSetLattice:
+def scott_closed_lattice(P: FinitePoset) -> OpenSetLattice:
     """The lattice of Scott-closed subsets (complements of opens) ordered by
     inclusion; order-dual to the open-set lattice via complementation."""
-    masks = [P.full_mask ^ m for m in P.upper_masks(limit)]
-    masks, lattice = _lattice_of_set_family(P, masks, name=f"gamma({P.name or 'P'})")
-    return OpenSetLattice(P, tuple(Subset(P, m) for m in masks), lattice)
+    masks = [P.full_mask ^ m for m in P.upper_masks()]
+    return _lattice_of_set_family(P, masks, name=f"gamma({P.name or 'P'})")
 
 
 def complement_isomorphism(opens: OpenSetLattice, closeds: OpenSetLattice):

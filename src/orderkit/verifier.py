@@ -33,7 +33,7 @@ from .poset import FiniteLattice, Verdict, Witness, iter_bits
 from .scott import scott_closed_lattice, scott_opens
 
 
-def lemma31_check(L: FiniteLattice, cap=None) -> Verdict:
+def lemma31_check(L: FiniteLattice) -> Verdict:
     """For every finite subset M: the meet of the complement of (down M)
     equals the join over m in M of the meets of the single complements.
     Both sides reduce to the bottom element for empty M.
@@ -41,8 +41,7 @@ def lemma31_check(L: FiniteLattice, cap=None) -> Verdict:
     Asserts first, for every M, the set identity behind it: the complement
     of (down M) is the intersection of the single-element complements.
     """
-    limits.check_subset_cap(L.n, "subset enumeration for the finite-set equation", cap)
-    identity = downset_complement_identity(L, cap)
+    identity = downset_complement_identity(L)
     if not identity.holds:
         return identity
     P = L.base
@@ -59,10 +58,10 @@ def lemma31_check(L: FiniteLattice, cap=None) -> Verdict:
     return Verdict(True)
 
 
-def downset_complement_identity(L: FiniteLattice, cap=None) -> Verdict:
+def downset_complement_identity(L: FiniteLattice) -> Verdict:
     """Just the set identity part of lemma31_check, for every subset."""
     P = L.base
-    limits.check_subset_cap(L.n, "subset enumeration for the set identity", cap)
+    limits.check_subset_cap(L.n, "subset enumeration for the set identity")
     full = P.full_mask
     for mmask in range(1 << L.n):
         inter = full
@@ -309,7 +308,7 @@ def run_suites(names, max_n: int, jobs: int = 1) -> list:
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}")
-    limits.check_count(max_n, "max_n")
+    limits.check_count(max_n, "max_n", 1)
     limits.check_count(jobs, "jobs", 1)
     jobs = min(jobs, os.cpu_count() or 1)
     reports = {}

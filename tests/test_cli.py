@@ -202,6 +202,28 @@ def test_verify_zero_jobs_exit(capsys):
     assert "jobs" in _one_line_error(capsys)
 
 
+def test_verify_zero_max_n_exit(capsys):
+    assert main(["verify", "--max-n", "0"]) == 2
+    assert "max_n" in _one_line_error(capsys)
+
+
+def test_check_empty_properties_exit(capsys):
+    assert main(["check", "M3", "--properties", ""]) == 2
+    assert "--properties" in _one_line_error(capsys)
+
+
+def test_named_carriers_over_cap_exit(capsys):
+    # boolean(5) would have 32 elements and boolean(20) 2^20; all three are
+    # refused before they are built
+    for name in ("boolean(5)", "boolean(20)", "chain(25)"):
+        started = time.perf_counter()
+        assert main(["check", name]) == 3
+        assert time.perf_counter() - started < 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(f"size limit: carrier of {name}")
+
+
 def test_large_carriers_exit_at_work_limit(capsys):
     # chain(24) has 2^24 - 1 directed sets, antichain(24) 2^24 upper sets
     for name, what in (("chain(24)", "directed-subset"), ("antichain(24)", "upper-set")):

@@ -10,7 +10,7 @@ from orderkit import (
     limits,
 )
 from orderkit.generators import GenSpec, named, random_poset
-from orderkit.poset import FinitePoset, iter_bits, mask_of
+from orderkit.poset import FinitePoset, iter_bits, mask_of, set_order
 
 
 def test_build_two_chain():
@@ -192,14 +192,12 @@ def test_canonical_idempotent(posets_upto_5):
         assert C.is_canonical()
 
 
-def test_upper_masks_are_upper(posets_upto_5):
-    for P in posets_upto_5[4]:
-        uppers = list(P.iter_upper_masks())
-        assert len(set(uppers)) == len(uppers)
-        for u in uppers:
-            assert P.up_closure_mask(u) == u
-        brute = [m for m in range(1 << P.n) if P.up_closure_mask(m) == m]
-        assert sorted(uppers) == sorted(brute)
+def test_upper_masks_are_upper(posets_upto_6):
+    # the table against the literal scan, in the shared set order
+    for batch in posets_upto_6.values():
+        for P in batch:
+            literal = [m for m in range(1 << P.n) if P.up_closure_mask(m) == m]
+            assert P.upper_masks() == tuple(sorted(literal, key=set_order))
 
 
 def test_up_closure_monotone(posets_upto_5):

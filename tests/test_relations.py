@@ -23,9 +23,11 @@ def test_way_below_oracle_collapses_to_order():
     assert way_below(m3, "oracle").rows == m3.up
 
 
-def test_way_below_cap():
+def test_way_below_cap(monkeypatch):
+    P = named("chain(4)")
+    monkeypatch.setattr(limits, "SUBSET_CAP", 3)
     with pytest.raises(SizeLimitError):
-        list(way_below(named("chain(4)"), "oracle", cap=3).pairs())
+        list(way_below(P, "oracle").pairs())
 
 
 def test_approximants():

@@ -1,6 +1,6 @@
 import pytest
 
-from orderkit import SizeLimitError
+from orderkit import SizeLimitError, limits
 from orderkit.generators import named
 from orderkit.properties import is_prime_continuous
 from orderkit.scott import (
@@ -62,13 +62,15 @@ def test_scott_opens_structure(posets_upto_5):
 def test_scott_opens_count_is_upper_set_count(posets_upto_5):
     for n, batch in posets_upto_5.items():
         for P in batch:
-            assert len(scott_opens(P).opens) == P.count_upper_masks()
+            literal = sum(P.up_closure_mask(m) == m for m in range(1 << P.n))
+            assert len(scott_opens(P).opens) == literal
     assert len(scott_opens(named("antichain(3)")).opens) == 8
 
 
-def test_scott_opens_limit():
+def test_scott_opens_limit(monkeypatch):
+    monkeypatch.setattr(limits, "OPENS_LIMIT", 10)
     with pytest.raises(SizeLimitError) as err:
-        scott_opens(named("antichain(4)"), limit=10)
+        scott_opens(named("antichain(4)"))
     assert err.value.needed == 11
 
 

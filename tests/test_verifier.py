@@ -4,6 +4,7 @@ import pytest
 
 from orderkit import ParseError, properties, verifier
 from orderkit.generators import named
+from orderkit.poset import FinitePoset
 from orderkit.properties import is_join_continuous
 from orderkit.verifier import (
     SUITE_ORDER,
@@ -212,3 +213,17 @@ def test_run_suites_shares_work_per_instance(monkeypatch):
     # 24 posets up to n = 4: thm34 and thm25 share quasicontinuity, and
     # thm21, thm23 and thm25 share the lattice of Scott opens
     assert calls == {"quasicontinuous": 24, "scott_opens": 24}
+
+
+def test_run_suites_walks_upper_sets_once_per_poset(monkeypatch):
+    walked = []  # keeps every walked poset alive, so ids stay distinct
+    walk = FinitePoset.iter_upper_masks
+
+    def counted(self):
+        walked.append(self)
+        return walk(self)
+
+    monkeypatch.setattr(FinitePoset, "iter_upper_masks", counted)
+    assert all(r.passed for r in run_suites(SUITE_ORDER, 4))
+    assert walked
+    assert len({id(P) for P in walked}) == len(walked)

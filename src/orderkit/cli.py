@@ -30,9 +30,11 @@ def load_input(spec: str) -> FinitePoset:
     """A named instance, '-' for stdin, or a poset file path."""
     if _NAMED_INPUT.match(spec):
         return named(spec)
-    if spec == "-":
-        return files.parse(sys.stdin.read())
-    return files.parse(Path(spec).read_text())
+    try:
+        text = sys.stdin.read() if spec == "-" else Path(spec).read_text()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{'stdin' if spec == '-' else spec}: {exc}") from None
+    return files.parse(text)
 
 
 def _write_out(text, out):

@@ -59,9 +59,15 @@ def named(name: str) -> FinitePoset:
     m = _NAME_RE.match(name)
     if not m:
         raise UnknownNameError(name)
-    kind, k = m.group(1), int(m.group(2))
-    # bound the carrier before building it; boolean(k) has 2^k elements,
-    # more than the cap exactly when k reaches the cap's bit length
+    kind, digits = m.group(1), m.group(2).lstrip("0") or "0"
+    # bound the carrier before building it, from the digit string when it is
+    # longer than the cap's (int() refuses more than 4300 digits); boolean(k)
+    # has 2^k elements, more than the cap exactly when k reaches the cap's
+    # bit length
+    if len(digits) > len(str(limits.SUBSET_CAP)):
+        needed = f"2^{digits}" if kind == "boolean" else digits
+        raise SizeLimitError(f"carrier of {name}", needed, limits.SUBSET_CAP)
+    k = int(digits)
     if kind == "boolean" and k >= limits.SUBSET_CAP.bit_length():
         raise SizeLimitError(f"carrier of {name}", f"2^{k}", limits.SUBSET_CAP)
     limits.check_limit(k, f"carrier of {name}", limits.SUBSET_CAP)
@@ -135,7 +141,7 @@ def _poset_level(n):
     keys = set()
     for key in _poset_level(n - 1):
         parent = FinitePoset(default_labels(n - 1), key)
-        for up_mask in parent.upper_masks():
+        for up_mask in parent.iter_upper_masks():
             keys.add(_extend_with_max(parent, parent.full_mask ^ up_mask).canonical_key())
     return tuple(sorted(keys))
 

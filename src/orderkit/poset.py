@@ -564,12 +564,6 @@ class FiniteLattice:
     def leq(self, i, j):
         return self.base.leq(i, j)
 
-    def join_of(self, i, j):
-        return self.join[i][j]
-
-    def meet_of(self, i, j):
-        return self.meet[i][j]
-
     def join_mask(self, mask):
         """Join of the masked subset; bottom for the empty mask."""
         acc = self.bottom
@@ -582,15 +576,6 @@ class FiniteLattice:
         for i in iter_bits(mask):
             acc = self.meet[acc][i]
         return acc
-
-    def dual(self) -> "FiniteLattice":
-        return FiniteLattice(
-            base=self.base.dual(),
-            join=self.meet,
-            meet=self.join,
-            bottom=self.top,
-            top=self.bottom,
-        )
 
     def subset_of_mask(self, mask):
         return self.base.subset_of_mask(mask)

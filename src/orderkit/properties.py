@@ -12,10 +12,10 @@ verifier suites rely on exactly that.
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 from . import limits
-from .poset import FiniteLattice, FinitePoset, Verdict, Witness, iter_bits
+from .poset import FiniteLattice, FinitePoset, Verdict, Witness, iter_bits, mask_of
 from .relations import fin_family, prec, way_below, way_way_below
 from .scott import scott_closure
 
@@ -88,11 +88,10 @@ def is_meet_continuous_algebraic(L: FiniteLattice) -> Verdict:
     """Algebraic form: meets distribute over directed joins."""
     P = L.base
     for x in range(L.n):
+        row = L.meet[x]
         for dmask, s in P.directed_sets():
-            lhs = L.meet_of(x, s)
-            rhs = L.bottom
-            for d in iter_bits(dmask):
-                rhs = L.join_of(rhs, L.meet_of(x, d))
+            lhs = row[s]
+            rhs = L.join_mask(mask_of(row[d] for d in iter_bits(dmask)))
             if lhs != rhs:
                 w = Witness(elements=(P.labels[x],), subsets=(P.labels_of(dmask),),
                             lhs=P.labels[lhs], rhs=P.labels[rhs])
@@ -100,70 +99,89 @@ def is_meet_continuous_algebraic(L: FiniteLattice) -> Verdict:
     return Verdict(True)
 
 
-def is_join_continuous(L: FiniteLattice, mode="reduced") -> Verdict:
-    """Joins distribute over arbitrary meets: x join (meet of S) equals the
-    meet of the pointwise joins, for every subset S including the empty one.
+def _first_violation(n, outer, inner, pairs):
+    """First (x, y, z, lhs, rhs), x ascending and (y, z) in ``pairs`` order,
+    where the binary law x outer (y inner z) = (x outer y) inner (x outer z)
+    fails on the two operation tables, or None."""
+    for x in range(n):
+        row = outer[x]
+        for y, z in pairs:
+            lhs = row[inner[y][z]]
+            rhs = inner[row[y]][row[z]]
+            if lhs != rhs:
+                return x, y, z, lhs, rhs
+    return None
 
-    Reduced mode checks two-element S only; subset meets are folds of binary
-    meets, so the binary law decides the general one on a finite carrier,
-    and the empty case holds in any bounded lattice.  Definitional mode
-    enumerates all subsets.
+
+def _first_subset_violation(n, outer, fold):
+    """First (x, S, lhs, rhs), x ascending and S in ascending mask order,
+    where x outer (fold of S) differs from the fold of the x outer s, or None."""
+    for x in range(n):
+        row = outer[x]
+        for smask in range(1 << n):
+            lhs = row[fold(smask)]
+            rhs = fold(mask_of(row[s] for s in iter_bits(smask)))
+            if lhs != rhs:
+                return x, smask, lhs, rhs
+    return None
+
+
+def _distributes(L, outer, inner, fold, mode, note=""):
+    """x outer (fold of S) equals the fold of the x outer s, for every
+    subset S including the empty one, where ``fold`` folds ``inner``.
+
+    Reduced mode checks two-element S only: subset folds are folds of the
+    binary operation, so the binary law decides the general one on a finite
+    carrier, and the empty case holds in any bounded lattice.  Definitional
+    mode enumerates all subsets.
     """
-    P = L.base
     n = L.n
     if mode == "reduced":
-        for x in range(n):
-            for z in range(n):
-                for y in range(z):
-                    lhs = L.join_of(x, L.meet_of(y, z))
-                    rhs = L.meet_of(L.join_of(x, y), L.join_of(x, z))
-                    if lhs != rhs:
-                        w = Witness(elements=(P.labels[x],),
-                                    subsets=((P.labels[y], P.labels[z]),),
-                                    lhs=P.labels[lhs], rhs=P.labels[rhs])
-                        return Verdict(False, w)
-        return Verdict(True)
-    if mode != "definitional":
+        pairs = [(y, z) for z in range(n) for y in range(z)]
+        hit = _first_violation(n, outer, inner, pairs)
+        if hit is not None:
+            x, y, z, lhs, rhs = hit
+            hit = x, (1 << y) | (1 << z), lhs, rhs
+    elif mode == "definitional":
+        limits.check_subset_cap(n, "subset enumeration for join continuity")
+        hit = _first_subset_violation(n, outer, fold)
+    else:
         raise ValueError(f"unknown mode {mode!r}")
-    limits.check_subset_cap(n, "subset enumeration for join continuity")
-    for x in range(n):
-        for smask in range(1 << n):
-            lhs = L.join_of(x, L.meet_mask(smask))
-            rhs = L.top
-            for s in iter_bits(smask):
-                rhs = L.meet_of(rhs, L.join_of(x, s))
-            if lhs != rhs:
-                w = Witness(elements=(P.labels[x],), subsets=(P.labels_of(smask),),
-                            lhs=P.labels[lhs], rhs=P.labels[rhs])
-                return Verdict(False, w)
-    return Verdict(True)
+    if hit is None:
+        return Verdict(True)
+    x, smask, lhs, rhs = hit
+    P = L.base
+    w = Witness(elements=(P.labels[x],), subsets=(P.labels_of(smask),),
+                lhs=P.labels[lhs], rhs=P.labels[rhs], note=note)
+    return Verdict(False, w)
+
+
+def is_join_continuous(L: FiniteLattice, mode="reduced") -> Verdict:
+    """Joins distribute over arbitrary meets: x join (meet of S) equals the
+    meet of the pointwise joins, for every subset S."""
+    return _distributes(L, L.join, L.meet, L.meet_mask, mode)
 
 
 def is_frame(L: FiniteLattice, mode="reduced") -> Verdict:
-    """Meets distribute over arbitrary joins; the order dual of join
-    continuity, and computed that way."""
-    v = is_join_continuous(L.dual(), mode)
-    if v.holds:
-        return v
-    w = v.witness
-    return Verdict(False, Witness(elements=w.elements, subsets=w.subsets,
-                                  lhs=w.lhs, rhs=w.rhs, note="evaluated in the order dual"))
+    """Meets distribute over arbitrary joins: the order dual of join
+    continuity, checked as that law with the join and meet tables swapped."""
+    return _distributes(L, L.meet, L.join, L.join_mask, mode, note="evaluated in the order dual")
 
 
 def is_hypercontinuous(L: FiniteLattice, mode="fast") -> Verdict:
     """Every element is the join of its predecessors in the upper-set
     interpolation order."""
     rel = prec(L, mode)
-    return _join_of_predecessors(L, rel)
+    return _joins_predecessors(L, rel)
 
 
 def is_prime_continuous(L: FiniteLattice, mode="closed") -> Verdict:
     """Every element is the join of the elements way-way-below it."""
     rel = way_way_below(L, mode)
-    return _join_of_predecessors(L, rel)
+    return _joins_predecessors(L, rel)
 
 
-def _join_of_predecessors(L, rel):
+def _joins_predecessors(L, rel):
     P = L.base
     for y in range(L.n):
         preds = 0
@@ -181,18 +199,14 @@ def _join_of_predecessors(L, rel):
 def is_distributive(L: FiniteLattice) -> Verdict:
     """Binary distributive law over all triples; on finite carriers this
     decides complete distributivity as well."""
-    P = L.base
     n = L.n
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                lhs = L.meet_of(x, L.join_of(y, z))
-                rhs = L.join_of(L.meet_of(x, y), L.meet_of(x, z))
-                if lhs != rhs:
-                    w = Witness(elements=(P.labels[x], P.labels[y], P.labels[z]),
-                                lhs=P.labels[lhs], rhs=P.labels[rhs])
-                    return Verdict(False, w)
-    return Verdict(True)
+    hit = _first_violation(n, L.meet, L.join, [(y, z) for y in range(n) for z in range(n)])
+    if hit is None:
+        return Verdict(True)
+    labels = L.labels
+    x, y, z, lhs, rhs = hit
+    w = Witness(elements=(labels[x], labels[y], labels[z]), lhs=labels[lhs], rhs=labels[rhs])
+    return Verdict(False, w)
 
 
 def is_completely_distributive_oracle(L: FiniteLattice, family_bound=3) -> Verdict:
@@ -205,26 +219,8 @@ def is_completely_distributive_oracle(L: FiniteLattice, family_bound=3) -> Verdi
     subsets = [tuple(iter_bits(m)) for m in range(1, 1 << n)]
     for k in range(1, family_bound + 1):
         for family in combinations_with_replacement(subsets, k):
-            lhs = L.top
-            for js in family:
-                term = L.bottom
-                for u in js:
-                    term = L.join_of(term, u)
-                lhs = L.meet_of(lhs, term)
-            rhs = L.bottom
-            choice = [0] * k
-            while True:
-                term = L.top
-                for i in range(k):
-                    term = L.meet_of(term, family[i][choice[i]])
-                rhs = L.join_of(rhs, term)
-                i = k - 1
-                while i >= 0 and choice[i] == len(family[i]) - 1:
-                    choice[i] = 0
-                    i -= 1
-                if i < 0:
-                    break
-                choice[i] += 1
+            lhs = L.meet_mask(mask_of(L.join_mask(mask_of(js)) for js in family))
+            rhs = L.join_mask(mask_of(L.meet_mask(mask_of(c)) for c in product(*family)))
             if lhs != rhs:
                 w = Witness(subsets=tuple(tuple(P.labels[u] for u in js) for js in family),
                             lhs=P.labels[lhs], rhs=P.labels[rhs])
@@ -234,12 +230,7 @@ def is_completely_distributive_oracle(L: FiniteLattice, family_bound=3) -> Verdi
 
 def supinf_continuous_rhs(L: FiniteLattice, x: int) -> int:
     """Join over Scott opens containing x of the meet of the open."""
-    P = L.base
-    acc = L.bottom
-    for u in P.upper_masks():
-        if u >> x & 1:
-            acc = L.join_of(acc, L.meet_mask(u))
-    return acc
+    return L.join_mask(mask_of(L.meet_mask(u) for u in L.base.upper_masks() if u >> x & 1))
 
 
 def supinf_hyper_rhs(L: FiniteLattice, x: int) -> int:
@@ -247,24 +238,15 @@ def supinf_hyper_rhs(L: FiniteLattice, x: int) -> int:
     complement of (down M)."""
     P = L.base
     limits.check_subset_cap(L.n, "subset enumeration for the finite-set form")
-    acc = L.bottom
-    for mmask in range(1 << L.n):
-        if P.down_closure_mask(mmask) >> x & 1:
-            continue
-        acc = L.join_of(acc, L.meet_mask(P.full_mask ^ P.down_closure_mask(mmask)))
-    return acc
+    downs = (P.down_closure_mask(m) for m in range(1 << L.n))
+    return L.join_mask(mask_of(L.meet_mask(P.full_mask ^ d) for d in downs if not d >> x & 1))
 
 
 def supinf_prime_rhs(L: FiniteLattice, x: int) -> int:
     """Join over single elements y not above x of the meet of the
     complement of (down y)."""
     P = L.base
-    acc = L.bottom
-    for y in range(L.n):
-        if P.down[y] >> x & 1:
-            continue
-        acc = L.join_of(acc, L.meet_mask(P.full_mask ^ P.down[y]))
-    return acc
+    return L.join_mask(mask_of(L.meet_mask(P.full_mask ^ d) for d in P.down if not d >> x & 1))
 
 
 POSET_PREDICATES = {
@@ -281,13 +263,4 @@ LATTICE_PREDICATES = {
     "distributive": is_distributive,
 }
 
-PREDICATE_NAMES = (
-    "continuous",
-    "quasicontinuous",
-    "meet_continuous",
-    "join_continuous",
-    "frame",
-    "hypercontinuous",
-    "prime_continuous",
-    "distributive",
-)
+PREDICATE_NAMES = (*POSET_PREDICATES, *LATTICE_PREDICATES)

@@ -29,7 +29,7 @@ from . import limits, properties
 from .errors import NotALatticeError, ParseError
 from .files import emit
 from .generators import enumerate_lattices, enumerate_posets
-from .poset import FiniteLattice, Verdict, Witness, iter_bits
+from .poset import FiniteLattice, Verdict, Witness, iter_bits, mask_of
 from .scott import scott_closed_lattice, scott_opens
 
 
@@ -48,9 +48,7 @@ def lemma31_check(L: FiniteLattice) -> Verdict:
     full = P.full_mask
     for mmask in range(1 << L.n):
         lhs = L.meet_mask(full ^ P.down_closure_mask(mmask))
-        rhs = L.bottom
-        for m in iter_bits(mmask):
-            rhs = L.join_of(rhs, L.meet_mask(full ^ P.down[m]))
+        rhs = L.join_mask(mask_of(L.meet_mask(full ^ P.down[m]) for m in iter_bits(mmask)))
         if lhs != rhs:
             w = Witness(subsets=(P.labels_of(mmask),),
                         lhs=P.labels[lhs], rhs=P.labels[rhs])

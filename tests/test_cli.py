@@ -7,6 +7,7 @@ from pathlib import Path
 
 from orderkit import verifier
 from orderkit.cli import main
+from orderkit.generators import named
 
 RUN = [sys.executable, "-m", "orderkit"]
 
@@ -75,6 +76,15 @@ def test_parse_error_exit(tmp_path):
     assert main(["check", str(bad)]) == 2
 
 
+def test_undecodable_file_exit(tmp_path, capsys):
+    bad = tmp_path / "bad.poset"
+    bad.write_bytes(b"elements: a\xff b\n")
+    assert main(["check", str(bad)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith(f"error: {bad}: ")
+
+
 def test_size_limit_exit(monkeypatch):
     monkeypatch.setenv("ORDERKIT_MAX_N", "3")
     assert main(["enumerate", "--n", "6"]) == 3
@@ -89,7 +99,6 @@ def test_dual_antichain(capsys):
     assert main(["dual", "antichain(2)"]) == 0
     out = capsys.readouterr().out
     from orderkit.files import parse
-    from orderkit.generators import named
 
     assert parse(out).is_isomorphic(named("boolean(2)"))
 
@@ -98,7 +107,6 @@ def test_dual_scott_closed(tmp_path):
     out = tmp_path / "g.poset"
     assert main(["dual", "chain(2)", "--scott-closed", "-o", str(out)]) == 0
     from orderkit.files import parse
-    from orderkit.generators import named
 
     assert parse(out.read_text()).is_isomorphic(named("chain(3)"))
 
@@ -213,15 +221,19 @@ def test_check_empty_properties_exit(capsys):
 
 
 def test_named_carriers_over_cap_exit(capsys):
-    # boolean(5) would have 32 elements and boolean(20) 2^20; all three are
-    # refused before they are built
-    for name in ("boolean(5)", "boolean(20)", "chain(25)"):
+    # boolean(5) would have 32 elements and boolean(20) 2^20; all are refused
+    # before they are built, and sizes past Python's 4300-digit integer
+    # string limit before they are converted
+    nines = "9" * 5000
+    for name in ("boolean(5)", "boolean(20)", "chain(25)", f"chain({nines})",
+                 f"boolean({nines})"):
         started = time.perf_counter()
         assert main(["check", name]) == 3
         assert time.perf_counter() - started < 1
         out, err = capsys.readouterr()
         assert out == "" and err.count("\n") == 1
         assert err.startswith(f"size limit: carrier of {name}")
+    assert named("chain(0003)").n == 3
 
 
 def test_large_carriers_exit_at_work_limit(capsys):

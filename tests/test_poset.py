@@ -134,8 +134,8 @@ def test_as_lattice_examples(m3):
     assert set(err.value.pair) == {"a", "b"}
     L = m3.as_lattice()
     a, b = m3.index_of("a"), m3.index_of("b")
-    assert L.labels[L.join_of(a, b)] == "1"
-    assert L.labels[L.meet_of(a, b)] == "0"
+    assert L.labels[L.join[a][b]] == "1"
+    assert L.labels[L.meet[a][b]] == "0"
     assert named("boolean(2)").as_lattice().base.is_isomorphic(named("boolean(2)"))
 
 

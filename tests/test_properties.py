@@ -1,4 +1,5 @@
 from orderkit.generators import named
+from orderkit.poset import FinitePoset
 from orderkit.properties import (
     is_completely_distributive_oracle,
     is_continuous,
@@ -69,6 +70,31 @@ def test_frame_examples(m3):
     assert is_frame(named("chain(5)").as_lattice()).holds
     assert not is_frame(m3.as_lattice()).holds
     assert is_frame(named("boolean(2)").as_lattice()).holds
+
+
+def test_frame_is_join_continuity_of_the_dual(lattices_upto_6):
+    # pins the definition is_frame no longer builds: join continuity of the
+    # order dual, with the dual's tables tabulated afresh
+    for batch in lattices_upto_6.values():
+        for L in batch:
+            dual = L.base.dual().as_lattice()
+            for mode in ("reduced", "definitional"):
+                v, d = is_frame(L, mode), is_join_continuous(dual, mode)
+                assert v.holds == d.holds, (L.name, mode)
+                if not v.holds:
+                    assert v.witness.as_dict() == d.witness.as_dict(), (L.name, mode)
+                    assert v.witness.note == "evaluated in the order dual"
+
+
+def test_frame_builds_no_dual(monkeypatch, m3):
+    def refuse(self):
+        raise AssertionError("dual poset built")
+
+    b2, m3 = named("boolean(2)").as_lattice(), m3.as_lattice()
+    monkeypatch.setattr(FinitePoset, "dual", refuse)
+    for mode in ("reduced", "definitional"):
+        assert is_frame(b2, mode).holds
+        assert not is_frame(m3, mode).holds
 
 
 def test_hypercontinuous_examples(m3, n5):

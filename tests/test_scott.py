@@ -55,8 +55,8 @@ def test_scott_opens_structure(posets_upto_5):
         # join is union and meet is intersection
         for i, a in enumerate(sig.masks):
             for j, b in enumerate(sig.masks):
-                assert sig.masks[lat.join_of(i, j)] == a | b
-                assert sig.masks[lat.meet_of(i, j)] == a & b
+                assert sig.masks[lat.join[i][j]] == a | b
+                assert sig.masks[lat.meet[i][j]] == a & b
 
 
 def test_scott_opens_count_is_upper_set_count(posets_upto_5):

@@ -1,7 +1,8 @@
 """orderkit: exact computation on finite posets and lattices.
 
-Core values (FinitePoset, FiniteLattice, Subset) are immutable; every
-operation is a pure function, safe to run concurrently.
+Core values (FinitePoset, FiniteLattice) are immutable; every operation is
+a pure function, safe to run concurrently.  A subset of a carrier is an
+integer bit mask (bit i for element i); ``P.labels_of(mask)`` gives its labels.
 """
 
 from .errors import (
@@ -13,7 +14,7 @@ from .errors import (
     UnknownLabelError,
     UnknownNameError,
 )
-from .poset import FiniteLattice, FinitePoset, Subset, Verdict, Witness, build_poset
+from .poset import FiniteLattice, FinitePoset, Verdict, Witness, build_poset
 from .relations import Relation, approximants, fin_family, prec, way_below, way_below_sets, way_way_below
 from .scott import OpenSetLattice, is_scott_open, scott_closed_lattice, scott_closure, scott_opens
 from .properties import (
@@ -53,7 +54,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CycleError", "NotALatticeError", "OrderkitError", "ParseError",
     "SizeLimitError", "UnknownLabelError", "UnknownNameError",
-    "FinitePoset", "FiniteLattice", "Subset", "Verdict", "Witness", "build_poset",
+    "FinitePoset", "FiniteLattice", "Verdict", "Witness", "build_poset",
     "Relation", "way_below", "approximants", "way_below_sets", "fin_family",
     "way_way_below", "prec",
     "OpenSetLattice", "is_scott_open", "scott_opens", "scott_closed_lattice",

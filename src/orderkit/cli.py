@@ -31,7 +31,10 @@ def load_input(spec: str) -> FinitePoset:
     if _NAMED_INPUT.match(spec):
         return named(spec)
     try:
-        text = sys.stdin.read() if spec == "-" else Path(spec).read_text()
+        if spec == "-":
+            text = sys.stdin.buffer.read().decode("utf-8")
+        else:
+            text = Path(spec).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise InputError(f"{'stdin' if spec == '-' else spec}: {exc}") from None
     return files.parse(text)

@@ -50,7 +50,7 @@ def parse(text: str) -> FinitePoset:
             raise ParseError(f"unrecognized directive {parts[0]!r}", lineno)
     if labels is None:
         raise ParseError("missing elements line", 1)
-    return build_poset(labels, covers, "covers", name=name)
+    return build_poset(labels, covers, name=name)
 
 
 def _printable(label):

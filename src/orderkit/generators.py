@@ -18,7 +18,7 @@ from functools import lru_cache
 
 from . import limits
 from .errors import NotALatticeError, SizeLimitError, UnknownNameError
-from .poset import FinitePoset, mask_of
+from .poset import FinitePoset, _closure_rows, mask_of
 
 
 @dataclass(frozen=True)
@@ -146,21 +146,21 @@ def _poset_level(n):
     return tuple(sorted(keys))
 
 
-def enumerate_posets(n: int, max_n=None):
+def enumerate_posets(n: int):
     """One canonical representative per isomorphism class of n-element
     posets, in canonical order; deterministic across runs."""
     limits.check_count(n, "n")
-    ceiling = limits.enum_max() if max_n is None else max_n
+    ceiling = limits.enum_max()
     if n > ceiling:
         raise SizeLimitError("poset enumeration", n, ceiling)
     for i, key in enumerate(_poset_level(n)):
         yield FinitePoset(default_labels(n), key, name=f"P{n}.{i}")
 
 
-def enumerate_lattices(n: int, max_n=None):
+def enumerate_lattices(n: int):
     """The enumerated posets that carry a lattice structure."""
     k = 0
-    for P in enumerate_posets(n, max_n):
+    for P in enumerate_posets(n):
         try:
             lat = P.with_name(f"L{n}.{k}").as_lattice()
         except NotALatticeError:
@@ -184,13 +184,6 @@ def random_poset(spec: GenSpec) -> FinitePoset:
         for b in range(a + 1, spec.n):
             if rng.random() < density:
                 rows[order[a]] |= 1 << order[b]
-    # transitive closure along the shuffled extension, back to front
-    for a in range(spec.n - 2, -1, -1):
-        acc = rows[order[a]]
-        for b in range(a + 1, spec.n):
-            if acc >> order[b] & 1:
-                acc |= rows[order[b]]
-        rows[order[a]] = acc
     return FinitePoset(
-        default_labels(spec.n), rows, name=f"R{spec.n}.{spec.seed}"
+        default_labels(spec.n), _closure_rows(spec.n, rows), name=f"R{spec.n}.{spec.seed}"
     )

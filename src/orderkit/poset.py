@@ -1,9 +1,12 @@
 """Finite posets and lattices over small labeled carriers.
 
-Elements are indexed 0..n-1.  The order relation and all subsets are stored
-as integer bit masks (bit j of ``up[i]`` says i <= j), so closures, bound
-scans and subset enumeration are plain integer arithmetic.  Values are
-immutable after construction and safe to share between concurrent tasks.
+Elements are indexed 0..n-1.  The order relation and every subset are
+integer bit masks (bit j of ``up[i]`` says i <= j; bit i of a subset mask
+says element i belongs to it), so closures, bound scans and subset
+enumeration are plain integer arithmetic.  A mask is the one subset value of
+the library: ``mask_of_labels`` builds one from labels and ``labels_of``
+reads its labels back.  Values are immutable after construction and safe to
+share between concurrent tasks.
 """
 
 from __future__ import annotations
@@ -114,16 +117,15 @@ class FinitePoset:
         """Labels of the masked elements, in index order."""
         return tuple(self.labels[i] for i in iter_bits(mask))
 
-    def subset(self, indices=()):
-        return Subset(self, mask_of(indices))
+    def mask_of_labels(self, labels):
+        """Mask of the labeled elements; UnknownLabelError for a label
+        not in the carrier."""
+        return mask_of(self.index_of(l) for l in labels)
 
-    def subset_of_mask(self, mask):
+    def check_mask(self, mask):
+        """Raise ValueError when ``mask`` has bits outside the carrier."""
         if mask & ~self.full_mask:
             raise ValueError("subset mask out of range")
-        return Subset(self, mask)
-
-    def subset_of_labels(self, labels):
-        return Subset(self, mask_of(self.index_of(l) for l in labels))
 
     def __eq__(self, other):
         return (
@@ -157,23 +159,8 @@ class FinitePoset:
             acc |= self.down[i]
         return acc
 
-    def up_closure(self, s: "Subset") -> "Subset":
-        """Smallest upper set containing s."""
-        return Subset(self, self.up_closure_mask(self._mask(s)))
-
-    def down_closure(self, s: "Subset") -> "Subset":
-        return Subset(self, self.down_closure_mask(self._mask(s)))
-
-    def _mask(self, s):
-        if isinstance(s, Subset):
-            if s.owner is not self and s.owner != self:
-                raise ValueError("subset belongs to a different poset")
-            return s.mask
-        if isinstance(s, int):
-            return s
-        return mask_of(s)
-
     def is_directed_mask(self, mask):
+        """Nonempty, and every pair has an upper bound inside the subset."""
         if mask == 0:
             return False
         members = list(iter_bits(mask))
@@ -182,10 +169,6 @@ class FinitePoset:
                 if not self.up[members[a]] & self.up[members[b]] & mask:
                     return False
         return True
-
-    def is_directed(self, s: "Subset") -> bool:
-        """Nonempty, and every pair has an upper bound inside the subset."""
-        return self.is_directed_mask(self._mask(s))
 
     def least_of_mask(self, mask):
         """Index of the least element of ``mask``, or None."""
@@ -213,12 +196,6 @@ class FinitePoset:
         for i in iter_bits(mask):
             lb &= self.down[i]
         return self.greatest_of_mask(lb)
-
-    def sup(self, s: "Subset"):
-        return self.sup_mask(self._mask(s))
-
-    def inf(self, s: "Subset"):
-        return self.inf_mask(self._mask(s))
 
     # -- subset enumeration ---------------------------------------------
 
@@ -475,66 +452,6 @@ class FinitePoset:
         return self.canonical_key() == other.canonical_key()
 
 
-class Subset:
-    """A subset of one poset's carrier, stored as a bit mask."""
-
-    __slots__ = ("owner", "mask")
-
-    def __init__(self, owner, mask):
-        if mask & ~owner.full_mask:
-            raise ValueError("subset mask out of range")
-        object.__setattr__(self, "owner", owner)
-        object.__setattr__(self, "mask", mask)
-
-    def __setattr__(self, *_):
-        raise AttributeError("Subset is immutable")
-
-    @property
-    def indices(self):
-        return tuple(iter_bits(self.mask))
-
-    @property
-    def labels(self):
-        return self.owner.labels_of(self.mask)
-
-    def __len__(self):
-        return self.mask.bit_count()
-
-    def __iter__(self):
-        return iter_bits(self.mask)
-
-    def __contains__(self, i):
-        return bool(self.mask >> i & 1)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Subset) and self.owner == other.owner and self.mask == other.mask
-        )
-
-    def __hash__(self):
-        return hash((self.owner, self.mask))
-
-    def _coerce(self, other):
-        if isinstance(other, Subset):
-            return other.mask
-        return other
-
-    def __or__(self, other):
-        return Subset(self.owner, self.mask | self._coerce(other))
-
-    def __and__(self, other):
-        return Subset(self.owner, self.mask & self._coerce(other))
-
-    def __sub__(self, other):
-        return Subset(self.owner, self.mask & ~self._coerce(other))
-
-    def complement(self):
-        return Subset(self.owner, self.owner.full_mask ^ self.mask)
-
-    def __repr__(self):
-        return "{" + ",".join(self.labels) + "}"
-
-
 @dataclass(frozen=True)
 class FiniteLattice:
     """A finite poset with total binary join/meet tables and both bounds.
@@ -576,9 +493,6 @@ class FiniteLattice:
         for i in iter_bits(mask):
             acc = self.meet[acc][i]
         return acc
-
-    def subset_of_mask(self, mask):
-        return self.base.subset_of_mask(mask)
 
 
 @dataclass(frozen=True)
@@ -630,16 +544,11 @@ def _closure_rows(n, rows):
     return rows
 
 
-def build_poset(labels, pairs, mode="covers", name="") -> FinitePoset:
-    """Build a poset from related pairs.
-
-    ``covers`` mode closes the pairs reflexively and transitively; ``relation``
-    mode does the same but the input may already contain derived pairs.  Both
-    validate the axioms; a closure that relates two elements both ways raises
-    CycleError.
+def build_poset(labels, pairs, *, name="") -> FinitePoset:
+    """Build a poset from related pairs, closed reflexively and transitively;
+    the pairs may be covers or may already contain derived pairs.  A closure
+    that relates two elements both ways raises CycleError.
     """
-    if mode not in ("covers", "relation"):
-        raise ValueError(f"unknown mode {mode!r}")
     labels = tuple(labels)
     n = len(labels)
     if len(set(labels)) != n:
@@ -652,9 +561,4 @@ def build_poset(labels, pairs, mode="covers", name="") -> FinitePoset:
         if b not in index:
             raise UnknownLabelError(b)
         rows[index[a]] |= 1 << index[b]
-    _closure_rows(n, rows)
-    for i in range(n):
-        for j in iter_bits(rows[i]):
-            if i != j and rows[j] >> i & 1:
-                raise CycleError((labels[i], labels[j]))
-    return FinitePoset(labels, rows, name=name)
+    return FinitePoset(labels, _closure_rows(n, rows), name=name)

@@ -50,19 +50,20 @@ def is_quasicontinuous(P: FinitePoset) -> Verdict:
         if not members:
             w = Witness(elements=(P.labels[x],), note="empty approximating family")
             return Verdict(False, w)
-        # upper sets containing the up set of x are closed under
-        # intersection, so the scan below rarely runs
-        member_set = set(members)
-        for a in members:
-            for b in members:
-                if a & b not in member_set and not any(not m & ~(a & b) for m in members):
-                    w = Witness(elements=(P.labels[x],),
-                                subsets=(P.labels_of(a), P.labels_of(b)),
-                                note="family not directed under reverse inclusion")
-                    return Verdict(False, w)
-        if fam.intersection_mask() != P.up[x]:
-            w = Witness(elements=(P.labels[x],),
-                        subsets=(P.labels_of(fam.intersection_mask()),),
+        # a finite family is directed under reverse inclusion exactly when
+        # it has a least member, its intersection; the literal pair scan
+        # runs only to find the first witness when it has none
+        inter = fam.intersection_mask()
+        if inter not in members:
+            for a in members:
+                for b in members:
+                    if not any(not m & ~(a & b) for m in members):
+                        w = Witness(elements=(P.labels[x],),
+                                    subsets=(P.labels_of(a), P.labels_of(b)),
+                                    note="family not directed under reverse inclusion")
+                        return Verdict(False, w)
+        if inter != P.up[x]:
+            w = Witness(elements=(P.labels[x],), subsets=(P.labels_of(inter),),
                         note="family intersection differs from the up set")
             return Verdict(False, w)
     return Verdict(True)
@@ -77,7 +78,7 @@ def is_meet_continuous(P: FinitePoset) -> Verdict:
                 continue
             # D contains its supremum, so down D is down (sup D)
             trace = P.down[x] & P.down[s]
-            if not scott_closure(P, trace).mask >> x & 1:
+            if not scott_closure(P, trace) >> x & 1:
                 w = Witness(elements=(P.labels[x],), subsets=(P.labels_of(dmask),),
                             note="element escapes the closure of its trace on D")
                 return Verdict(False, w)

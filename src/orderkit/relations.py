@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import limits
-from .poset import FiniteLattice, FinitePoset, Subset, iter_bits, mask_of, set_order
+from .poset import FiniteLattice, FinitePoset, iter_bits, mask_of, set_order
 
 
 @dataclass(frozen=True)
@@ -54,20 +54,22 @@ def way_below(P: FinitePoset, mode="fast") -> Relation:
     return Relation(P, tuple(rows))
 
 
-def approximants(P: FinitePoset, x: int, mode="fast") -> Subset:
-    """All elements way-below x; equals the down set of x on finite carriers."""
+def approximants(P: FinitePoset, x: int, mode="fast") -> int:
+    """Mask of all elements way-below x; the down set of x on finite
+    carriers."""
     rel = way_below(P, mode)
     mask = 0
     for p in range(P.n):
         if rel.holds(p, x):
             mask |= 1 << p
-    return Subset(P, mask)
+    return mask
 
 
-def way_below_sets(P: FinitePoset, f: Subset, g: Subset) -> bool:
+def way_below_sets(P: FinitePoset, fmask: int, gmask: int) -> bool:
     """Set-to-set approximation: every directed set whose existing supremum
     lies in the up set of g already meets the up set of f."""
-    fmask, gmask = P._mask(f), P._mask(g)
+    P.check_mask(fmask)
+    P.check_mask(gmask)
     if fmask == 0 or gmask == 0:
         raise ValueError("both subsets must be nonempty")
     up_f = P.up_closure_mask(fmask)

@@ -10,14 +10,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .poset import FiniteLattice, FinitePoset, Subset, set_order
+from .poset import FiniteLattice, FinitePoset, set_order
 
 
-def is_scott_open(P: FinitePoset, u: Subset, mode="definitional") -> bool:
+def is_scott_open(P: FinitePoset, mask: int, mode="definitional") -> bool:
     """Upper, and every directed set with an existing supremum inside the
     set already meets it.  The ``upper`` mode checks upperness only, the
     finite-carrier equivalent."""
-    mask = u.mask if isinstance(u, Subset) else u
+    P.check_mask(mask)
     upper = P.up_closure_mask(mask) == mask
     if mode == "upper":
         return upper
@@ -31,15 +31,16 @@ def is_scott_open(P: FinitePoset, u: Subset, mode="definitional") -> bool:
     return True
 
 
-def scott_closure(P: FinitePoset, s: Subset, mode="fast") -> Subset:
-    """Smallest Scott-closed superset; the down closure on finite carriers.
+def scott_closure(P: FinitePoset, mask: int, mode="fast") -> int:
+    """Mask of the smallest Scott-closed superset; the down closure on
+    finite carriers.
 
     Definitional mode intersects all Scott-closed supersets instead and is
     kept for cross-checking.
     """
-    mask = s.mask if isinstance(s, Subset) else s
+    P.check_mask(mask)
     if mode == "fast":
-        return Subset(P, P.down_closure_mask(mask))
+        return P.down_closure_mask(mask)
     if mode != "definitional":
         raise ValueError(f"unknown mode {mode!r}")
     acc = P.full_mask
@@ -47,7 +48,7 @@ def scott_closure(P: FinitePoset, s: Subset, mode="fast") -> Subset:
         closed = P.full_mask ^ u
         if not mask & ~closed:
             acc &= closed
-    return Subset(P, acc)
+    return acc
 
 
 def _lattice_of_set_family(P, masks, name):
@@ -81,7 +82,7 @@ def _lattice_of_set_family(P, masks, name):
         bottom=index[0],
         top=index[P.full_mask],
     )
-    return OpenSetLattice(P, tuple(Subset(P, m) for m in masks), lattice)
+    return OpenSetLattice(P, tuple(masks), lattice)
 
 
 @dataclass(frozen=True)
@@ -90,16 +91,12 @@ class OpenSetLattice:
     inclusion (union as join, intersection as meet)."""
 
     base_poset: FinitePoset
-    opens: tuple  # Subset values in lattice element order
+    opens: tuple  # member masks in lattice element order
     lattice: FiniteLattice
-
-    @property
-    def masks(self):
-        return tuple(s.mask for s in self.opens)
 
     @cached_property
     def _index(self):
-        return {s.mask: i for i, s in enumerate(self.opens)}
+        return {m: i for i, m in enumerate(self.opens)}
 
     def index_of_mask(self, mask):
         try:
@@ -126,8 +123,8 @@ def complement_isomorphism(opens: OpenSetLattice, closeds: OpenSetLattice):
     not a bijection reversing the order, returns it otherwise."""
     P = opens.base_poset
     mapping = []
-    for s in opens.opens:
-        mapping.append(closeds.index_of_mask(P.full_mask ^ s.mask))
+    for m in opens.opens:
+        mapping.append(closeds.index_of_mask(P.full_mask ^ m))
     if sorted(mapping) != list(range(len(closeds.opens))):
         raise AssertionError("complementation is not a bijection between the families")
     a, b = opens.lattice.base, closeds.lattice.base

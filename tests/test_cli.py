@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -83,6 +84,16 @@ def test_undecodable_file_exit(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1
     assert err.startswith(f"error: {bad}: ")
+
+
+def test_undecodable_stdin_exit(monkeypatch, capsys):
+    # a surrogateescape stream, as a C locale gives, must not hide the bad byte
+    stream = io.TextIOWrapper(io.BytesIO(b"elements: a\xff b\n"), errors="surrogateescape")
+    monkeypatch.setattr(sys, "stdin", stream)
+    assert main(["check", "-"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: stdin: ")
 
 
 def test_size_limit_exit(monkeypatch):
@@ -245,6 +256,14 @@ def test_large_carriers_exit_at_work_limit(capsys):
         out, err = capsys.readouterr()
         assert out == "" and err.count("\n") == 1
         assert err.startswith(f"size limit: {what}")
+
+
+def test_quasicontinuous_on_large_antichain(capsys):
+    # 2^14 upper sets per element; directedness is one least-member test
+    started = time.perf_counter()
+    assert main(["check", "antichain(14)", "--properties", "quasicontinuous"]) == 0
+    assert time.perf_counter() - started < 10
+    assert "quasicontinuous: true" in capsys.readouterr().out
 
 
 class _InlinePool:

@@ -14,28 +14,28 @@ from orderkit.poset import FinitePoset, iter_bits, mask_of, set_order
 
 
 def test_build_two_chain():
-    P = build_poset(["a", "b"], [("a", "b")], "covers")
+    P = build_poset(["a", "b"], [("a", "b")])
     assert P.leq(0, 1) and not P.leq(1, 0)
     assert P.leq(0, 0) and P.leq(1, 1)
 
 
 def test_build_one_point():
-    P = build_poset(["a"], [], "covers")
+    P = build_poset(["a"], [])
     assert P.n == 1 and P.up == (1,)
 
 
 def test_build_cycle_rejected():
     with pytest.raises(CycleError):
-        build_poset(["a", "b"], [("a", "b"), ("b", "a")], "relation")
+        build_poset(["a", "b"], [("a", "b"), ("b", "a")])
 
 
 def test_build_unknown_label():
     with pytest.raises(UnknownLabelError):
-        build_poset(["a"], [("a", "z")], "covers")
+        build_poset(["a"], [("a", "z")])
 
 
 def test_build_transitive_closure():
-    P = build_poset(["x", "y", "z"], [("x", "y"), ("y", "z")], "covers")
+    P = build_poset(["x", "y", "z"], [("x", "y"), ("y", "z")])
     assert P.leq(0, 2)
 
 
@@ -49,38 +49,38 @@ def test_empty_poset_is_legal():
 
 
 def test_up_closure_examples(m3):
-    two = build_poset(["a", "b"], [("a", "b")], "covers")
-    assert two.up_closure(two.subset_of_labels(["a"])).labels == ("a", "b")
-    assert two.up_closure(two.subset()).mask == 0
-    s = m3.up_closure(m3.subset_of_labels(["a", "b"]))
-    assert s.labels == ("a", "b", "1")
+    two = build_poset(["a", "b"], [("a", "b")])
+    assert two.labels_of(two.up_closure_mask(two.mask_of_labels(["a"]))) == ("a", "b")
+    assert two.up_closure_mask(0) == 0
+    s = m3.up_closure_mask(m3.mask_of_labels(["a", "b"]))
+    assert m3.labels_of(s) == ("a", "b", "1")
 
 
 def test_down_closure(m3):
-    s = m3.down_closure(m3.subset_of_labels(["a", "b"]))
-    assert s.labels == ("0", "a", "b")
+    s = m3.down_closure_mask(m3.mask_of_labels(["a", "b"]))
+    assert m3.labels_of(s) == ("0", "a", "b")
 
 
 def test_is_directed(m3):
     chain = named("chain(4)")
-    assert chain.is_directed(chain.subset([0, 2, 3]))
+    assert chain.is_directed_mask(mask_of([0, 2, 3]))
     anti = named("antichain(2)")
-    assert not anti.is_directed(anti.subset([0, 1]))
-    assert not anti.is_directed(anti.subset())
-    assert m3.is_directed(m3.subset_of_labels(["a", "b", "1"]))
-    assert not m3.is_directed(m3.subset_of_labels(["a", "b"]))
+    assert not anti.is_directed_mask(mask_of([0, 1]))
+    assert not anti.is_directed_mask(0)
+    assert m3.is_directed_mask(m3.mask_of_labels(["a", "b", "1"]))
+    assert not m3.is_directed_mask(m3.mask_of_labels(["a", "b"]))
 
 
 def test_sup_inf(m3):
     anti = named("antichain(2)")
-    assert anti.sup(anti.subset([0, 1])) is None
-    assert m3.sup(m3.subset_of_labels(["a", "b"])) == m3.index_of("1")
-    assert m3.inf(m3.subset_of_labels(["a", "b"])) == m3.index_of("0")
+    assert anti.sup_mask(mask_of([0, 1])) is None
+    assert m3.sup_mask(m3.mask_of_labels(["a", "b"])) == m3.index_of("1")
+    assert m3.inf_mask(m3.mask_of_labels(["a", "b"])) == m3.index_of("0")
     for x in range(m3.n):
-        assert m3.sup(m3.subset([x])) == x
+        assert m3.sup_mask(1 << x) == x
     # sup of nothing is the bottom when there is one
-    assert m3.sup(m3.subset()) == m3.index_of("0")
-    assert anti.sup(anti.subset()) is None
+    assert m3.sup_mask(0) == m3.index_of("0")
+    assert anti.sup_mask(0) is None
 
 
 def test_directed_sets_examples(m3):
@@ -159,7 +159,7 @@ def test_hasse_examples(m3):
 def test_hasse_roundtrip(posets_upto_5):
     for P in posets_upto_5[5]:
         rebuilt = build_poset(
-            P.labels, [(P.labels[i], P.labels[j]) for i, j in P.hasse()], "covers"
+            P.labels, [(P.labels[i], P.labels[j]) for i, j in P.hasse()]
         )
         assert rebuilt.up == P.up
 
@@ -174,8 +174,8 @@ def test_dual(m3, n5):
 
 
 def test_canonical_relabeling():
-    P = build_poset(["x", "y"], [("x", "y")], "covers")
-    Q = build_poset(["p", "q"], [("p", "q")], "covers")
+    P = build_poset(["x", "y"], [("x", "y")])
+    Q = build_poset(["p", "q"], [("p", "q")])
     assert P.canonical_key() == Q.canonical_key()
     assert P.canonical_form().up == Q.canonical_form().up
 
@@ -206,18 +206,6 @@ def test_up_closure_monotone(posets_upto_5):
             for extra in range(P.n):
                 big = small | (1 << extra)
                 assert P.up_closure_mask(small) & ~P.up_closure_mask(big) == 0
-
-
-def test_subset_ops(m3):
-    s = m3.subset_of_labels(["a", "b"])
-    t = m3.subset_of_labels(["b", "c"])
-    assert (s & t).labels == ("b",)
-    assert (s | t).labels == ("a", "b", "c")
-    assert (s - t).labels == ("a",)
-    assert s.complement().labels == ("0", "c", "1")
-    assert len(s) == 2 and m3.index_of("a") in s
-    with pytest.raises(ValueError):
-        m3.subset_of_mask(1 << 9)
 
 
 @given(st.integers(1, 7), st.integers(0, 2**32 - 1), st.floats(0, 1))

@@ -1,5 +1,7 @@
 from orderkit.generators import named
+from orderkit import properties
 from orderkit.poset import FinitePoset
+from orderkit.relations import FinFamily
 from orderkit.properties import (
     is_completely_distributive_oracle,
     is_continuous,
@@ -28,6 +30,19 @@ def test_quasicontinuous_examples(m3):
     assert is_quasicontinuous(named("antichain(3)")).holds
     assert is_quasicontinuous(m3).holds
     assert is_quasicontinuous(named("chain(1)")).holds
+
+
+def test_quasicontinuous_witness_of_undirected_family(monkeypatch):
+    # a family without a least member falls back to the literal pair scan,
+    # whose first failing pair is the witness
+    P = named("antichain(2)")
+    monkeypatch.setattr(properties, "fin_family",
+                        lambda P, x: FinFamily(P, x, (0b01, 0b10), (0b01, 0b10)))
+    v = is_quasicontinuous(P)
+    assert not v.holds
+    assert v.witness.elements == ("a",)
+    assert v.witness.subsets == (("a",), ("b",))
+    assert v.witness.note == "family not directed under reverse inclusion"
 
 
 def test_meet_continuous_examples(posets_upto_5, n5):

@@ -2,6 +2,7 @@ import pytest
 
 from orderkit import SizeLimitError, limits
 from orderkit.generators import named
+from orderkit.poset import iter_bits
 from orderkit.properties import is_prime_continuous
 from orderkit.scott import (
     complement_isomorphism,
@@ -14,23 +15,25 @@ from orderkit.scott import (
 
 def test_is_scott_open_examples():
     c2 = named("chain(2)")
-    assert is_scott_open(c2, c2.subset([1]))
-    assert not is_scott_open(c2, c2.subset([0]))
+    assert is_scott_open(c2, 1 << 1)
+    assert not is_scott_open(c2, 1 << 0)
     m3 = named("M3")
-    assert is_scott_open(m3, m3.subset_of_labels(["a", "b", "1"]))
+    assert is_scott_open(m3, m3.mask_of_labels(["a", "b", "1"]))
+    with pytest.raises(ValueError):
+        is_scott_open(c2, 1 << 2, "upper")
 
 
 def test_scott_open_modes_agree(posets_upto_5):
     for n in range(1, 5):
         for P in posets_upto_5[n]:
             for mask in range(1 << n):
-                s = P.subset_of_mask(mask)
-                assert is_scott_open(P, s, "definitional") == is_scott_open(P, s, "upper")
+                assert is_scott_open(P, mask, "definitional") == is_scott_open(P, mask, "upper")
 
 
 def test_scott_opens_examples():
-    sig = scott_opens(named("antichain(2)"))
-    assert [s.labels for s in sig.opens] == [(), ("a",), ("b",), ("a", "b")]
+    P = named("antichain(2)")
+    sig = scott_opens(P)
+    assert [P.labels_of(m) for m in sig.opens] == [(), ("a",), ("b",), ("a", "b")]
     assert sig.lattice.base.is_isomorphic(named("boolean(2)"))
     sig = scott_opens(named("chain(2)"))
     assert len(sig.opens) == 3
@@ -42,21 +45,21 @@ def test_scott_opens_examples():
 def test_scott_opens_structure(posets_upto_5):
     for P in posets_upto_5[4]:
         sig = scott_opens(P)
-        masks = set(sig.masks)
+        masks = set(sig.opens)
         assert 0 in masks and P.full_mask in masks
         lat = sig.lattice
         assert lat.base.labels[lat.bottom] == "{}"
-        for a in sig.masks:
-            for b in sig.masks:
+        for a in sig.opens:
+            for b in sig.opens:
                 assert a | b in masks
                 assert a & b in masks
-        for s in sig.opens:
-            assert is_scott_open(P, s)
+        for m in sig.opens:
+            assert is_scott_open(P, m)
         # join is union and meet is intersection
-        for i, a in enumerate(sig.masks):
-            for j, b in enumerate(sig.masks):
-                assert sig.masks[lat.join[i][j]] == a | b
-                assert sig.masks[lat.meet[i][j]] == a & b
+        for i, a in enumerate(sig.opens):
+            for j, b in enumerate(sig.opens):
+                assert sig.opens[lat.join[i][j]] == a | b
+                assert sig.opens[lat.meet[i][j]] == a & b
 
 
 def test_scott_opens_count_is_upper_set_count(posets_upto_5):
@@ -102,14 +105,15 @@ def test_closed_lattice_examples():
 
 def test_scott_closure_examples():
     c3 = named("chain(3)")
-    assert scott_closure(c3, c3.subset([1])).indices == (0, 1)
-    assert scott_closure(c3, c3.subset()).mask == 0
+    assert tuple(iter_bits(scott_closure(c3, 1 << 1))) == (0, 1)
+    assert scott_closure(c3, 0) == 0
     m3 = named("M3")
-    assert scott_closure(m3, m3.subset_of_labels(["a", "b"])).labels == ("0", "a", "b")
+    assert m3.labels_of(scott_closure(m3, m3.mask_of_labels(["a", "b"]))) == ("0", "a", "b")
+    with pytest.raises(ValueError):
+        scott_closure(m3, 1 << 9)
 
 
 def test_scott_closure_modes_agree(posets_upto_5):
     for P in posets_upto_5[4]:
         for mask in range(1 << P.n):
-            s = P.subset_of_mask(mask)
-            assert scott_closure(P, s, "fast").mask == scott_closure(P, s, "definitional").mask
+            assert scott_closure(P, mask, "fast") == scott_closure(P, mask, "definitional")

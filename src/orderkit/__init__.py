@@ -15,7 +15,7 @@ from .errors import (
     UnknownNameError,
 )
 from .poset import FiniteLattice, FinitePoset, Verdict, Witness, build_poset
-from .relations import Relation, approximants, fin_family, prec, way_below, way_below_sets, way_way_below
+from .relations import fin_family, prec, way_below, way_below_sets, way_way_below
 from .scott import OpenSetLattice, is_scott_open, scott_closed_lattice, scott_closure, scott_opens
 from .properties import (
     is_completely_distributive_oracle,
@@ -55,8 +55,7 @@ __all__ = [
     "CycleError", "NotALatticeError", "OrderkitError", "ParseError",
     "SizeLimitError", "UnknownLabelError", "UnknownNameError",
     "FinitePoset", "FiniteLattice", "Verdict", "Witness", "build_poset",
-    "Relation", "way_below", "approximants", "way_below_sets", "fin_family",
-    "way_way_below", "prec",
+    "way_below", "way_below_sets", "fin_family", "way_way_below", "prec",
     "OpenSetLattice", "is_scott_open", "scott_opens", "scott_closed_lattice",
     "scott_closure",
     "is_continuous", "is_quasicontinuous", "is_meet_continuous",

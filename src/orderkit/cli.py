@@ -40,11 +40,15 @@ def load_input(spec: str) -> FinitePoset:
     return files.parse(text)
 
 
-def _write_out(text, out):
+def _write_out(text, out=None):
+    """Write ``text`` as UTF-8 to the file ``out``, or to stdout.  Stdout is
+    written as bytes because its text layer encodes with the locale's codec,
+    which need not hold every label."""
     if out:
-        Path(out).write_text(text)
+        Path(out).write_text(text, encoding="utf-8")
     else:
-        sys.stdout.write(text)
+        sys.stdout.flush()
+        sys.stdout.buffer.write(text.encode("utf-8"))
 
 
 def _check_report(P, names):
@@ -87,16 +91,17 @@ def cmd_check(args):
             raise InputError(f"--properties {args.properties!r} names no property")
     report = _check_report(P, names)
     if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        _write_out(json.dumps(report, indent=2, sort_keys=True) + "\n")
     else:
-        print(f"poset {P.name or '<unnamed>'} (n={P.n})")
+        lines = [f"poset {P.name or '<unnamed>'} (n={P.n})"]
         for prop in names:
             value = report["properties"][prop]
             shown = value if value == "skipped" else str(bool(value)).lower()
             line = f"  {prop}: {shown}"
             if args.witness and prop in report["witnesses"]:
                 line += "   witness: " + _format_witness(report["witnesses"][prop])
-            print(line)
+            lines.append(line)
+        _write_out("".join(line + "\n" for line in lines))
     failed = any(v is False for v in report["properties"].values())
     if failed and not args.no_assert:
         return EXIT_FAIL
@@ -127,8 +132,8 @@ def cmd_enumerate(args):
         out_dir = Path(args.emit)
         out_dir.mkdir(parents=True, exist_ok=True)
         for P in emitted:
-            (out_dir / f"{P.name}.poset").write_text(files.emit(P))
-    print(count)
+            _write_out(files.emit(P), out_dir / f"{P.name}.poset")
+    _write_out(f"{count}\n")
     return EXIT_PASS
 
 
@@ -173,8 +178,9 @@ def cmd_verify(args):
             "max_n": args.max_n,
             "suites": [_suite_dict(r, args.deterministic) for r in reports],
         }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        _write_out(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     else:
+        lines = []
         for r in reports:
             line = (
                 f"suite {r.suite}: {r.universe}, {r.instances} instances, "
@@ -182,11 +188,12 @@ def cmd_verify(args):
             )
             if r.trivialized:
                 line += " [trivialized at finite scale: " + ", ".join(r.trivialized) + "]"
-            print(line)
+            lines.append(line)
             for rec in r.failures:
-                print(f"  FAIL {rec.name} (n={rec.n}){_detail(rec)}")
+                lines.append(f"  FAIL {rec.name} (n={rec.n}){_detail(rec)}")
             for rec in r.expected_failures:
-                print(f"  outside hypothesis, equation fails: {rec.name}{_detail(rec)}")
+                lines.append(f"  outside hypothesis, equation fails: {rec.name}{_detail(rec)}")
+        _write_out("".join(line + "\n" for line in lines))
     if any(r.failures for r in reports):
         return EXIT_FAIL
     return EXIT_PASS

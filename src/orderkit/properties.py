@@ -12,7 +12,9 @@ verifier suites rely on exactly that.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import combinations_with_replacement, product
+from operator import and_
 
 from . import limits
 from .poset import FiniteLattice, FinitePoset, Verdict, Witness, iter_bits, mask_of
@@ -21,13 +23,8 @@ from .scott import scott_closure
 
 
 def is_continuous(P: FinitePoset, mode="fast") -> Verdict:
-    """Every element is the directed supremum of its way-below approximants."""
-    rel = way_below(P, mode)
-    for x in range(P.n):
-        approx = 0
-        for p in range(P.n):
-            if rel.holds(p, x):
-                approx |= 1 << p
+    """Every element is the directed supremum of the elements way-below it."""
+    for x, approx in enumerate(way_below(P, mode)):
         if not P.is_directed_mask(approx):
             w = Witness(elements=(P.labels[x],), subsets=(P.labels_of(approx),),
                         note="approximant set not directed")
@@ -45,15 +42,14 @@ def is_quasicontinuous(P: FinitePoset) -> Verdict:
     """The family of up sets of finite approximating subsets of each element
     is directed under reverse inclusion and intersects to its up set."""
     for x in range(P.n):
-        fam = fin_family(P, x)
-        members = fam.members
+        members = fin_family(P, x)
         if not members:
             w = Witness(elements=(P.labels[x],), note="empty approximating family")
             return Verdict(False, w)
         # a finite family is directed under reverse inclusion exactly when
         # it has a least member, its intersection; the literal pair scan
         # runs only to find the first witness when it has none
-        inter = fam.intersection_mask()
+        inter = reduce(and_, members, P.full_mask)
         if inter not in members:
             for a in members:
                 for b in members:
@@ -172,23 +168,18 @@ def is_frame(L: FiniteLattice, mode="reduced") -> Verdict:
 def is_hypercontinuous(L: FiniteLattice, mode="fast") -> Verdict:
     """Every element is the join of its predecessors in the upper-set
     interpolation order."""
-    rel = prec(L, mode)
-    return _joins_predecessors(L, rel)
+    return _joins_predecessors(L, prec(L, mode))
 
 
 def is_prime_continuous(L: FiniteLattice, mode="closed") -> Verdict:
     """Every element is the join of the elements way-way-below it."""
-    rel = way_way_below(L, mode)
-    return _joins_predecessors(L, rel)
+    return _joins_predecessors(L, way_way_below(L, mode))
 
 
-def _joins_predecessors(L, rel):
+def _joins_predecessors(L, below):
+    """Every y is the join of ``below[y]``, the column of its predecessors."""
     P = L.base
-    for y in range(L.n):
-        preds = 0
-        for x in range(L.n):
-            if rel.holds(x, y):
-                preds |= 1 << x
+    for y, preds in enumerate(below):
         j = L.join_mask(preds)
         if j != y:
             w = Witness(elements=(P.labels[y],), subsets=(P.labels_of(preds),),

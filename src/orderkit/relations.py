@@ -5,34 +5,19 @@ arbitrary subsets, upper sets).  The oracle modes execute those definitions
 literally; the fast/closed modes use finite-carrier collapses, and the two
 must agree everywhere (enforced by the test suite on whole enumeration
 universes).
+
+A relation R is returned as a tuple of n column masks laid out like
+``P.down``: bit x of ``R[y]`` is set exactly when x R y, so ``R[y]`` is the
+set of elements related to y, the set every characterisation joins.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from . import limits
 from .poset import FiniteLattice, FinitePoset, iter_bits, mask_of, set_order
 
 
-@dataclass(frozen=True)
-class Relation:
-    """An n x n boolean table over one carrier; ``rows[x]`` has bit y set
-    when the relation holds at (x, y)."""
-
-    owner: FinitePoset
-    rows: tuple
-
-    def holds(self, x, y):
-        return bool(self.rows[x] >> y & 1)
-
-    def pairs(self):
-        for x in range(self.owner.n):
-            for y in iter_bits(self.rows[x]):
-                yield (x, y)
-
-
-def way_below(P: FinitePoset, mode="fast") -> Relation:
+def way_below(P: FinitePoset, mode="fast") -> tuple:
     """x way-below y: every directed set with an existing supremum >= y
     meets the up set of x.
 
@@ -40,29 +25,17 @@ def way_below(P: FinitePoset, mode="fast") -> Relation:
     directed set contains its supremum, which collapses the relation to the
     order itself; fast mode returns that.
     """
-    n = P.n
     if mode == "fast":
-        return Relation(P, P.up)
+        return P.down
     if mode != "oracle":
         raise ValueError(f"unknown mode {mode!r}")
-    rows = [P.full_mask] * n
+    cols = [P.full_mask] * P.n
     for dmask, s in P.directed_sets():
-        for x in range(n):
-            if not P.up[x] & dmask:
-                # D misses the up set of x: x is not way-below anything <= sup D
-                rows[x] &= ~P.down[s]
-    return Relation(P, tuple(rows))
-
-
-def approximants(P: FinitePoset, x: int, mode="fast") -> int:
-    """Mask of all elements way-below x; the down set of x on finite
-    carriers."""
-    rel = way_below(P, mode)
-    mask = 0
-    for p in range(P.n):
-        if rel.holds(p, x):
-            mask |= 1 << p
-    return mask
+        # x meets D upward exactly when x lies in the down closure of D
+        down_d = P.down_closure_mask(dmask)
+        for y in iter_bits(P.down[s]):
+            cols[y] &= down_d
+    return tuple(cols)
 
 
 def way_below_sets(P: FinitePoset, fmask: int, gmask: int) -> bool:
@@ -80,30 +53,10 @@ def way_below_sets(P: FinitePoset, fmask: int, gmask: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FinFamily:
-    """The up sets of finite subsets approximating a single element,
-    reported as the antichain of minimal members plus the family size."""
-
-    owner: FinitePoset
-    element: int
-    members: tuple  # all distinct up-set masks, in set_order
-    minimal: tuple  # the inclusion-minimal members, same order
-
-    @property
-    def size(self):
-        return len(self.members)
-
-    def intersection_mask(self):
-        acc = self.owner.full_mask
-        for m in self.members:
-            acc &= m
-        return acc
-
-
-def fin_family(P: FinitePoset, x: int, mode="fast") -> FinFamily:
-    """Collect the up sets of all nonempty finite subsets F with F
-    approximating {x} (set way-below, singleton on the right).
+def fin_family(P: FinitePoset, x: int, mode="fast") -> tuple:
+    """The distinct up sets, as masks in ``set_order``, of all nonempty
+    finite subsets F with F approximating {x} (set way-below, singleton on
+    the right).
 
     The oracle tries every nonempty F.  Fast mode lists upper sets instead:
     approximation reads F only through its up set, and every nonempty upper
@@ -114,22 +67,17 @@ def fin_family(P: FinitePoset, x: int, mode="fast") -> FinFamily:
     """
     limits.check_subset_cap(P.n, "approximating-family enumeration")
     if mode == "fast":
-        members = tuple(u for u in P.upper_masks() if u >> x & 1)
-        return FinFamily(P, x, members, (P.up[x],))
+        return tuple(u for u in P.upper_masks() if u >> x & 1)
     if mode != "oracle":
         raise ValueError(f"unknown mode {mode!r}")
     seen = set()
     for fmask in range(1, 1 << P.n):
         if way_below_sets(P, fmask, 1 << x):
             seen.add(P.up_closure_mask(fmask))
-    members = sorted(seen, key=set_order)
-    minimal = tuple(
-        m for m in members if not any(o != m and o & ~m == 0 for o in members)
-    )
-    return FinFamily(P, x, tuple(members), minimal)
+    return tuple(sorted(seen, key=set_order))
 
 
-def way_way_below(L: FiniteLattice, mode="closed") -> Relation:
+def way_way_below(L: FiniteLattice, mode="closed") -> tuple:
     """u way-way-below v: every subset S with join >= v has a member above u.
 
     Oracle mode quantifies over all 2^n subsets including the empty one.
@@ -140,26 +88,22 @@ def way_way_below(L: FiniteLattice, mode="closed") -> Relation:
     P = L.base
     n = L.n
     if mode == "closed":
-        rows = []
-        for u in range(n):
-            m = L.join_mask(P.full_mask & ~P.up[u])
-            rows.append(P.full_mask & ~P.down[m])
-        return Relation(P, tuple(rows))
+        joins = [L.join_mask(P.full_mask & ~P.up[u]) for u in range(n)]
+        return tuple(mask_of(u for u in range(n) if not P.up[v] >> joins[u] & 1)
+                     for v in range(n))
     if mode != "oracle":
         raise ValueError(f"unknown mode {mode!r}")
     limits.check_subset_cap(n, "subset enumeration for way-way-below")
-    rows = [P.full_mask] * n
+    cols = [P.full_mask] * n
     for smask in range(1 << n):
-        j = L.join_mask(smask)
+        # u has a member of S above it exactly when u lies in the down closure of S
         down_s = P.down_closure_mask(smask)
-        above = P.down[j]  # all v with join S >= v
-        for u in range(n):
-            if not down_s >> u & 1:
-                rows[u] &= ~above
-    return Relation(P, tuple(rows))
+        for v in iter_bits(P.down[L.join_mask(smask)]):
+            cols[v] &= down_s
+    return tuple(cols)
 
 
-def prec(L: FiniteLattice, mode="fast") -> Relation:
+def prec(L: FiniteLattice, mode="fast") -> tuple:
     """x below y in the upper-set interpolation order: every upper set
     inside the up set of y is already inside the up set of x.
 
@@ -171,14 +115,13 @@ def prec(L: FiniteLattice, mode="fast") -> Relation:
     P = L.base
     n = L.n
     if mode == "fast":
-        return Relation(P, P.up)
+        return P.down
     if mode != "oracle":
         raise ValueError(f"unknown mode {mode!r}")
     limits.check_subset_cap(n, "upper-set enumeration for interpolation order")
-    rows = [P.full_mask] * n
+    cols = [P.full_mask] * n
     for v in P.upper_masks():
-        inside_y = mask_of(y for y in range(n) if not v & ~P.up[y])
-        for x in range(n):
-            if v & ~P.up[x]:
-                rows[x] &= ~inside_y
-    return Relation(P, tuple(rows))
+        inside = mask_of(y for y in range(n) if not v & ~P.up[y])
+        for y in iter_bits(inside):
+            cols[y] &= inside
+    return tuple(cols)

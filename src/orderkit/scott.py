@@ -8,8 +8,8 @@ implemented and cross-checked against that collapse.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
+from . import limits
 from .poset import FiniteLattice, FinitePoset, set_order
 
 
@@ -54,8 +54,9 @@ def scott_closure(P: FinitePoset, mask: int, mode="fast") -> int:
 def _lattice_of_set_family(P, masks, name):
     """A union/intersection-closed family in set_order, with its lattice."""
     masks = sorted(masks, key=set_order)
-    index = {m: i for i, m in enumerate(masks)}
     k = len(masks)
+    limits.check_limit(k * k, "set-lattice table", limits.OPENS_LIMIT)
+    index = {m: i for i, m in enumerate(masks)}
     labels = tuple("{" + ",".join(P.labels_of(m)) + "}" for m in masks)
     rows = []
     for i in range(k):
@@ -94,16 +95,6 @@ class OpenSetLattice:
     opens: tuple  # member masks in lattice element order
     lattice: FiniteLattice
 
-    @cached_property
-    def _index(self):
-        return {m: i for i, m in enumerate(self.opens)}
-
-    def index_of_mask(self, mask):
-        try:
-            return self._index[mask]
-        except KeyError:
-            raise KeyError(f"{mask:#x} is not a member set") from None
-
 
 def scott_opens(P: FinitePoset) -> OpenSetLattice:
     """The lattice of Scott-open subsets ordered by inclusion."""
@@ -122,9 +113,9 @@ def complement_isomorphism(opens: OpenSetLattice, closeds: OpenSetLattice):
     index map sending each open to its complement.  Raises if the map is
     not a bijection reversing the order, returns it otherwise."""
     P = opens.base_poset
-    mapping = []
-    for m in opens.opens:
-        mapping.append(closeds.index_of_mask(P.full_mask ^ m))
+    index = {m: i for i, m in enumerate(closeds.opens)}
+    # a missing complement maps to -1, which no bijection onto the indices has
+    mapping = [index.get(P.full_mask ^ m, -1) for m in opens.opens]
     if sorted(mapping) != list(range(len(closeds.opens))):
         raise AssertionError("complementation is not a bijection between the families")
     a, b = opens.lattice.base, closeds.lattice.base

@@ -114,6 +114,23 @@ def test_dual_antichain(capsys):
     assert parse(out).is_isomorphic(named("boolean(2)"))
 
 
+def test_utf8_output_under_c_locale(tmp_path):
+    # the stream encoding under this locale is ASCII; labels still come out
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    src = tmp_path / "m3.poset"
+    src.write_text("elements: 0 \u00e9 b c 1\ncover 0 \u00e9\ncover 0 b\ncover 0 c\n"
+                   "cover \u00e9 1\ncover b 1\ncover c 1\n", encoding="utf-8")
+    out = tmp_path / "out.poset"
+    for args in (["dual", str(src)], ["export-dot", str(src)],
+                 ["check", str(src), "--witness", "--no-assert"]):
+        proc = subprocess.run(RUN + args, capture_output=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert "\u00e9" in proc.stdout.decode("utf-8")
+    proc = subprocess.run(RUN + ["dual", str(src), "-o", str(out)], capture_output=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert "\u00e9" in out.read_text(encoding="utf-8")
+
+
 def test_dual_scott_closed(tmp_path):
     out = tmp_path / "g.poset"
     assert main(["dual", "chain(2)", "--scott-closed", "-o", str(out)]) == 0
@@ -248,10 +265,13 @@ def test_named_carriers_over_cap_exit(capsys):
 
 
 def test_large_carriers_exit_at_work_limit(capsys):
-    # chain(24) has 2^24 - 1 directed sets, antichain(24) 2^24 upper sets
-    for name, what in (("chain(24)", "directed-subset"), ("antichain(24)", "upper-set")):
+    # chain(24) has 2^24 - 1 directed sets, antichain(24) 2^24 upper sets,
+    # and sigma(antichain(11)) 2^11 members, so 2^22 cells per table
+    for argv, what in ((["check", "chain(24)"], "directed-subset"),
+                       (["check", "antichain(24)"], "upper-set"),
+                       (["dual", "antichain(11)"], "set-lattice table")):
         started = time.perf_counter()
-        assert main(["check", name]) == 3
+        assert main(argv) == 3
         assert time.perf_counter() - started < 10
         out, err = capsys.readouterr()
         assert out == "" and err.count("\n") == 1

@@ -1,7 +1,6 @@
 from orderkit.generators import named
 from orderkit import properties
 from orderkit.poset import FinitePoset
-from orderkit.relations import FinFamily
 from orderkit.properties import (
     is_completely_distributive_oracle,
     is_continuous,
@@ -36,8 +35,7 @@ def test_quasicontinuous_witness_of_undirected_family(monkeypatch):
     # a family without a least member falls back to the literal pair scan,
     # whose first failing pair is the witness
     P = named("antichain(2)")
-    monkeypatch.setattr(properties, "fin_family",
-                        lambda P, x: FinFamily(P, x, (0b01, 0b10), (0b01, 0b10)))
+    monkeypatch.setattr(properties, "fin_family", lambda P, x: (0b01, 0b10))
     v = is_quasicontinuous(P)
     assert not v.holds
     assert v.witness.elements == ("a",)

@@ -77,6 +77,15 @@ def test_scott_opens_limit(monkeypatch):
     assert err.value.needed == 11
 
 
+def test_set_lattice_table_limit(monkeypatch):
+    # the join and meet tables have k * k cells for k member sets
+    monkeypatch.setattr(limits, "OPENS_LIMIT", 100)
+    assert len(scott_opens(named("antichain(3)")).opens) == 8
+    with pytest.raises(SizeLimitError) as err:
+        scott_opens(named("antichain(4)"))
+    assert err.value.needed == 256
+
+
 def test_scott_opens_always_prime_continuous(posets_upto_5):
     for P in posets_upto_5[5][::5]:
         assert is_prime_continuous(scott_opens(P).lattice).holds
@@ -89,6 +98,10 @@ def test_closed_lattice_dual_to_opens(posets_upto_5):
         mapping = complement_isomorphism(sig, gam)
         assert sorted(mapping) == list(range(len(sig.opens)))
         assert gam.lattice.base.is_isomorphic(sig.lattice.base.dual())
+    # the complement of the open {1} of chain(2) is not open
+    sig = scott_opens(named("chain(2)"))
+    with pytest.raises(AssertionError, match="not a bijection"):
+        complement_isomorphism(sig, sig)
 
 
 def test_closed_lattice_examples():

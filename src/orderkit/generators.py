@@ -5,8 +5,11 @@ Enumeration grows posets one element at a time: every poset arises from a
 smaller one by adding a new maximal element above a down-closed subset, so
 extending every canonical representative by every down set and deduplicating
 on canonical keys yields exactly one representative per isomorphism class.
+Lattices with n >= 2 elements are read off the poset level n - 2: each is
+one such poset with a new bottom and a new top added, kept when the result
+is a lattice, and distinct poset classes give distinct lattice classes.
 The published counts of unlabeled posets and lattices serve as acceptance
-oracles for this construction, not as inputs.
+oracles for these constructions, not as inputs.
 """
 
 from __future__ import annotations
@@ -146,27 +149,57 @@ def _poset_level(n):
     return tuple(sorted(keys))
 
 
-def enumerate_posets(n: int):
-    """One canonical representative per isomorphism class of n-element
-    posets, in canonical order; deterministic across runs."""
+def _check_ceiling(n):
     limits.check_count(n, "n")
     ceiling = limits.enum_max()
     if n > ceiling:
         raise SizeLimitError("poset enumeration", n, ceiling)
+
+
+def enumerate_posets(n: int):
+    """One canonical representative per isomorphism class of n-element
+    posets, in canonical order; deterministic across runs."""
+    _check_ceiling(n)
     for i, key in enumerate(_poset_level(n)):
         yield FinitePoset(default_labels(n), key, name=f"P{n}.{i}")
 
 
 def enumerate_lattices(n: int):
-    """The enumerated posets that carry a lattice structure."""
-    k = 0
-    for P in enumerate_posets(n):
+    """One canonical representative per isomorphism class of n-element
+    lattices, named ``L{n}.{k}`` in canonical order.
+
+    For n >= 2 a lattice has a bottom and a top, and removing both leaves an
+    (n-2)-element poset; conversely a poset with a new bottom and top added
+    is a finite bounded poset, which is a lattice exactly when
+    ``as_lattice`` accepts it.  So the lattices are read off the
+    (n-2)-element poset level.  No deduplication is needed: the bounds are
+    the unique least and greatest elements, so any isomorphism of two
+    extensions maps bounds to bounds and restricts to an isomorphism of the
+    posets, and distinct classes of the level give distinct classes of
+    lattices.  Sorting the canonical keys gives the order of the n-element
+    poset level, of which the lattices are a subsequence, so every name is
+    the one a filter of ``enumerate_posets(n)`` would give.  The ceiling is
+    the poset ceiling.
+    """
+    _check_ceiling(n)
+    if n == 0:
+        return
+    if n == 1:
+        yield FinitePoset(default_labels(1), (1,), name="L1.0").as_lattice()
+        return
+    top = 1 << (n - 1)
+    keys = []
+    for key in _poset_level(n - 2):
+        # bottom at index 0, the poset at 1..n-2, top at n-1
+        rows = [(1 << n) - 1, *((row << 1) | top for row in key), top]
+        bounded = FinitePoset(default_labels(n), rows)
         try:
-            lat = P.with_name(f"L{n}.{k}").as_lattice()
+            bounded.as_lattice()
         except NotALatticeError:
             continue
-        k += 1
-        yield lat
+        keys.append(bounded.canonical_key())
+    for k, key in enumerate(sorted(keys)):
+        yield FinitePoset(default_labels(n), key, name=f"L{n}.{k}").as_lattice()
 
 
 def random_poset(spec: GenSpec) -> FinitePoset:

@@ -6,8 +6,10 @@ follow from n alone (directed subsets, upper sets) are bounded by their
 own count, checked before or while they are built.  ``OPENS_LIMIT`` also
 bounds the cells of one table: the k x k join and meet tables of a set
 lattice such as the Scott opens are refused before they are built when
-k * k passes it.  The enumeration ceiling for generators can be raised
-with the ORDERKIT_MAX_N environment variable.
+k * k passes it.  ``CANON_LIMIT`` bounds the relation-table cells one
+canonical labelling compares, counted while it searches.  The enumeration
+ceiling for generators can be raised with the ORDERKIT_MAX_N environment
+variable.
 """
 
 import os
@@ -17,6 +19,7 @@ from .errors import InputError, SizeLimitError
 SUBSET_CAP = 24           # refuse 2^n loops and named carriers beyond this size
 OPENS_LIMIT = 1 << 20     # max number of upper sets tabulated per poset
 DIRECTED_LIMIT = 1 << 16  # max number of directed subsets tabulated per poset
+CANON_LIMIT = 1 << 24     # max relation-table cells compared by one canonical labelling
 ENUM_MAX_DEFAULT = 7      # poset enumeration ceiling (env-overridable)
 ENUM_MAX_HARD = 8
 

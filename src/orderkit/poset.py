@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import CycleError, NotALatticeError, UnknownLabelError
+from .errors import CycleError, NotALatticeError, SizeLimitError, UnknownLabelError
 from . import limits
 
 
@@ -337,8 +337,9 @@ class FinitePoset:
         strict_down = [down[i] & ~(1 << i) for i in range(n)]
         covers_up = self.cover_rows
         covers_down = [0] * n
-        for i, j in self.hasse():
-            covers_down[j] |= 1 << i
+        for i in range(n):
+            for j in iter_bits(covers_up[i]):
+                covers_down[j] |= 1 << i
         sig = [
             (
                 strict_down[i].bit_count(),
@@ -372,7 +373,17 @@ class FinitePoset:
     def _canonical_order(self):
         """Old indices in canonical position order: the rank-respecting
         ordering whose relation table is lexicographically least (cells read
-        in growing-submatrix order)."""
+        in growing-submatrix order).
+
+        A depth-first search over the positions, kept on an explicit stack so
+        that no carrier size reaches the interpreter's recursion limit.  A
+        branch whose chunk beats the best table's chunk at its depth is
+        "ahead": it is not compared again below, and each of its leaves
+        replaces the best; a leaf on a tie keeps the first table found.
+        Every chunk compares 2k table cells at depth k; the search is refused
+        once more than ``limits.CANON_LIMIT`` cells are counted, because on
+        highly symmetric posets the number of tied orderings is factorial.
+        """
         n = self.n
         if n == 0:
             return ()
@@ -383,28 +394,31 @@ class FinitePoset:
             by_rank.setdefault(ranks[i], []).append(i)
         up = self.up
 
-        best_chunks = None
-        best_order = None
-
         def chunk(order, e):
             bits = []
             for i in order:
-                bits.append(bool(up[i] >> e & 1))
+                bits.append(up[i] >> e & 1)
+            row = up[e]
             for i in order:
-                bits.append(bool(up[e] >> i & 1))
+                bits.append(row >> i & 1)
             return tuple(bits)
 
-        def walk(order, chunks, used, ahead):
-            nonlocal best_chunks, best_order
+        best_chunks = None
+        best_order = None
+        order, chunks, used = [], [], 0
+        cells, limit = 0, limits.CANON_LIMIT
+        # one frame per placed position plus the one being filled: the
+        # candidates left there and whether its prefix is already ahead
+        stack = [(iter(by_rank[required[0]]), False)]
+        while stack:
+            candidates, ahead = stack[-1]
             k = len(order)
-            if k == n:
-                if ahead or best_chunks is None:
-                    best_chunks = list(chunks)
-                    best_order = list(order)
-                return
-            for e in by_rank[required[k]]:
+            for e in candidates:
                 if used >> e & 1:
                     continue
+                cells += 2 * k
+                if cells > limit:
+                    raise SizeLimitError("canonical labelling", cells, limit)
                 c = chunk(order, e)
                 branch_ahead = ahead
                 if not branch_ahead and best_chunks is not None:
@@ -412,13 +426,21 @@ class FinitePoset:
                         continue
                     if c < best_chunks[k]:
                         branch_ahead = True
+                if k + 1 == n:
+                    if branch_ahead or best_chunks is None:
+                        best_chunks = chunks + [c]
+                        best_order = order + [e]
+                    continue
                 order.append(e)
                 chunks.append(c)
-                walk(order, chunks, used | (1 << e), branch_ahead)
-                order.pop()
-                chunks.pop()
-
-        walk([], [], 0, False)
+                used |= 1 << e
+                stack.append((iter(by_rank[required[k + 1]]), branch_ahead))
+                break
+            else:
+                stack.pop()
+                if order:
+                    used ^= 1 << order.pop()
+                    chunks.pop()
         return tuple(best_order)
 
     def canonical_key(self):

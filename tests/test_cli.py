@@ -148,6 +148,13 @@ def test_enumerate_counts(capsys):
     assert capsys.readouterr().out.strip() == "1"
 
 
+def test_enumerate_lattices_n8(monkeypatch, capsys):
+    # OEIS A006966: 222 lattices with 8 elements
+    monkeypatch.setenv("ORDERKIT_MAX_N", "8")
+    assert main(["enumerate", "--n", "8", "--kind", "lattices"]) == 0
+    assert capsys.readouterr().out.strip() == "222"
+
+
 def test_enumerate_filter(capsys):
     assert main(["enumerate", "--n", "5", "--kind", "lattices", "--filter",
                  "!join_continuous"]) == 0
@@ -266,10 +273,13 @@ def test_named_carriers_over_cap_exit(capsys):
 
 def test_large_carriers_exit_at_work_limit(capsys):
     # chain(24) has 2^24 - 1 directed sets, antichain(24) 2^24 upper sets,
-    # and sigma(antichain(11)) 2^11 members, so 2^22 cells per table
+    # and sigma(antichain(11)) 2^11 members, so 2^22 cells per table;
+    # sigma(antichain(10)) has 2^10 members, whose labelling passes the cell
+    # bound long before the search could end
     for argv, what in ((["check", "chain(24)"], "directed-subset"),
                        (["check", "antichain(24)"], "upper-set"),
-                       (["dual", "antichain(11)"], "set-lattice table")):
+                       (["dual", "antichain(11)"], "set-lattice table"),
+                       (["dual", "antichain(10)"], "canonical labelling")):
         started = time.perf_counter()
         assert main(argv) == 3
         assert time.perf_counter() - started < 10

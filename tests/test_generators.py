@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -6,6 +8,7 @@ from orderkit import (
     SizeLimitError,
     UnknownNameError,
     emit,
+    generators,
     is_join_continuous,
     is_scott_open,
     parse,
@@ -51,6 +54,45 @@ def test_lattice_counts(lattices_upto_6):
         assert len(lattices_upto_6[n]) == LATTICE_COUNTS[n]
 
 
+# sha256 of repr(_poset_level(n)): the canonical keys of each level, pinned
+# so that a change to canonical labelling cannot move a key unnoticed
+LEVEL_DIGESTS = {
+    6: (318, "9dc80f297d5dfb62550f48613b9a7f8106f38d74627206c109706d906573b505"),
+    7: (2045, "3e05ea5d4ddbbe3e491a438f744ba068250ec7c070726c401ed15f23315f53d1"),
+}
+
+
+def test_poset_level_keys_pinned():
+    for n, (count, digest) in LEVEL_DIGESTS.items():
+        level = generators._poset_level(n)
+        assert len(level) == count
+        assert hashlib.sha256(repr(level).encode()).hexdigest() == digest
+
+
+def test_lattices_match_poset_filter(lattices_upto_7):
+    for n in range(1, 8):
+        literal = []
+        for P in enumerate_posets(n):
+            try:
+                literal.append(P.with_name(f"L{n}.{len(literal)}").as_lattice())
+            except NotALatticeError:
+                pass
+        assert lattices_upto_7[n] == literal
+
+
+def test_lattices_read_bounded_poset_level(monkeypatch):
+    seen = []
+    level = generators._poset_level
+
+    def recording(n):
+        seen.append(n)
+        return level(n)
+
+    monkeypatch.setattr(generators, "_poset_level", recording)
+    assert len(list(enumerate_lattices(7))) == LATTICE_COUNTS[7]
+    assert seen and max(seen) <= 5
+
+
 def test_lattices_n4():
     found = [L.base for L in enumerate_lattices(4)]
     assert len(found) == 2
@@ -85,10 +127,15 @@ def test_enumeration_emits_valid_canonical(posets_upto_5):
 def test_enumeration_cap(monkeypatch):
     with pytest.raises(SizeLimitError):
         list(enumerate_posets(20))
+    with pytest.raises(SizeLimitError):
+        list(enumerate_lattices(20))
     monkeypatch.setenv("ORDERKIT_MAX_N", "3")
     with pytest.raises(SizeLimitError):
         list(enumerate_posets(4))
+    with pytest.raises(SizeLimitError):
+        list(enumerate_lattices(4))
     assert len(list(enumerate_posets(3))) == 5
+    assert len(list(enumerate_lattices(3))) == 1
 
 
 def test_genspec_validation():

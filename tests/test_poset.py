@@ -11,6 +11,7 @@ from orderkit import (
 )
 from orderkit.generators import GenSpec, named, random_poset
 from orderkit.poset import FinitePoset, iter_bits, mask_of, set_order
+from orderkit.scott import scott_opens
 
 
 def test_build_two_chain():
@@ -190,6 +191,16 @@ def test_canonical_idempotent(posets_upto_5):
         C = P.canonical_form()
         assert C.canonical_form() == C
         assert C.is_canonical()
+
+
+def test_canonical_labelling_limit(monkeypatch):
+    # sigma(antichain(4)) is the 16-element Boolean lattice; its labelling
+    # compares 1.77 M cells
+    sigma = scott_opens(named("antichain(4)")).lattice.base
+    monkeypatch.setattr(limits, "CANON_LIMIT", 1 << 20)
+    with pytest.raises(SizeLimitError) as err:
+        sigma.canonical_key()
+    assert err.value.cap == 1 << 20
 
 
 def test_upper_masks_are_upper(posets_upto_6):

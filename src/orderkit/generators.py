@@ -2,9 +2,15 @@
 isomorphism, and seeded random posets.
 
 Enumeration grows posets one element at a time: every poset arises from a
-smaller one by adding a new maximal element above a down-closed subset, so
-extending every canonical representative by every down set and deduplicating
-on canonical keys yields exactly one representative per isomorphism class.
+smaller one by adding a new maximal element above a down-closed subset.
+Each level is built by canonical augmentation (McKay, "Isomorph-free
+exhaustive generation", 1998): every canonical representative is extended by
+every down set, and a child is kept only when its new element stands for
+its canonical deletion, a maximal element chosen by an
+isomorphism-invariant rule, so each class has one parent class.  A degree-signature pre-filter
+refuses most other children before they are built, the keys are
+deduplicated per parent, whose automorphisms can still make siblings
+isomorphic, and one sort of all parents' keys orders the level.
 Lattices with n >= 2 elements are read off the poset level n - 2: each is
 one such poset with a new bottom and a new top added, kept when the result
 is a lattice, and distinct poset classes give distinct lattice classes.
@@ -21,7 +27,7 @@ from functools import lru_cache
 
 from . import limits
 from .errors import NotALatticeError, SizeLimitError, UnknownNameError
-from .poset import FinitePoset, _closure_rows, mask_of
+from .poset import FinitePoset, _closure_rows, degree_signature, iter_bits, mask_of
 
 
 @dataclass(frozen=True)
@@ -43,6 +49,7 @@ class GenSpec:
             raise ValueError(f"density must lie in [0, 1], got {self.density}")
 
 
+@lru_cache(maxsize=32)
 def default_labels(n):
     if n <= 26:
         return tuple(chr(ord("a") + i) for i in range(n))
@@ -136,17 +143,66 @@ def _extend_with_max(P, down_mask):
     return FinitePoset(default_labels(n + 1), rows)
 
 
+def _delete(P, c):
+    """P without element c; the elements after c move down one index."""
+    low = (1 << c) - 1
+    rows = [row & low | row >> (c + 1) << c for i, row in enumerate(P.up) if i != c]
+    return FinitePoset(default_labels(P.n - 1), rows)
+
+
 @lru_cache(maxsize=None)
 def _poset_level(n):
     """Canonical keys of all isomorphism classes of size n, sorted."""
     if n == 0:
         return ((),)
-    keys = set()
+    keys = []
     for key in _poset_level(n - 1):
-        parent = FinitePoset(default_labels(n - 1), key)
-        for up_mask in parent.iter_upper_masks():
-            keys.add(_extend_with_max(parent, parent.full_mask ^ up_mask).canonical_key())
-    return tuple(sorted(keys))
+        keys.extend(_canonical_children(FinitePoset(default_labels(n - 1), key), key))
+    keys.sort()
+    return tuple(keys)
+
+
+def _canonical_children(parent, key):
+    """Canonical keys of the extensions of ``parent`` (canonical key ``key``)
+    by a new maximal element m that stands for the child's canonical
+    deletion, once each.
+
+    The canonical deletion of a poset C is its maximal element of top rank
+    when that element is unique, and otherwise the maximal element c last in
+    C's canonical order.  A child C is kept when m has the top rank among
+    C's maximal elements and either it is that unique element, or c == m,
+    or C - c is isomorphic to the parent.  Either way the parent's class is
+    the class of C minus its canonical deletion, which the class of C
+    determines, so different parents give disjoint classes; and every class
+    arises from the parent class of that deletion.  Siblings can still be
+    isomorphic under the parent's automorphisms, hence the set.
+
+    Refinement keeps the order of ranks, so a child whose new element's
+    ``degree_signature`` is below that of a maximal element it leaves
+    maximal cannot give m the top rank; it is refused before it is built.
+    """
+    n = parent.n
+    strict_up, signatures = parent._strict_up, parent._degree_signatures
+    maximal = [x for x in range(n) if not strict_up[x]]
+    found = set()
+    for up_mask in parent.iter_upper_masks():
+        down = parent.full_mask ^ up_mask
+        rivals = [x for x in maximal if not down >> x & 1]
+        tops = mask_of(x for x in iter_bits(down) if not strict_up[x] & down)
+        signature = degree_signature(down, 0, tops, 0)
+        if any(signatures[x] > signature for x in rivals):
+            continue
+        child = _extend_with_max(parent, down)
+        ranks = child._refined_ranks
+        if any(ranks[x] > ranks[n] for x in rivals):
+            continue
+        child_key = child.canonical_key()
+        if any(ranks[x] == ranks[n] for x in rivals):
+            c = next(e for e in reversed(child._canonical_order) if child.up[e] == 1 << e)
+            if c != n and _delete(child, c).canonical_key() != key:
+                continue
+        found.add(child_key)
+    return found
 
 
 def _check_ceiling(n):

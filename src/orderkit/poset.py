@@ -18,12 +18,23 @@ from .errors import CycleError, NotALatticeError, SizeLimitError, UnknownLabelEr
 from . import limits
 
 
+# the set-bit indices of every mask of a carrier with at most 8 elements, as
+# bytes, which add no objects for the garbage collector to track
+_BYTE_BITS = tuple(bytes(i for i in range(8) if m >> i & 1) for m in range(256))
+
+
 def iter_bits(mask):
     """Indices of the set bits of ``mask``, ascending."""
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _bit_reader(n):
+    """``iter_bits`` for the masks of an n-element carrier; a table lookup,
+    with no generator to resume, when n <= 8."""
+    return _BYTE_BITS.__getitem__ if n <= 8 else iter_bits
 
 
 def mask_of(indices):
@@ -36,6 +47,14 @@ def mask_of(indices):
 def set_order(mask):
     """Sort key of a subset: its size, then its indices."""
     return (mask.bit_count(), tuple(iter_bits(mask)))
+
+
+def degree_signature(strict_down, strict_up, covers_down, covers_up):
+    """An element's first color in canonical labelling, from the masks of the
+    elements strictly below and above it and of those it covers and is
+    covered by: their sizes, in that order."""
+    return (strict_down.bit_count(), strict_up.bit_count(),
+            covers_down.bit_count(), covers_up.bit_count())
 
 
 class FinitePoset:
@@ -61,7 +80,7 @@ class FinitePoset:
         self._validate()
 
     def _validate(self):
-        n, up = self.n, self.up
+        n, up, bits = self.n, self.up, _bit_reader(self.n)
         full = (1 << n) - 1
         for i in range(n):
             if up[i] & ~full:
@@ -69,8 +88,8 @@ class FinitePoset:
             if not up[i] >> i & 1:
                 raise ValueError(f"relation not reflexive at {self.labels[i]}")
         for i in range(n):
-            for j in iter_bits(up[i]):
-                if i != j and up[j] >> i & 1:
+            for j in bits(up[i] & ~(1 << i)):
+                if up[j] >> i & 1:
                     raise CycleError((self.labels[i], self.labels[j]))
                 if up[j] & ~up[i]:
                     k = next(iter_bits(up[j] & ~up[i]))
@@ -89,11 +108,12 @@ class FinitePoset:
     @cached_property
     def down(self):
         """Column masks: ``down[j]`` = mask of {i | i <= j}."""
-        n, up = self.n, self.up
+        n, up, bits = self.n, self.up, _bit_reader(self.n)
         cols = [0] * n
         for i in range(n):
-            for j in iter_bits(up[i]):
-                cols[j] |= 1 << i
+            bit = 1 << i
+            for j in bits(up[i]):
+                cols[j] |= bit
         return tuple(cols)
 
     @cached_property
@@ -238,21 +258,23 @@ class FinitePoset:
 
     def iter_upper_masks(self):
         """All upper (up-closed) subsets, by include/exclude backtracking
-        along a linear extension processed from maximal elements down."""
+        along a linear extension processed from maximal elements down, the
+        branch without an element before the branch with it.  Pending
+        branches wait on an explicit stack, so no carrier size reaches the
+        interpreter's recursion limit."""
         n = self.n
         order = self._reverse_linear_extension
-        strict_up = [self.up[i] & ~(1 << i) for i in range(n)]
-
-        def walk(k, mask):
+        strict_up = self._strict_up
+        stack = [(0, 0)]
+        while stack:
+            k, mask = stack.pop()
             if k == n:
                 yield mask
-                return
+                continue
             e = order[k]
-            yield from walk(k + 1, mask)
             if not strict_up[e] & ~mask:
-                yield from walk(k + 1, mask | (1 << e))
-
-        return walk(0, 0)
+                stack.append((k + 1, mask | (1 << e)))
+            stack.append((k + 1, mask))
 
     def upper_masks(self):
         """Every upper subset in ``set_order``, walked once per poset;
@@ -275,21 +297,23 @@ class FinitePoset:
 
     def hasse(self):
         """Cover pairs (i, j): i < j with nothing strictly between."""
-        out = []
-        n, up, down = self.n, self.up, self.down
-        for i in range(n):
-            strict = up[i] & ~(1 << i)
-            for j in iter_bits(strict):
-                between = strict & down[j] & ~(1 << j)
-                if not between:
-                    out.append((i, j))
-        return out
+        return [(i, j) for i, row in enumerate(self.cover_rows) for j in iter_bits(row)]
+
+    @cached_property
+    def _strict_up(self):
+        return tuple(row & ~(1 << i) for i, row in enumerate(self.up))
 
     @cached_property
     def cover_rows(self):
-        rows = [0] * self.n
-        for i, j in self.hasse():
-            rows[i] |= 1 << j
+        """``cover_rows[i]`` masks the elements covering i: those strictly
+        above i and not strictly above anything strictly above i."""
+        strict_up, bits = self._strict_up, _bit_reader(self.n)
+        rows = []
+        for row in strict_up:
+            above = 0
+            for j in bits(row):
+                above |= strict_up[j]
+            rows.append(row & ~above)
         return tuple(rows)
 
     def dual(self):
@@ -327,47 +351,48 @@ class FinitePoset:
     # -- canonical forms and isomorphism ---------------------------------
 
     @cached_property
+    def _degree_signatures(self):
+        """Each element's ``degree_signature``: the first colors of
+        ``_refined_ranks``."""
+        strict_up, covers_up = self._strict_up, self.cover_rows
+        bits = _bit_reader(self.n)
+        strict_down = [col & ~(1 << i) for i, col in enumerate(self.down)]
+        covers_down = [0] * self.n
+        for i, row in enumerate(covers_up):
+            for j in bits(row):
+                covers_down[j] |= 1 << i
+        return tuple(map(degree_signature, strict_down, strict_up, covers_down, covers_up))
+
+    @cached_property
     def _refined_ranks(self):
         """Iso-invariant element colors: degree invariants refined by the
-        colors of the elements below and above, until stable."""
-        n, up, down = self.n, self.up, self.down
-        if n == 0:
-            return ()
-        strict_up = [up[i] & ~(1 << i) for i in range(n)]
-        strict_down = [down[i] & ~(1 << i) for i in range(n)]
-        covers_up = self.cover_rows
-        covers_down = [0] * n
-        for i in range(n):
-            for j in iter_bits(covers_up[i]):
-                covers_down[j] |= 1 << i
-        sig = [
-            (
-                strict_down[i].bit_count(),
-                strict_up[i].bit_count(),
-                covers_down[i].bit_count(),
-                covers_up[i].bit_count(),
-            )
-            for i in range(n)
-        ]
-        ranks = self._intern(sig)
+        colors of the elements below and above, until stable.  Refinement
+        only splits classes and orders each split by the old color first,
+        so a color never passes a larger one, and a discrete coloring is
+        final."""
+        n = self.n
+        ranks, classes = self._intern(self._degree_signatures)
+        if classes == n:
+            return tuple(ranks)
+        bits = _bit_reader(n)
+        below = [tuple(bits(col & ~(1 << i))) for i, col in enumerate(self.down)]
+        above = [tuple(bits(row)) for row in self._strict_up]
         while True:
+            color = ranks.__getitem__
             sig = [
-                (
-                    ranks[i],
-                    tuple(sorted(ranks[j] for j in iter_bits(strict_down[i]))),
-                    tuple(sorted(ranks[j] for j in iter_bits(strict_up[i]))),
-                )
-                for i in range(n)
+                (r, tuple(sorted(map(color, b))), tuple(sorted(map(color, a))))
+                for r, b, a in zip(ranks, below, above)
             ]
-            new = self._intern(sig)
-            if len(set(new)) == len(set(ranks)):
+            new, count = self._intern(sig)
+            if count == classes or count == n:
                 return tuple(new)
-            ranks = new
+            ranks, classes = new, count
 
     @staticmethod
     def _intern(signatures):
+        """Dense ranks of ``signatures`` in sorted order, and their number."""
         order = {s: r for r, s in enumerate(sorted(set(signatures)))}
-        return [order[s] for s in signatures]
+        return [order[s] for s in signatures], len(order)
 
     @cached_property
     def _canonical_order(self):
@@ -383,25 +408,41 @@ class FinitePoset:
         Every chunk compares 2k table cells at depth k; the search is refused
         once more than ``limits.CANON_LIMIT`` cells are counted, because on
         highly symmetric posets the number of tied orderings is factorial.
+        A chunk is packed into an int: the placed elements below the
+        candidate, then those above it, each weighted 2^(n-1-p) by its
+        position p.  Chunks of one depth so compare as their 0/1 tuples
+        would, and one costs a step per placed element related to the
+        candidate.  When every rank is distinct the rank order is the only
+        candidate, and it is returned at once after the n(n-1) cells its
+        search would count are checked.
         """
         n = self.n
-        if n == 0:
-            return ()
         ranks = self._refined_ranks
+        if len(set(ranks)) == n:
+            limits.check_limit(n * (n - 1), "canonical labelling", limits.CANON_LIMIT)
+            return tuple(sorted(range(n), key=ranks.__getitem__))
         required = sorted(ranks)
         by_rank = {}
         for i in range(n):
             by_rank.setdefault(ranks[i], []).append(i)
-        up = self.up
+        up, down = self.up, self.down
+        # the bit of each placed element maps to its weight 2^(n-1-p) at
+        # position p; stale entries of unplaced elements are masked off
+        weight = {}
 
-        def chunk(order, e):
-            bits = []
-            for i in order:
-                bits.append(up[i] >> e & 1)
-            row = up[e]
-            for i in order:
-                bits.append(row >> i & 1)
-            return tuple(bits)
+        def chunk(e, used):
+            below = above = 0
+            mask = down[e] & used
+            while mask:
+                low = mask & -mask
+                below |= weight[low]
+                mask ^= low
+            mask = up[e] & used
+            while mask:
+                low = mask & -mask
+                above |= weight[low]
+                mask ^= low
+            return below << n | above
 
         best_chunks = None
         best_order = None
@@ -419,7 +460,7 @@ class FinitePoset:
                 cells += 2 * k
                 if cells > limit:
                     raise SizeLimitError("canonical labelling", cells, limit)
-                c = chunk(order, e)
+                c = chunk(e, used)
                 branch_ahead = ahead
                 if not branch_ahead and best_chunks is not None:
                     if c > best_chunks[k]:
@@ -434,6 +475,7 @@ class FinitePoset:
                 order.append(e)
                 chunks.append(c)
                 used |= 1 << e
+                weight[1 << e] = 1 << (n - 1 - k)
                 stack.append((iter(by_rank[required[k + 1]]), branch_ahead))
                 break
             else:
@@ -446,12 +488,15 @@ class FinitePoset:
     def canonical_key(self):
         """Hashable structure invariant: equal keys iff isomorphic posets."""
         order = self._canonical_order
-        pos = {old: new for new, old in enumerate(order)}
+        bits = _bit_reader(self.n)
+        bit = [0] * self.n
+        for new, old in enumerate(order):
+            bit[old] = 1 << new
         rows = []
         for old in order:
             row = 0
-            for j in iter_bits(self.up[old]):
-                row |= 1 << pos[j]
+            for j in bits(self.up[old]):
+                row |= bit[j]
             rows.append(row)
         return tuple(rows)
 

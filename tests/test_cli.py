@@ -271,15 +271,21 @@ def test_named_carriers_over_cap_exit(capsys):
     assert named("chain(0003)").n == 3
 
 
-def test_large_carriers_exit_at_work_limit(capsys):
+def test_large_carriers_exit_at_work_limit(capsys, tmp_path):
     # chain(24) has 2^24 - 1 directed sets, antichain(24) 2^24 upper sets,
     # and sigma(antichain(11)) 2^11 members, so 2^22 cells per table;
     # sigma(antichain(10)) has 2^10 members, whose labelling passes the cell
-    # bound long before the search could end
+    # bound long before the search could end; a 1200-element chain has 1201
+    # upper sets, so 1201^2 cells per table, and its upper-set walk is 1200
+    # branches deep
+    chain = tmp_path / "chain1200.poset"
+    chain.write_text("elements: " + " ".join(f"c{i}" for i in range(1200)) + "\n"
+                     + "".join(f"cover c{i} c{i + 1}\n" for i in range(1199)))
     for argv, what in ((["check", "chain(24)"], "directed-subset"),
                        (["check", "antichain(24)"], "upper-set"),
                        (["dual", "antichain(11)"], "set-lattice table"),
-                       (["dual", "antichain(10)"], "canonical labelling")):
+                       (["dual", "antichain(10)"], "canonical labelling"),
+                       (["dual", str(chain)], "set-lattice table")):
         started = time.perf_counter()
         assert main(argv) == 3
         assert time.perf_counter() - started < 10

@@ -7,6 +7,7 @@ from orderkit import (
     NotALatticeError,
     SizeLimitError,
     UnknownNameError,
+    build_poset,
     emit,
     generators,
     is_join_continuous,
@@ -19,11 +20,13 @@ from orderkit import (
 )
 from orderkit.generators import (
     GenSpec,
+    default_labels,
     enumerate_lattices,
     enumerate_posets,
     named,
     random_poset,
 )
+from orderkit.poset import FinitePoset
 
 POSET_COUNTS = {1: 1, 2: 2, 3: 5, 4: 16, 5: 63}
 LATTICE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 5, 6: 15, 7: 53}
@@ -67,6 +70,72 @@ def test_poset_level_keys_pinned():
         level = generators._poset_level(n)
         assert len(level) == count
         assert hashlib.sha256(repr(level).encode()).hexdigest() == digest
+
+
+def test_poset_level_matches_literal_construction():
+    # every class extended by every down set, deduplicated on one global set
+    # of canonical keys
+    literal = ((),)
+    for n in range(1, 8):
+        keys = set()
+        for key in literal:
+            P = FinitePoset(default_labels(n - 1), key)
+            for down in range(1 << (n - 1)):
+                if P.down_closure_mask(down) != down:
+                    continue
+                rows = [row | (1 << (n - 1) if down >> i & 1 else 0) for i, row in enumerate(key)]
+                child = FinitePoset(default_labels(n), rows + [1 << (n - 1)])
+                keys.add(child.canonical_key())
+        literal = tuple(sorted(keys))
+        assert generators._poset_level(n) == literal
+
+
+def test_poset_level_labels_few_children(monkeypatch):
+    # the literal construction labels all 5439 extensions of level 6; the
+    # degree-signature pre-filter also keeps most children from being built
+    generators._poset_level.cache_clear()
+    generators._poset_level(6)
+    counts = {"keys": 0, "builds": 0}
+    key, init = FinitePoset.canonical_key, FinitePoset.__init__
+
+    def counted_key(self):
+        counts["keys"] += 1
+        return key(self)
+
+    def counted_init(self, *args, **kwargs):
+        counts["builds"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(FinitePoset, "canonical_key", counted_key)
+    monkeypatch.setattr(FinitePoset, "__init__", counted_init)
+    assert len(generators._poset_level(7)) == 2045
+    assert counts["keys"] < 3000
+    assert counts["builds"] < 3500
+
+
+def _cycles(*lengths):
+    """Height-two poset whose cover graph is a disjoint union of cycles, one
+    of 2k elements per k: maxima b_i above minima a_i and a_(i+1 mod k)."""
+    labels, pairs = [], []
+    for c, k in enumerate(lengths):
+        labels += [f"{x}{c}.{i}" for i in range(k) for x in "ab"]
+        pairs += [(f"a{c}.{(i + d) % k}", f"b{c}.{i}") for i in range(k) for d in (0, 1)]
+    P = build_poset(labels, pairs)
+    return FinitePoset(default_labels(P.n), P.up)
+
+
+def test_deletion_decides_between_tied_maxima():
+    # beside an 8-cycle, a 4-cycle's maxima get the same refined rank as
+    # the 8-cycle's, yet deleting one or the other leaves non-isomorphic
+    # posets; exactly one of the two parents may keep the whole poset
+    C = _cycles(2, 4)
+    maxima = [x for x in range(C.n) if C.up[x] == 1 << x]
+    assert len({C._refined_ranks[x] for x in maxima}) == 1
+    parents = [FinitePoset(default_labels(C.n - 1), generators._delete(C, m).canonical_key())
+               for m in (maxima[0], maxima[-1])]
+    assert not parents[0].is_isomorphic(parents[1])
+    kept = [C.canonical_key() in generators._canonical_children(P, P.up) for P in parents]
+    assert kept.count(True) == 1
 
 
 def test_lattices_match_poset_filter(lattices_upto_7):

@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,11 +10,12 @@ from orderkit import (
     SizeLimitError,
     UnknownLabelError,
     build_poset,
+    generators,
     limits,
 )
-from orderkit.generators import GenSpec, named, random_poset
-from orderkit.poset import FinitePoset, iter_bits, mask_of, set_order
-from orderkit.scott import scott_opens
+from orderkit.generators import GenSpec, default_labels, enumerate_posets, named, random_poset
+from orderkit.poset import FinitePoset, _bit_reader, iter_bits, mask_of, set_order
+from orderkit.scott import scott_closed_lattice, scott_opens
 
 
 def test_build_two_chain():
@@ -203,6 +207,78 @@ def test_canonical_labelling_limit(monkeypatch):
     assert err.value.cap == 1 << 20
 
 
+def test_canonical_labelling_limit_when_ranks_are_distinct(monkeypatch):
+    # every element of chain(5) has its own rank, so the order is read off
+    # the ranks; the search it stands for compares 2k cells at depth k
+    chain = named("chain(5)")
+    assert len(set(chain._refined_ranks)) == 5
+    monkeypatch.setattr(limits, "CANON_LIMIT", 5 * 4 - 1)
+    with pytest.raises(SizeLimitError) as err:
+        chain.canonical_key()
+    assert err.value.cap == 5 * 4 - 1
+    monkeypatch.setattr(limits, "CANON_LIMIT", 5 * 4)
+    assert named("chain(5)").canonical_key() == chain.up
+
+
+def _relabelled(key, rng):
+    n = len(key)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    rows = [0] * n
+    for i in range(n):
+        for j in iter_bits(key[i]):
+            rows[perm[i]] |= 1 << perm[j]
+    return FinitePoset(default_labels(n), rows)
+
+
+# sha256 of repr() of the canonical orders below, recorded before the
+# labelling kernel took its discrete-rank shortcut and packed chunks: the
+# tie-breaks among equal tables pick the labels that dual and emit write
+CANONICAL_ORDERS = (456, "a10200bbfe23bee38ebc943c3adb4a118afd497c41658d8cc6db90f8cefc1fa4")
+
+
+def test_canonical_orders_pinned():
+    rng = random.Random(20261018)
+    orders = []
+    for n in range(7):
+        for key in generators._poset_level(n):
+            orders.append(_relabelled(key, rng)._canonical_order)
+    for n in range(5):
+        for P in enumerate_posets(n):
+            orders.append(scott_opens(P).lattice.base._canonical_order)
+            orders.append(scott_closed_lattice(P).lattice.base._canonical_order)
+    assert (len(orders), hashlib.sha256(repr(orders).encode()).hexdigest()) == CANONICAL_ORDERS
+
+
+def test_covers_match_definition(posets_upto_5):
+    for batch in posets_upto_5.values():
+        for P in batch:
+            literal = [
+                (i, j) for i in range(P.n) for j in range(P.n)
+                if i != j and P.leq(i, j)
+                and not any(k not in (i, j) and P.leq(i, k) and P.leq(k, j) for k in range(P.n))
+            ]
+            assert P.hasse() == literal
+            assert P.cover_rows == tuple(mask_of(j for a, j in literal if a == i)
+                                         for i in range(P.n))
+
+
+def test_upper_walk_order(posets_upto_6):
+    # the nested include/exclude recursion the walk stands for
+    def walk(P, k, mask):
+        if k == P.n:
+            yield mask
+            return
+        e = P._reverse_linear_extension[k]
+        yield from walk(P, k + 1, mask)
+        if not P.up[e] & ~(1 << e) & ~mask:
+            yield from walk(P, k + 1, mask | (1 << e))
+
+    for batch in posets_upto_6.values():
+        for P in batch:
+            assert list(P.iter_upper_masks()) == list(walk(P, 0, 0))
+
+
 def test_upper_masks_are_upper(posets_upto_6):
     # the table against the literal scan, in the shared set order
     for batch in posets_upto_6.values():
@@ -253,3 +329,7 @@ def test_relabeling_keeps_canonical_key(n, seed):
 def test_mask_helpers():
     assert mask_of([0, 3]) == 0b1001
     assert list(iter_bits(0b1010)) == [1, 3]
+    # carriers of at most 8 elements read the bits of their masks from a table
+    for mask in range(256):
+        assert list(_bit_reader(8)(mask)) == [i for i in range(8) if mask >> i & 1]
+    assert _bit_reader(9) is iter_bits

@@ -180,15 +180,10 @@ class FinitePoset:
         return acc
 
     def is_directed_mask(self, mask):
-        """Nonempty, and every pair has an upper bound inside the subset."""
-        if mask == 0:
-            return False
-        members = list(iter_bits(mask))
-        for a in range(len(members)):
-            for b in range(a + 1, len(members)):
-                if not self.up[members[a]] & self.up[members[b]] & mask:
-                    return False
-        return True
+        """Nonempty, and every pair has an upper bound inside the subset.
+        On a finite carrier that holds exactly when the subset has a
+        greatest element, which one pass over its members finds."""
+        return mask != 0 and self.greatest_of_mask(mask) is not None
 
     def least_of_mask(self, mask):
         """Index of the least element of ``mask``, or None."""
@@ -396,19 +391,35 @@ class FinitePoset:
 
     @cached_property
     def _canonical_order(self):
-        """Old indices in canonical position order: the rank-respecting
-        ordering whose relation table is lexicographically least (cells read
-        in growing-submatrix order).
+        """Old indices in canonical position order: of the rank-respecting
+        orderings, the first, in candidate order, whose relation table is
+        lexicographically least (cells read in growing-submatrix order).
 
-        A depth-first search over the positions, kept on an explicit stack so
-        that no carrier size reaches the interpreter's recursion limit.  A
-        branch whose chunk beats the best table's chunk at its depth is
-        "ahead": it is not compared again below, and each of its leaves
-        replaces the best; a leaf on a tie keeps the first table found.
-        Every chunk compares 2k table cells at depth k; the search is refused
-        once more than ``limits.CANON_LIMIT`` cells are counted, because on
-        highly symmetric posets the number of tied orderings is factorial.
-        A chunk is packed into an int: the placed elements below the
+        An exact branch and bound over the positions, kept on an explicit
+        stack so that no carrier size reaches the interpreter's recursion
+        limit.  Position k takes an unplaced element of the k-th smallest
+        rank, candidates in index order, and its chunk is the row of table
+        cells that element adds.  A node computes the chunk of every
+        candidate and expands only those that reach the least one: any
+        other child is larger at this depth, whatever follows.  A node whose
+        least chunk is larger than the best table's at its depth is cut; one
+        whose chunk is smaller is "ahead", and so is everything below it,
+        until a leaf of it replaces the best table and every open node is
+        level with the best again.
+
+        A leaf that ties the best table gives an automorphism,
+        ``best[i] -> order[i]``.  It is stored, and the search returns to the
+        node where the two orderings part: the rest of that subtree is the
+        image of the best leaf's, so each of its tables comes after an equal
+        one.  A node skips a candidate in the orbit of an expanded sibling
+        under the stored automorphisms that fix its prefix, for the same
+        reason.  Neither cut removes the first least leaf, so the order is
+        the one the plain search would return (McKay and Piperno, "Practical
+        graph isomorphism, II", 2014).
+
+        Every chunk computed at depth k counts 2k table cells; the search
+        is refused once more than ``limits.CANON_LIMIT`` are counted.  A
+        chunk is packed into an int: the placed elements below the
         candidate, then those above it, each weighted 2^(n-1-p) by its
         position p.  Chunks of one depth so compare as their 0/1 tuples
         would, and one costs a step per placed element related to the
@@ -421,10 +432,10 @@ class FinitePoset:
         if len(set(ranks)) == n:
             limits.check_limit(n * (n - 1), "canonical labelling", limits.CANON_LIMIT)
             return tuple(sorted(range(n), key=ranks.__getitem__))
-        required = sorted(ranks)
         by_rank = {}
         for i in range(n):
             by_rank.setdefault(ranks[i], []).append(i)
+        classes = [by_rank[r] for r in sorted(ranks)]
         up, down = self.up, self.down
         # the bit of each placed element maps to its weight 2^(n-1-p) at
         # position p; stale entries of unplaced elements are masked off
@@ -444,45 +455,91 @@ class FinitePoset:
                 mask ^= low
             return below << n | above
 
-        best_chunks = None
-        best_order = None
-        order, chunks, used = [], [], 0
         cells, limit = 0, limits.CANON_LIMIT
-        # one frame per placed position plus the one being filled: the
-        # candidates left there and whether its prefix is already ahead
-        stack = [(iter(by_rank[required[0]]), False)]
-        while stack:
-            candidates, ahead = stack[-1]
-            k = len(order)
-            for e in candidates:
+
+        def node(k, used, ahead):
+            # the frame of a node at depth k: its least-chunk candidates, the
+            # next one to try, that chunk, whether the prefix is ahead and the
+            # mask of candidates expanded; None when the node is cut
+            nonlocal cells
+            least, kids = None, []
+            for e in classes[k]:
                 if used >> e & 1:
                     continue
                 cells += 2 * k
                 if cells > limit:
                     raise SizeLimitError("canonical labelling", cells, limit)
                 c = chunk(e, used)
-                branch_ahead = ahead
-                if not branch_ahead and best_chunks is not None:
-                    if c > best_chunks[k]:
-                        continue
-                    if c < best_chunks[k]:
-                        branch_ahead = True
-                if k + 1 == n:
-                    if branch_ahead or best_chunks is None:
-                        best_chunks = chunks + [c]
-                        best_order = order + [e]
-                    continue
-                order.append(e)
-                chunks.append(c)
-                used |= 1 << e
-                weight[1 << e] = 1 << (n - 1 - k)
-                stack.append((iter(by_rank[required[k + 1]]), branch_ahead))
-                break
-            else:
+                if least is None or c < least:
+                    least, kids = c, [e]
+                elif c == least:
+                    kids.append(e)
+            if not ahead:
+                if least > best_chunks[k]:
+                    return None
+                ahead = least < best_chunks[k]
+            return [kids, 0, least, ahead, 0]
+
+        def in_orbit(e, done, prefix):
+            # e is in the orbit of the masked siblings under the stored
+            # automorphisms that fix the prefix pointwise
+            gens = [g for g in autos if all(g[p] == p for p in prefix)]
+            orbit = frontier = done
+            while frontier and not orbit >> e & 1:
+                image = 0
+                for x in iter_bits(frontier):
+                    for g in gens:
+                        image |= 1 << g[x]
+                frontier = image & ~orbit
+                orbit |= frontier
+            return orbit >> e & 1
+
+        best_chunks = best_order = None
+        autos = []
+        order, chunks, used = [], [], 0
+        # with no best table yet, the first descent is ahead
+        stack = [node(0, 0, True)]
+        while stack:
+            frame = stack[-1]
+            kids, i, least, ahead, done = frame
+            k = len(order)
+            while i < len(kids) and done and autos and in_orbit(kids[i], done, order):
+                i += 1
+            if i == len(kids):
                 stack.pop()
                 if order:
                     used ^= 1 << order.pop()
                     chunks.pop()
+                continue
+            e = kids[i]
+            frame[1] = i + 1
+            frame[4] = done | 1 << e
+            if k + 1 == n:
+                leaf = order + [e]
+                if ahead:
+                    best_chunks, best_order = chunks + [least], leaf
+                    for f in stack:
+                        f[3] = False
+                    continue
+                auto = [0] * n
+                for b, x in zip(best_order, leaf):
+                    auto[b] = x
+                autos.append(auto)
+                d = next(p for p in range(n) if best_order[p] != leaf[p])
+                for x in order[d:]:
+                    used ^= 1 << x
+                del order[d:], chunks[d:], stack[d + 1:]
+                continue
+            order.append(e)
+            chunks.append(least)
+            used |= 1 << e
+            weight[1 << e] = 1 << (n - 1 - k)
+            child = node(k + 1, used, ahead)
+            if child is None:
+                used ^= 1 << order.pop()
+                chunks.pop()
+            else:
+                stack.append(child)
         return tuple(best_order)
 
     def canonical_key(self):
@@ -595,19 +652,16 @@ class Verdict:
 
 
 def _closure_rows(n, rows):
-    """Reflexive-transitive closure of adjacency bit rows, in place."""
+    """Reflexive-transitive closure of adjacency bit rows, in place, by
+    Warshall's algorithm: once every row that reaches k has taken in row k,
+    paths through 0..k are closed."""
     for i in range(n):
         rows[i] |= 1 << i
-    changed = True
-    while changed:
-        changed = False
+    for k in range(n):
+        row_k = rows[k]
         for i in range(n):
-            acc = rows[i]
-            for j in iter_bits(acc):
-                acc |= rows[j]
-            if acc != rows[i]:
-                rows[i] = acc
-                changed = True
+            if rows[i] >> k & 1:
+                rows[i] |= row_k
     return rows
 
 

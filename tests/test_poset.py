@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -14,7 +15,7 @@ from orderkit import (
     limits,
 )
 from orderkit.generators import GenSpec, default_labels, enumerate_posets, named, random_poset
-from orderkit.poset import FinitePoset, _bit_reader, iter_bits, mask_of, set_order
+from orderkit.poset import FinitePoset, _bit_reader, _closure_rows, iter_bits, mask_of, set_order
 from orderkit.scott import scott_closed_lattice, scott_opens
 
 
@@ -42,6 +43,37 @@ def test_build_unknown_label():
 def test_build_transitive_closure():
     P = build_poset(["x", "y", "z"], [("x", "y"), ("y", "z")])
     assert P.leq(0, 2)
+
+
+def test_closure_rows_match_fixed_point():
+    # the literal closure: add i <= k for every i <= j <= k until nothing
+    # changes; seeded pair lists, dense ones mostly cyclic
+    rng = random.Random(7)
+    cyclic = 0
+    for _ in range(300):
+        n = rng.randrange(9)
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randrange(2 * n + 1))]
+        related = {(i, i) for i in range(n)} | set(pairs)
+        grown = True
+        while grown:
+            new = {(i, k) for i, j in related for j2, k in related if j == j2}
+            grown = not new <= related
+            related |= new
+        literal = [mask_of(j for i2, j in related if i2 == i) for i in range(n)]
+        rows = [mask_of(b for a, b in pairs if a == i) for i in range(n)]
+        assert _closure_rows(n, rows) == literal
+        labels = default_labels(n)
+        named_pairs = [(labels[a], labels[b]) for a, b in pairs]
+        try:
+            FinitePoset(labels, literal)
+        except CycleError as err:
+            cyclic += 1
+            with pytest.raises(CycleError) as built:
+                build_poset(labels, named_pairs)
+            assert built.value.args == err.args
+        else:
+            assert build_poset(labels, named_pairs).up == tuple(literal)
+    assert 0 < cyclic < 300
 
 
 def test_empty_poset_is_legal():
@@ -101,10 +133,18 @@ def test_directed_sets_examples(m3):
     assert len([s for _, s in m3.directed_sets() if s == top]) == 1 << 4
 
 
+def _pairwise_directed(P, mask):
+    """The definition: nonempty, and every pair of members has an upper
+    bound among the members."""
+    members = list(iter_bits(mask))
+    return bool(members) and all(P.up[a] & P.up[b] & mask for a in members for b in members)
+
+
 def test_directed_sets_match_literal_scan(posets_upto_6):
     for n in range(1, 7):
         for P in posets_upto_6[n]:
-            literal = [m for m in range(1 << n) if P.is_directed_mask(m)]
+            literal = [m for m in range(1 << n) if _pairwise_directed(P, m)]
+            assert [m for m in range(1 << n) if P.is_directed_mask(m)] == literal
             assert [m for m, _ in P.directed_sets()] == literal
             assert list(P.iter_directed_masks()) == literal
             assert all(s == P.sup_mask(m) for m, s in P.directed_sets())
@@ -199,12 +239,14 @@ def test_canonical_idempotent(posets_upto_5):
 
 def test_canonical_labelling_limit(monkeypatch):
     # sigma(antichain(4)) is the 16-element Boolean lattice; its labelling
-    # compares 1.77 M cells
+    # compares 2300 cells
     sigma = scott_opens(named("antichain(4)")).lattice.base
-    monkeypatch.setattr(limits, "CANON_LIMIT", 1 << 20)
+    monkeypatch.setattr(limits, "CANON_LIMIT", 2300 - 1)
     with pytest.raises(SizeLimitError) as err:
         sigma.canonical_key()
-    assert err.value.cap == 1 << 20
+    assert err.value.cap == 2300 - 1
+    monkeypatch.setattr(limits, "CANON_LIMIT", 2300)
+    assert sigma.canonical_form().is_canonical()
 
 
 def test_canonical_labelling_limit_when_ranks_are_distinct(monkeypatch):
@@ -231,10 +273,63 @@ def _relabelled(key, rng):
     return FinitePoset(default_labels(n), rows)
 
 
-# sha256 of repr() of the canonical orders below, recorded before the
-# labelling kernel took its discrete-rank shortcut and packed chunks: the
+def _first_least_order(P):
+    """The definition of the canonical order: of every rank-respecting
+    ordering, in candidate order, the first whose relation table (for each
+    position, the cells to the earlier positions below it, then above it)
+    is lexicographically least."""
+    ranks = P._refined_ranks
+    classes = [[i for i in range(P.n) if ranks[i] == r] for r in sorted(set(ranks))]
+    best = None
+    for parts in itertools.product(*map(itertools.permutations, classes)):
+        order = [e for part in parts for e in part]
+        table = [([P.leq(a, e) for a in order[:k]], [P.leq(e, a) for a in order[:k]])
+                 for k, e in enumerate(order)]
+        if best is None or table < best[0]:
+            best = table, tuple(order)
+    return best[1]
+
+
+def test_canonical_order_is_first_least(posets_upto_6):
+    rng = random.Random(11)
+    for n in range(1, 7):
+        for P in posets_upto_6[n]:
+            Q = _relabelled(P.up, rng)
+            assert Q._canonical_order == _first_least_order(Q)
+    for n in range(4):
+        for P in enumerate_posets(n):
+            for L in (scott_opens(P).lattice.base, scott_closed_lattice(P).lattice.base):
+                assert L._canonical_order == _first_least_order(L)
+
+
+def test_canonical_key_of_symmetric_level8_poset():
+    # the search once let a branch that beat the best table stay ahead after
+    # its leaf replaced it, and took this poset for its own canonical form
+    P = FinitePoset(default_labels(8), (249, 246, 100, 152, 144, 96, 64, 128))
+    key = (249, 246, 164, 88, 80, 160, 64, 128)
+    assert P.canonical_key() == key
+    assert FinitePoset(default_labels(8), key).canonical_key() == key
+    perm = [3, 1, 0, 4, 5, 2, 7, 6]
+    rows = [0] * 8
+    for i in range(8):
+        for j in iter_bits(P.up[i]):
+            rows[perm[i]] |= 1 << perm[j]
+    assert P.is_isomorphic(FinitePoset(default_labels(8), rows))
+
+
+def test_keys_are_canonical(posets_upto_5):
+    for key in generators._poset_level(7):
+        assert FinitePoset(default_labels(7), key).is_canonical()
+    # two sigma(P) at n = 5 once got a key that was not its own
+    for P in posets_upto_5[5]:
+        for L in (scott_opens(P).lattice.base, scott_closed_lattice(P).lattice.base):
+            assert L.canonical_form().is_canonical()
+
+
+# sha256 of repr() of the canonical orders below, recorded once
+# test_canonical_order_is_first_least held on these inputs too: the
 # tie-breaks among equal tables pick the labels that dual and emit write
-CANONICAL_ORDERS = (456, "a10200bbfe23bee38ebc943c3adb4a118afd497c41658d8cc6db90f8cefc1fa4")
+CANONICAL_ORDERS = (456, "b98684f2a111a419983d09bdce71c88a9e65b1d360f2513069d0d5010c869e86")
 
 
 def test_canonical_orders_pinned():

@@ -206,12 +206,6 @@ class FinitePoset:
             ub &= self.up[i]
         return self.least_of_mask(ub)
 
-    def inf_mask(self, mask):
-        lb = self.full_mask
-        for i in iter_bits(mask):
-            lb &= self.down[i]
-        return self.greatest_of_mask(lb)
-
     # -- subset enumeration ---------------------------------------------
 
     def directed_sets(self):
@@ -316,32 +310,22 @@ class FinitePoset:
         return FinitePoset(self.labels, self.down, name=self.name)
 
     def as_lattice(self) -> "FiniteLattice":
-        """Tabulate binary joins and meets; raises NotALatticeError with a
-        witness pair if some bound is missing."""
-        n = self.n
+        """The poset as a lattice: a pair has a join when the AND of its up
+        rows is an up row, and a meet when the AND of its down rows is a
+        down row.  The first pair (i, j >= i) lacking one, the join tested
+        first, raises NotALatticeError; no table is built."""
+        n, up, down = self.n, self.up, self.down
         if n == 0:
             raise NotALatticeError((), "join")
-        join = [[0] * n for _ in range(n)]
-        meet = [[0] * n for _ in range(n)]
+        lattice = FiniteLattice(self)
+        ups, downs = lattice._up_index, lattice._down_index
         for i in range(n):
-            for j in range(i, n):
-                s = self.sup_mask((1 << i) | (1 << j))
-                if s is None:
+            for j in range(i + 1, n):
+                if up[i] & up[j] not in ups:
                     raise NotALatticeError((self.labels[i], self.labels[j]), "join")
-                m = self.inf_mask((1 << i) | (1 << j))
-                if m is None:
+                if down[i] & down[j] not in downs:
                     raise NotALatticeError((self.labels[i], self.labels[j]), "meet")
-                join[i][j] = join[j][i] = s
-                meet[i][j] = meet[j][i] = m
-        bottom = self.inf_mask(self.full_mask)
-        top = self.sup_mask(self.full_mask)
-        return FiniteLattice(
-            base=self,
-            join=tuple(map(tuple, join)),
-            meet=tuple(map(tuple, meet)),
-            bottom=bottom,
-            top=top,
-        )
+        return lattice
 
     # -- canonical forms and isomorphism ---------------------------------
 
@@ -578,17 +562,15 @@ class FinitePoset:
 
 @dataclass(frozen=True)
 class FiniteLattice:
-    """A finite poset with total binary join/meet tables and both bounds.
+    """A finite lattice, read through its poset's order rows.
 
-    Finite lattices are complete: subset joins and meets are folds of the
-    binary tables, with join of nothing = bottom and meet of nothing = top.
+    A finite lattice is complete, so the upper bounds of a subset S are the
+    principal filter of its join: the join of S is the element whose up row
+    is the AND of the up rows of S, and the meet is the dual.  The binary
+    ``join`` and ``meet`` tables are built on first read.
     """
 
     base: FinitePoset
-    join: tuple
-    meet: tuple
-    bottom: int
-    top: int
 
     @property
     def n(self):
@@ -602,21 +584,47 @@ class FiniteLattice:
     def name(self):
         return self.base.name
 
-    def leq(self, i, j):
-        return self.base.leq(i, j)
+    @cached_property
+    def _up_index(self):
+        return {row: i for i, row in enumerate(self.base.up)}
+
+    @cached_property
+    def _down_index(self):
+        return {col: i for i, col in enumerate(self.base.down)}
 
     def join_mask(self, mask):
         """Join of the masked subset; bottom for the empty mask."""
-        acc = self.bottom
+        up, ub = self.base.up, self.base.full_mask
         for i in iter_bits(mask):
-            acc = self.join[acc][i]
-        return acc
+            ub &= up[i]
+        return self._up_index[ub]
 
     def meet_mask(self, mask):
-        acc = self.top
+        down, lb = self.base.down, self.base.full_mask
         for i in iter_bits(mask):
-            acc = self.meet[acc][i]
-        return acc
+            lb &= down[i]
+        return self._down_index[lb]
+
+    @property
+    def bottom(self):
+        return self.join_mask(0)
+
+    @property
+    def top(self):
+        return self.meet_mask(0)
+
+    @cached_property
+    def join(self):
+        return _bound_table(self.base.up, self._up_index)
+
+    @cached_property
+    def meet(self):
+        return _bound_table(self.base.down, self._down_index)
+
+
+def _bound_table(rows, index):
+    """``index[rows[i] & rows[j]]`` for every pair: a join or meet table."""
+    return tuple(tuple([index[r & s] for s in rows]) for r in rows)
 
 
 @dataclass(frozen=True)

@@ -67,12 +67,14 @@ def is_quasicontinuous(P: FinitePoset) -> Verdict:
 
 def is_meet_continuous(P: FinitePoset) -> Verdict:
     """Topological form: x lies in the Scott closure of (down x) meet
-    (down D) whenever a directed D has an existing supremum above x."""
+    (down D) whenever a directed D has an existing supremum above x.  D
+    contains its supremum s, so down D is down s: each (x, s) is tested once."""
     for x in range(P.n):
+        tested = 0
         for dmask, s in P.directed_sets():
-            if not P.up[x] >> s & 1:
+            if not P.up[x] >> s & 1 or tested >> s & 1:
                 continue
-            # D contains its supremum, so down D is down (sup D)
+            tested |= 1 << s
             trace = P.down[x] & P.down[s]
             if not scott_closure(P, trace) >> x & 1:
                 w = Witness(elements=(P.labels[x],), subsets=(P.labels_of(dmask),),

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import limits
-from .poset import FiniteLattice, FinitePoset, set_order
+from .poset import FiniteLattice, FinitePoset, iter_bits, set_order
 
 
 def is_scott_open(P: FinitePoset, mask: int, mode="definitional") -> bool:
@@ -52,38 +52,26 @@ def scott_closure(P: FinitePoset, mask: int, mode="fast") -> int:
 
 
 def _lattice_of_set_family(P, masks, name):
-    """A union/intersection-closed family in set_order, with its lattice."""
+    """A union/intersection-closed family in set_order, with its lattice.
+
+    Member m is below the members containing each of its elements, so its
+    order row is the AND, over its elements e, of the members containing e.
+    """
     masks = sorted(masks, key=set_order)
     k = len(masks)
     limits.check_limit(k * k, "set-lattice table", limits.OPENS_LIMIT)
-    index = {m: i for i, m in enumerate(masks)}
-    labels = tuple("{" + ",".join(P.labels_of(m)) + "}" for m in masks)
+    containing = [0] * P.n
+    for i, m in enumerate(masks):
+        for e in iter_bits(m):
+            containing[e] |= 1 << i
     rows = []
-    for i in range(k):
-        row = 0
-        for j in range(k):
-            if not masks[i] & ~masks[j]:
-                row |= 1 << j
+    for m in masks:
+        row = (1 << k) - 1
+        for e in iter_bits(m):
+            row &= containing[e]
         rows.append(row)
-    base = FinitePoset(labels, rows, name=name)
-    join = []
-    meet = []
-    for i in range(k):
-        jrow = []
-        mrow = []
-        for j in range(k):
-            jrow.append(index[masks[i] | masks[j]])
-            mrow.append(index[masks[i] & masks[j]])
-        join.append(tuple(jrow))
-        meet.append(tuple(mrow))
-    lattice = FiniteLattice(
-        base=base,
-        join=tuple(join),
-        meet=tuple(meet),
-        bottom=index[0],
-        top=index[P.full_mask],
-    )
-    return OpenSetLattice(P, tuple(masks), lattice)
+    labels = tuple("{" + ",".join(P.labels_of(m)) + "}" for m in masks)
+    return OpenSetLattice(P, tuple(masks), FiniteLattice(FinitePoset(labels, rows, name=name)))
 
 
 @dataclass(frozen=True)

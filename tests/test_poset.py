@@ -112,7 +112,7 @@ def test_sup_inf(m3):
     anti = named("antichain(2)")
     assert anti.sup_mask(mask_of([0, 1])) is None
     assert m3.sup_mask(m3.mask_of_labels(["a", "b"])) == m3.index_of("1")
-    assert m3.inf_mask(m3.mask_of_labels(["a", "b"])) == m3.index_of("0")
+    assert m3.as_lattice().meet_mask(m3.mask_of_labels(["a", "b"])) == m3.index_of("0")
     for x in range(m3.n):
         assert m3.sup_mask(1 << x) == x
     # sup of nothing is the bottom when there is one
@@ -192,6 +192,70 @@ def test_lattice_complete_bounds(lattices_upto_6):
         assert L.meet_mask(0) == L.top
         for mask in range(1 << L.n):
             assert L.join_mask(mask) == L.base.sup_mask(mask)
+
+
+def _literal_bound(P, members, leq):
+    """The element below, under ``leq``, every other element that is above
+    every member; None when there is none."""
+    bounds = [u for u in range(P.n) if all(leq(i, u) for i in members)]
+    return next((u for u in bounds if all(leq(u, v) for v in bounds)), None)
+
+
+def _literal_join(P, members):
+    return _literal_bound(P, members, P.leq)
+
+
+def _literal_meet(P, members):
+    return _literal_bound(P, members, lambda i, j: P.leq(j, i))
+
+
+def _first_missing_bound(P):
+    """(pair, kind) of the first pair (i, j >= i) lacking a join, or else a
+    meet, the join tested first; None when every pair has both."""
+    for i in range(P.n):
+        for j in range(i, P.n):
+            for kind, bound in (("join", _literal_join), ("meet", _literal_meet)):
+                if bound(P, (i, j)) is None:
+                    return (P.labels[i], P.labels[j]), kind
+    return None
+
+
+def test_as_lattice_matches_literal_scan(posets_upto_5):
+    rng = random.Random(5)
+    kinds = set()
+    for n in range(1, 6):
+        for P in posets_upto_5[n]:
+            for Q in (P, _relabelled(P.up, rng)):
+                expected = _first_missing_bound(Q)
+                try:
+                    assert Q.as_lattice().base is Q
+                    got = None
+                except NotALatticeError as err:
+                    got = err.pair, err.kind
+                assert got == expected
+                kinds.add(expected and expected[1])
+    assert kinds == {None, "join", "meet"}
+    with pytest.raises(NotALatticeError) as err:
+        FinitePoset((), ()).as_lattice()
+    assert (err.value.pair, err.value.kind) == ((), "join")
+
+
+def test_lattice_operations_match_literal_scan(lattices_upto_6):
+    rng = random.Random(6)
+    for n in range(1, 7):
+        for L0 in lattices_upto_6[n]:
+            for L in (L0, _relabelled(L0.base.up, rng).as_lattice()):
+                P = L.base
+                for i in range(n):
+                    for j in range(n):
+                        assert L.join[i][j] == _literal_join(P, (i, j))
+                        assert L.meet[i][j] == _literal_meet(P, (i, j))
+                for mask in range(1 << n):
+                    members = tuple(iter_bits(mask))
+                    assert L.join_mask(mask) == _literal_join(P, members)
+                    assert L.meet_mask(mask) == _literal_meet(P, members)
+                assert L.bottom == _literal_join(P, ())
+                assert L.top == _literal_meet(P, ())
 
 
 def test_hasse_examples(m3):

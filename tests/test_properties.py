@@ -50,6 +50,32 @@ def test_meet_continuous_examples(posets_upto_5, n5):
         assert is_meet_continuous(P).holds
 
 
+def test_meet_continuity_closes_each_trace_once(monkeypatch, posets_upto_5):
+    calls = []
+
+    def closure_without(t):
+        # the down closure with element t taken out; counts its calls
+        def closure(P, mask):
+            calls.append(mask)
+            return P.down_closure_mask(mask) & ~(1 << t)
+        return closure
+
+    for P in posets_upto_5[5][::7]:
+        # nothing taken out: every test passes, run once per pair x <= s
+        calls.clear()
+        monkeypatch.setattr(properties, "scott_closure", closure_without(P.n))
+        assert is_meet_continuous(P).holds
+        assert len(calls) == sum(row.bit_count() for row in P.up)
+        # x = t escapes, first at the first directed set with supremum above t
+        for t in range(P.n):
+            monkeypatch.setattr(properties, "scott_closure", closure_without(t))
+            v = is_meet_continuous(P)
+            first = next(d for d, s in P.directed_sets() if P.leq(t, s))
+            assert not v.holds
+            assert v.witness.elements == (P.labels[t],)
+            assert v.witness.subsets == (P.labels_of(first),)
+
+
 def test_meet_continuity_agreement(lattices_upto_6):
     for n in (4, 5):
         for L in lattices_upto_6[n]:

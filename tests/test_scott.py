@@ -1,9 +1,11 @@
 import pytest
 
 from orderkit import SizeLimitError, limits
+from orderkit import poset
+from orderkit.cli import main
 from orderkit.generators import named
 from orderkit.poset import iter_bits
-from orderkit.properties import is_prime_continuous
+from orderkit.properties import is_distributive, is_hypercontinuous, is_prime_continuous
 from orderkit.scott import (
     complement_isomorphism,
     is_scott_open,
@@ -11,6 +13,7 @@ from orderkit.scott import (
     scott_closure,
     scott_opens,
 )
+from orderkit.verifier import characterization_check
 
 
 def test_is_scott_open_examples():
@@ -45,21 +48,40 @@ def test_scott_opens_examples():
 def test_scott_opens_structure(posets_upto_5):
     for P in posets_upto_5[4]:
         sig = scott_opens(P)
-        masks = set(sig.opens)
-        assert 0 in masks and P.full_mask in masks
-        lat = sig.lattice
-        assert lat.base.labels[lat.bottom] == "{}"
-        for a in sig.opens:
-            for b in sig.opens:
-                assert a | b in masks
-                assert a & b in masks
         for m in sig.opens:
             assert is_scott_open(P, m)
-        # join is union and meet is intersection
-        for i, a in enumerate(sig.opens):
-            for j, b in enumerate(sig.opens):
-                assert sig.opens[lat.join[i][j]] == a | b
-                assert sig.opens[lat.meet[i][j]] == a & b
+        # in σ(P) and Γ(P) alike, join is union and meet is intersection
+        for family in (sig, scott_closed_lattice(P)):
+            masks = set(family.opens)
+            assert 0 in masks and P.full_mask in masks
+            lat = family.lattice
+            assert lat.base.labels[lat.bottom] == "{}"
+            assert family.opens[lat.top] == P.full_mask
+            for i, a in enumerate(family.opens):
+                for j, b in enumerate(family.opens):
+                    assert family.opens[lat.join[i][j]] == a | b
+                    assert family.opens[lat.meet[i][j]] == a & b
+
+
+def test_set_lattice_tables_stay_lazy(monkeypatch, posets_upto_5, capsys):
+    for P in posets_upto_5[4]:
+        L = scott_opens(P).lattice
+        assert is_prime_continuous(L).holds
+        assert is_hypercontinuous(L).holds
+        assert characterization_check(L).holds
+        assert "join" not in vars(L) and "meet" not in vars(L)
+    # a binary law reads both tables, which are then kept
+    L = scott_opens(named("N5")).lattice
+    assert is_distributive(L).holds
+    assert "join" in vars(L) and "meet" in vars(L)
+
+    def refuse(rows, index):
+        raise AssertionError("bound table built")
+
+    monkeypatch.setattr(poset, "_bound_table", refuse)
+    for flags in ([], ["--scott-closed"]):
+        assert main(["dual", "boolean(3)", *flags]) == 0
+    assert capsys.readouterr().out
 
 
 def test_scott_opens_count_is_upper_set_count(posets_upto_5):

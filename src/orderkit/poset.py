@@ -80,6 +80,13 @@ class FinitePoset:
         self._validate()
 
     def _validate(self):
+        """Range and reflexivity row by row, then transitivity and
+        antisymmetry by one test per row: a reflexive relation is transitive
+        exactly when each row is the OR of the rows of its members, and a
+        transitive one is then antisymmetric exactly when its rows are
+        pairwise distinct (i <= j <= i makes the rows of i and j equal).
+        Only when that fails does the per-pair scan run, to raise the first
+        offending pair."""
         n, up, bits = self.n, self.up, _bit_reader(self.n)
         full = (1 << n) - 1
         for i in range(n):
@@ -87,6 +94,15 @@ class FinitePoset:
                 raise ValueError(f"relation row {i} mentions out-of-range elements")
             if not up[i] >> i & 1:
                 raise ValueError(f"relation not reflexive at {self.labels[i]}")
+        for row in up:
+            union = 0
+            for j in bits(row):
+                union |= up[j]
+            if union != row:
+                break
+        else:
+            if len(set(up)) == n:
+                return
         for i in range(n):
             for j in bits(up[i] & ~(1 << i)):
                 if up[j] >> i & 1:
@@ -97,6 +113,7 @@ class FinitePoset:
                         "relation not transitive: "
                         f"{self.labels[i]} <= {self.labels[j]} <= {self.labels[k]}"
                     )
+        raise AssertionError("the row test and the pair scan disagree")
 
     def validate(self):
         """Re-check the order axioms; raises if violated."""
@@ -591,6 +608,25 @@ class FiniteLattice:
     @cached_property
     def _down_index(self):
         return {col: i for i, col in enumerate(self.base.down)}
+
+    @cached_property
+    def birkhoff_distributive(self):
+        """Birkhoff's test of distributivity, which reads no join or meet
+        table.  Let J be the join-irreducibles, the elements with exactly
+        one lower cover.  In a finite lattice x -> J(x) = J ∩ ↓x is
+        injective and preserves meets, and the lattice is distributive
+        exactly when the image is closed under union, which makes the map
+        a lattice embedding into the subsets of J.  J(y) is the union of
+        the J(j) for j in J(y), so unions with those images suffice."""
+        once = twice = 0
+        for row in self.base.cover_rows:
+            twice |= once & row
+            once |= row
+        irreducible = once & ~twice
+        images = [col & irreducible for col in self.base.down]
+        closed = set(images)
+        generators = [images[j] for j in iter_bits(irreducible)]
+        return all(a | g in closed for a in images for g in generators)
 
     def join_mask(self, mask):
         """Join of the masked subset; bottom for the empty mask."""

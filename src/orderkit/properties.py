@@ -8,6 +8,12 @@ Several of these are always true on finite carriers (continuity,
 quasicontinuity, meet continuity, hypercontinuity).  They are implemented
 by their definitions anyway: a failure indicts the implementation, and the
 verifier suites rely on exactly that.
+
+On a finite lattice join continuity, the frame law and distributivity are
+one law, distributivity, read in different forms.  Birkhoff's test
+(``FiniteLattice.birkhoff_distributive``) decides it without a join or meet
+table; the triple scan over the tables runs only when the test fails, to
+find the first witness, so witnesses do not depend on the test.
 """
 
 from __future__ import annotations
@@ -112,6 +118,15 @@ def _first_violation(n, outer, inner, pairs):
     return None
 
 
+def _witness(L, outer, inner, pairs):
+    """The first violation of a binary law on a lattice that fails
+    Birkhoff's test; finding none is an implementation fault."""
+    hit = _first_violation(L.n, outer, inner, pairs)
+    if hit is None:
+        raise AssertionError(f"Birkhoff's test and the triple scan disagree on {L.base!r}")
+    return hit
+
+
 def _first_subset_violation(n, outer, fold):
     """First (x, S, lhs, rhs), x ascending and S in ascending mask order,
     where x outer (fold of S) differs from the fold of the x outer s, or None."""
@@ -125,46 +140,50 @@ def _first_subset_violation(n, outer, fold):
     return None
 
 
-def _distributes(L, outer, inner, fold, mode, note=""):
-    """x outer (fold of S) equals the fold of the x outer s, for every
-    subset S including the empty one, where ``fold`` folds ``inner``.
+def _distributes(L, mode, dual=False):
+    """x join (meet of S) equals the meet of the x join s, for every subset
+    S including the empty one; ``dual`` swaps join and meet.
 
-    Reduced mode checks two-element S only: subset folds are folds of the
-    binary operation, so the binary law decides the general one on a finite
-    carrier, and the empty case holds in any bounded lattice.  Definitional
-    mode enumerates all subsets.
+    Reduced mode is Birkhoff's test: the binary law decides the general
+    one on a finite carrier, since subset folds are folds of the binary
+    operation and the empty case holds in any bounded lattice, and either
+    binary law is distributivity.  The triple scan over the tables runs
+    only when the test fails, to find the first witness.  Definitional mode
+    enumerates all subsets.
     """
     n = L.n
     if mode == "reduced":
-        pairs = [(y, z) for z in range(n) for y in range(z)]
-        hit = _first_violation(n, outer, inner, pairs)
-        if hit is not None:
-            x, y, z, lhs, rhs = hit
-            hit = x, (1 << y) | (1 << z), lhs, rhs
+        if L.birkhoff_distributive:
+            return Verdict(True)
+        outer, inner = (L.meet, L.join) if dual else (L.join, L.meet)
+        x, y, z, lhs, rhs = _witness(L, outer, inner, [(y, z) for z in range(n) for y in range(z)])
+        smask = (1 << y) | (1 << z)
     elif mode == "definitional":
         limits.check_subset_cap(n, "subset enumeration for join continuity")
+        outer, fold = (L.meet, L.join_mask) if dual else (L.join, L.meet_mask)
         hit = _first_subset_violation(n, outer, fold)
+        if hit is None:
+            return Verdict(True)
+        x, smask, lhs, rhs = hit
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    if hit is None:
-        return Verdict(True)
-    x, smask, lhs, rhs = hit
     P = L.base
     w = Witness(elements=(P.labels[x],), subsets=(P.labels_of(smask),),
-                lhs=P.labels[lhs], rhs=P.labels[rhs], note=note)
+                lhs=P.labels[lhs], rhs=P.labels[rhs],
+                note="evaluated in the order dual" if dual else "")
     return Verdict(False, w)
 
 
 def is_join_continuous(L: FiniteLattice, mode="reduced") -> Verdict:
     """Joins distribute over arbitrary meets: x join (meet of S) equals the
     meet of the pointwise joins, for every subset S."""
-    return _distributes(L, L.join, L.meet, L.meet_mask, mode)
+    return _distributes(L, mode)
 
 
 def is_frame(L: FiniteLattice, mode="reduced") -> Verdict:
     """Meets distribute over arbitrary joins: the order dual of join
     continuity, checked as that law with the join and meet tables swapped."""
-    return _distributes(L, L.meet, L.join, L.join_mask, mode, note="evaluated in the order dual")
+    return _distributes(L, mode, dual=True)
 
 
 def is_hypercontinuous(L: FiniteLattice, mode="fast") -> Verdict:
@@ -192,13 +211,13 @@ def _joins_predecessors(L, below):
 
 def is_distributive(L: FiniteLattice) -> Verdict:
     """Binary distributive law over all triples; on finite carriers this
-    decides complete distributivity as well."""
-    n = L.n
-    hit = _first_violation(n, L.meet, L.join, [(y, z) for y in range(n) for z in range(n)])
-    if hit is None:
+    decides complete distributivity as well.  Birkhoff's test decides it,
+    and the triple scan runs only to find the first witness."""
+    if L.birkhoff_distributive:
         return Verdict(True)
+    n = L.n
+    x, y, z, lhs, rhs = _witness(L, L.meet, L.join, [(y, z) for y in range(n) for z in range(n)])
     labels = L.labels
-    x, y, z, lhs, rhs = hit
     w = Witness(elements=(labels[x], labels[y], labels[z]), lhs=labels[lhs], rhs=labels[rhs])
     return Verdict(False, w)
 

@@ -76,6 +76,60 @@ def test_closure_rows_match_fixed_point():
     assert 0 < cyclic < 300
 
 
+def _literal_axiom_error(labels, up):
+    """The per-pair order-axiom check, written out: the first related pair
+    (i, j), both ascending, that closes a cycle or breaks transitivity."""
+    n = len(up)
+    for i in range(n):
+        for j in range(n):
+            if j == i or not up[i] >> j & 1:
+                continue
+            if up[j] >> i & 1:
+                return CycleError((labels[i], labels[j]))
+            extra = up[j] & ~up[i]
+            if extra:
+                k = (extra & -extra).bit_length() - 1
+                return ValueError(
+                    f"relation not transitive: {labels[i]} <= {labels[j]} <= {labels[k]}")
+    return None
+
+
+def test_validate_matches_pair_scan():
+    # seeded reflexive rows up to 12 elements, past the byte-table reader:
+    # closures of random pairs (orders or cyclic), raw random rows (mostly
+    # intransitive) and orders with one relation removed
+    rng = random.Random(11)
+    seen = {"valid": 0, "cyclic": 0, "intransitive": 0}
+    for trial in range(600):
+        n = rng.randrange(1, 13)
+        full = (1 << n) - 1
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randrange(2 * n))]
+        rows = [mask_of(b for a, b in pairs if a == i) for i in range(n)]
+        kind = trial % 3
+        if kind == 0:
+            rows = _closure_rows(n, rows)
+        elif kind == 1:
+            rows = [(rng.getrandbits(n) & full) | (1 << i) for i in range(n)]
+        else:
+            rows = random_poset(GenSpec(n=n, kind="random", seed=trial, density=0.5)).up
+            strict = [(i, j) for i in range(n) for j in iter_bits(rows[i]) if j != i]
+            if strict:
+                i, j = rng.choice(strict)
+                rows = [r & ~(1 << j) if k == i else r for k, r in enumerate(rows)]
+        labels = default_labels(n)
+        expected = _literal_axiom_error(labels, rows)
+        if expected is None:
+            seen["valid"] += 1
+            assert FinitePoset(labels, rows).validate()
+            continue
+        seen["cyclic" if isinstance(expected, CycleError) else "intransitive"] += 1
+        with pytest.raises(type(expected)) as err:
+            FinitePoset(labels, rows)
+        assert type(err.value) is type(expected)
+        assert str(err.value) == str(expected)
+    assert min(seen.values()) > 50, seen
+
+
 def test_empty_poset_is_legal():
     P = FinitePoset((), ())
     assert P.n == 0

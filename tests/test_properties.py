@@ -1,6 +1,8 @@
-from orderkit.generators import named
+import pytest
+
+from orderkit.generators import enumerate_lattices, named
 from orderkit import properties
-from orderkit.poset import FinitePoset
+from orderkit.poset import FiniteLattice, FinitePoset
 from orderkit.properties import (
     is_completely_distributive_oracle,
     is_continuous,
@@ -16,6 +18,7 @@ from orderkit.properties import (
     supinf_hyper_rhs,
     supinf_prime_rhs,
 )
+from orderkit.scott import scott_closed_lattice, scott_opens
 
 
 def test_continuous_examples(posets_upto_5, n5):
@@ -158,6 +161,50 @@ def test_distributive_examples(m3, n5):
     assert v.witness.elements == ("a", "b", "c")
     assert v.witness.lhs == "a" and v.witness.rhs == "0"
     assert not is_distributive(n5.as_lattice()).holds
+
+
+def _scan_verdicts(L):
+    """Whether the triple scan over the tables finds no violation, for each
+    form of the binary law: join over meet and its dual on pairs y < z, and
+    meet over join on all pairs."""
+    n = L.n
+    below = [(y, z) for z in range(n) for y in range(z)]
+    every = [(y, z) for y in range(n) for z in range(n)]
+    return {
+        properties._first_violation(n, L.join, L.meet, below) is None,
+        properties._first_violation(n, L.meet, L.join, below) is None,
+        properties._first_violation(n, L.meet, L.join, every) is None,
+    }
+
+
+def test_birkhoff_screen_matches_triple_scan(monkeypatch):
+    # every lattice with n <= 8; n = 8 lies past the default ceiling
+    monkeypatch.setenv("ORDERKIT_MAX_N", "8")
+    counts = {True: 0, False: 0}
+    for n in range(1, 9):
+        for L in enumerate_lattices(n):
+            assert _scan_verdicts(L) == {L.birkhoff_distributive}, L.name
+            counts[L.birkhoff_distributive] += 1
+    # 300 lattices (OEIS A006966), 36 of them distributive (A006982)
+    assert counts == {True: 36, False: 264}
+
+
+def test_birkhoff_screen_on_set_lattices(posets_upto_5):
+    # σ(P) and Γ(P) are rings of sets, so distributive
+    for batch in posets_upto_5.values():
+        for P in batch:
+            for family in (scott_opens, scott_closed_lattice):
+                L = family(P).lattice
+                assert L.birkhoff_distributive, L.name
+                assert _scan_verdicts(L) == {True}, L.name
+
+
+def test_birkhoff_screen_disagreement_is_a_fault(monkeypatch):
+    b2 = named("boolean(2)").as_lattice()
+    monkeypatch.setattr(FiniteLattice, "birkhoff_distributive", False)
+    for law in (is_join_continuous, is_frame, is_distributive):
+        with pytest.raises(AssertionError, match="disagree"):
+            law(b2)
 
 
 def test_completely_distributive_oracle(m3):

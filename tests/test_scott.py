@@ -1,11 +1,17 @@
 import pytest
 
 from orderkit import SizeLimitError, limits
-from orderkit import poset
+from orderkit import poset, scott
 from orderkit.cli import main
 from orderkit.generators import named
 from orderkit.poset import iter_bits
-from orderkit.properties import is_distributive, is_hypercontinuous, is_prime_continuous
+from orderkit.properties import (
+    is_distributive,
+    is_frame,
+    is_hypercontinuous,
+    is_join_continuous,
+    is_prime_continuous,
+)
 from orderkit.scott import (
     complement_isomorphism,
     is_scott_open,
@@ -13,7 +19,7 @@ from orderkit.scott import (
     scott_closure,
     scott_opens,
 )
-from orderkit.verifier import characterization_check
+from orderkit.verifier import SUITE_ORDER, characterization_check, run_suites
 
 
 def test_is_scott_open_examples():
@@ -70,10 +76,18 @@ def test_set_lattice_tables_stay_lazy(monkeypatch, posets_upto_5, capsys):
         assert is_hypercontinuous(L).holds
         assert characterization_check(L).holds
         assert "join" not in vars(L) and "meet" not in vars(L)
-    # a binary law reads both tables, which are then kept
-    L = scott_opens(named("N5")).lattice
-    assert is_distributive(L).holds
-    assert "join" in vars(L) and "meet" in vars(L)
+    # σ(P) and Γ(P) pass Birkhoff's test, so the binary laws read neither
+    # table; where the test fails, the witness scan reads both
+    for family in (scott_opens, scott_closed_lattice):
+        for law in (is_join_continuous, is_frame, is_distributive):
+            L = family(named("N5")).lattice
+            assert law(L).holds
+            assert "join" not in vars(L) and "meet" not in vars(L)
+    for name in ("N5", "M3"):
+        for law in (is_join_continuous, is_frame, is_distributive):
+            L = named(name).as_lattice()
+            assert not law(L).holds
+            assert "join" in vars(L) and "meet" in vars(L)
 
     def refuse(rows, index):
         raise AssertionError("bound table built")
@@ -82,6 +96,30 @@ def test_set_lattice_tables_stay_lazy(monkeypatch, posets_upto_5, capsys):
     for flags in ([], ["--scott-closed"]):
         assert main(["dual", "boolean(3)", *flags]) == 0
     assert capsys.readouterr().out
+
+
+def test_verify_builds_no_set_lattice_table(monkeypatch):
+    # the full suite at n <= 5 reads no join or meet table of any σ(P) or
+    # Γ(P); the non-distributive enumerated lattices still build theirs
+    set_lattices, built = [], []
+    make, table = scott._lattice_of_set_family, poset._bound_table
+
+    def recording(*args, **kwargs):
+        family = make(*args, **kwargs)
+        set_lattices.append(family.lattice.base)
+        return family
+
+    def bound_table(rows, index):
+        built.append(rows)
+        return table(rows, index)
+
+    monkeypatch.setattr(scott, "_lattice_of_set_family", recording)
+    monkeypatch.setattr(poset, "_bound_table", bound_table)
+    reports = run_suites(SUITE_ORDER, 5)
+    assert all(r.passed for r in reports)
+    assert len(set_lattices) == 2 * 87 and built
+    for base in set_lattices:
+        assert not any(rows is base.up or rows is base.down for rows in built), base.name
 
 
 def test_scott_opens_count_is_upper_set_count(posets_upto_5):

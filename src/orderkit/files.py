@@ -9,8 +9,11 @@ is already canonically ordered.
 
 from __future__ import annotations
 
-from .errors import ParseError, UnknownLabelError
+from .errors import InputError, ParseError, UnknownLabelError
 from .poset import FinitePoset, build_poset
+
+# a backslash would escape the closing quote of a DOT id
+_DOT_FORBIDDEN = '#"\\'
 
 
 def parse(text: str) -> FinitePoset:
@@ -53,15 +56,15 @@ def parse(text: str) -> FinitePoset:
     return build_poset(labels, covers, name=name)
 
 
-def _printable(label):
-    return label and not any(c.isspace() for c in label) and "#" not in label and '"' not in label
+def _printable(label, forbidden='#"'):
+    return label and not any(c.isspace() or c in forbidden for c in label)
 
 
 def emit(P: FinitePoset) -> str:
     """Serialize in canonical element order with cover lines only."""
     for lab in P.labels:
         if not _printable(lab):
-            raise ValueError(f"label {lab!r} cannot be written to a poset file")
+            raise InputError(f"label {lab!r} cannot be written to a poset file")
     C = P.canonical_form()
     lines = []
     if C.name and _printable(C.name):
@@ -76,10 +79,10 @@ def export_dot(P: FinitePoset) -> str:
     """Hasse diagram as a DOT digraph, edges from lower cover to upper,
     nodes in canonical order, one edge per line."""
     for lab in P.labels:
-        if not _printable(lab):
-            raise ValueError(f"label {lab!r} cannot be written to a DOT file")
+        if not _printable(lab, _DOT_FORBIDDEN):
+            raise InputError(f"label {lab!r} cannot be written to a DOT file")
     C = P.canonical_form()
-    graph_name = C.name if C.name and _printable(C.name) else "poset"
+    graph_name = C.name if C.name and _printable(C.name, _DOT_FORBIDDEN) else "poset"
     lines = [f'digraph "{graph_name}" {{', "  rankdir=BT;"]
     for lab in C.labels:
         lines.append(f'  "{lab}";')

@@ -4,12 +4,11 @@ Brute-force oracles loop over 2^n subsets; the caps below keep them from
 being invoked on carriers where that blows up.  Tables whose size does not
 follow from n alone (directed subsets, upper sets) are bounded by their
 own count, checked before or while they are built.  ``OPENS_LIMIT`` also
-bounds the k x k order of a set lattice such as the Scott opens, refused
-before it is built when k * k passes it, and so any k x k join or meet
-table read from it later.  ``CANON_LIMIT`` bounds the relation-table
-cells one canonical labelling compares, counted while it searches.  The
-enumeration ceiling for generators can be raised with the ORDERKIT_MAX_N
-environment variable.
+bounds the k x k order rows of a set lattice such as the Scott opens,
+refused before they are built when k * k passes it.  ``CANON_LIMIT``
+bounds the relation-table cells one canonical labelling compares, counted
+while it searches.  The enumeration ceiling for generators can be raised
+with the ORDERKIT_MAX_N environment variable.
 """
 
 import os

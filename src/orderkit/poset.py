@@ -583,8 +583,8 @@ class FiniteLattice:
 
     A finite lattice is complete, so the upper bounds of a subset S are the
     principal filter of its join: the join of S is the element whose up row
-    is the AND of the up rows of S, and the meet is the dual.  The binary
-    ``join`` and ``meet`` tables are built on first read.
+    is the AND of the up rows of S, and the meet is the dual.  No join or
+    meet table is built.
     """
 
     base: FinitePoset
@@ -648,19 +648,6 @@ class FiniteLattice:
     @property
     def top(self):
         return self.meet_mask(0)
-
-    @cached_property
-    def join(self):
-        return _bound_table(self.base.up, self._up_index)
-
-    @cached_property
-    def meet(self):
-        return _bound_table(self.base.down, self._down_index)
-
-
-def _bound_table(rows, index):
-    """``index[rows[i] & rows[j]]`` for every pair: a join or meet table."""
-    return tuple(tuple([index[r & s] for s in rows]) for r in rows)
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,8 @@ verifier suites rely on exactly that.
 
 On a finite lattice join continuity, the frame law and distributivity are
 one law, distributivity, read in different forms.  Birkhoff's test
-(``FiniteLattice.birkhoff_distributive``) decides it without a join or meet
-table; the triple scan over the tables runs only when the test fails, to
+(``FiniteLattice.birkhoff_distributive``) decides it; the law scan over
+the order rows, ``_first_violation``, runs only when the test fails, to
 find the first witness, so witnesses do not depend on the test.
 """
 
@@ -23,7 +23,7 @@ from itertools import combinations_with_replacement, product
 from operator import and_
 
 from . import limits
-from .poset import FiniteLattice, FinitePoset, Verdict, Witness, iter_bits, mask_of
+from .poset import FiniteLattice, FinitePoset, Verdict, Witness, _bit_reader, iter_bits, mask_of
 from .relations import fin_family, prec, way_below, way_way_below
 from .scott import scott_closure
 
@@ -90,54 +90,54 @@ def is_meet_continuous(P: FinitePoset) -> Verdict:
 
 
 def is_meet_continuous_algebraic(L: FiniteLattice) -> Verdict:
-    """Algebraic form: meets distribute over directed joins."""
+    """Algebraic form: meets distribute over directed joins, scanned as the
+    order dual of join continuity over the directed sets."""
+    return _verdict(L, _first_violation(L, [d for d, _ in L.base.directed_sets()], dual=True))
+
+
+def _first_violation(L, subsets, dual=False):
+    """First (x, S, lhs, rhs), x ascending and S in the order of the
+    reiterable ``subsets``, where x join (meet of S) differs from the meet
+    of the x join s, or None; ``dual`` swaps join and meet.  Every form of
+    the law is scanned here, on the order rows: the row of x join y for
+    every y is looked up when the scan reaches x, and each side of the law
+    is one AND loop over rows and one index lookup."""
     P = L.base
+    up, down = (P.up, L._up_index), (P.down, L._down_index)
+    (outer, outer_index), (inner, inner_index) = (down, up) if dual else (up, down)
+    bits, full = _bit_reader(L.n), P.full_mask
     for x in range(L.n):
-        row = L.meet[x]
-        for dmask, s in P.directed_sets():
-            lhs = row[s]
-            rhs = L.join_mask(mask_of(row[d] for d in iter_bits(dmask)))
-            if lhs != rhs:
-                w = Witness(elements=(P.labels[x],), subsets=(P.labels_of(dmask),),
-                            lhs=P.labels[lhs], rhs=P.labels[rhs])
-                return Verdict(False, w)
-    return Verdict(True)
-
-
-def _first_violation(n, outer, inner, pairs):
-    """First (x, y, z, lhs, rhs), x ascending and (y, z) in ``pairs`` order,
-    where the binary law x outer (y inner z) = (x outer y) inner (x outer z)
-    fails on the two operation tables, or None."""
-    for x in range(n):
-        row = outer[x]
-        for y, z in pairs:
-            lhs = row[inner[y][z]]
-            rhs = inner[row[y]][row[z]]
-            if lhs != rhs:
-                return x, y, z, lhs, rhs
-    return None
-
-
-def _witness(L, outer, inner, pairs):
-    """The first violation of a binary law on a lattice that fails
-    Birkhoff's test; finding none is an implementation fault."""
-    hit = _first_violation(L.n, outer, inner, pairs)
-    if hit is None:
-        raise AssertionError(f"Birkhoff's test and the triple scan disagree on {L.base!r}")
-    return hit
-
-
-def _first_subset_violation(n, outer, fold):
-    """First (x, S, lhs, rhs), x ascending and S in ascending mask order,
-    where x outer (fold of S) differs from the fold of the x outer s, or None."""
-    for x in range(n):
-        row = outer[x]
-        for smask in range(1 << n):
-            lhs = row[fold(smask)]
-            rhs = fold(mask_of(row[s] for s in iter_bits(smask)))
+        r = outer[x]
+        row = [outer_index[r & s] for s in outer]
+        for smask in subsets:
+            folded = pointwise = full
+            for s in bits(smask):
+                folded &= inner[s]
+                pointwise &= inner[row[s]]
+            lhs = row[inner_index[folded]]
+            rhs = inner_index[pointwise]
             if lhs != rhs:
                 return x, smask, lhs, rhs
     return None
+
+
+def _witness(L, subsets, dual=False):
+    """The first violation of a law on a lattice that fails Birkhoff's
+    test; finding none is an implementation fault."""
+    hit = _first_violation(L, subsets, dual)
+    if hit is None:
+        raise AssertionError(f"Birkhoff's test and the scan disagree on {L.base!r}")
+    return hit
+
+
+def _verdict(L, hit, note=""):
+    """The verdict on a law whose first violation is ``hit``, or None."""
+    if hit is None:
+        return Verdict(True)
+    x, smask, lhs, rhs = hit
+    labels = L.labels
+    return Verdict(False, Witness(elements=(labels[x],), subsets=(L.base.labels_of(smask),),
+                                  lhs=labels[lhs], rhs=labels[rhs], note=note))
 
 
 def _distributes(L, mode, dual=False):
@@ -147,31 +147,21 @@ def _distributes(L, mode, dual=False):
     Reduced mode is Birkhoff's test: the binary law decides the general
     one on a finite carrier, since subset folds are folds of the binary
     operation and the empty case holds in any bounded lattice, and either
-    binary law is distributivity.  The triple scan over the tables runs
-    only when the test fails, to find the first witness.  Definitional mode
-    enumerates all subsets.
+    binary law is distributivity.  The scan over the pairs y < z, in
+    ascending mask order, runs only when the test fails, to find the first
+    witness.  Definitional mode scans all subsets.
     """
     n = L.n
+    note = "evaluated in the order dual" if dual else ""
     if mode == "reduced":
         if L.birkhoff_distributive:
             return Verdict(True)
-        outer, inner = (L.meet, L.join) if dual else (L.join, L.meet)
-        x, y, z, lhs, rhs = _witness(L, outer, inner, [(y, z) for z in range(n) for y in range(z)])
-        smask = (1 << y) | (1 << z)
-    elif mode == "definitional":
+        pairs = [1 << y | 1 << z for z in range(n) for y in range(z)]
+        return _verdict(L, _witness(L, pairs, dual), note)
+    if mode == "definitional":
         limits.check_subset_cap(n, "subset enumeration for join continuity")
-        outer, fold = (L.meet, L.join_mask) if dual else (L.join, L.meet_mask)
-        hit = _first_subset_violation(n, outer, fold)
-        if hit is None:
-            return Verdict(True)
-        x, smask, lhs, rhs = hit
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    P = L.base
-    w = Witness(elements=(P.labels[x],), subsets=(P.labels_of(smask),),
-                lhs=P.labels[lhs], rhs=P.labels[rhs],
-                note="evaluated in the order dual" if dual else "")
-    return Verdict(False, w)
+        return _verdict(L, _first_violation(L, range(1 << n), dual), note)
+    raise ValueError(f"unknown mode {mode!r}")
 
 
 def is_join_continuous(L: FiniteLattice, mode="reduced") -> Verdict:
@@ -212,11 +202,15 @@ def _joins_predecessors(L, below):
 def is_distributive(L: FiniteLattice) -> Verdict:
     """Binary distributive law over all triples; on finite carriers this
     decides complete distributivity as well.  Birkhoff's test decides it,
-    and the triple scan runs only to find the first witness."""
+    and the scan runs only to find the first witness: meet over join on
+    the pairs y < z in y-major order.  A pair y = z never fails, and the
+    law is symmetric in y and z, so no first witness is lost."""
     if L.birkhoff_distributive:
         return Verdict(True)
     n = L.n
-    x, y, z, lhs, rhs = _witness(L, L.meet, L.join, [(y, z) for y in range(n) for z in range(n)])
+    pairs = [1 << y | 1 << z for y in range(n) for z in range(y + 1, n)]
+    x, smask, lhs, rhs = _witness(L, pairs, dual=True)
+    y, z = iter_bits(smask)
     labels = L.labels
     w = Witness(elements=(labels[x], labels[y], labels[z]), lhs=labels[lhs], rhs=labels[rhs])
     return Verdict(False, w)

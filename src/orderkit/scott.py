@@ -10,7 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import limits
-from .poset import FiniteLattice, FinitePoset, iter_bits, set_order
+from .errors import InputError
+from .poset import FiniteLattice, FinitePoset, iter_bits
 
 
 def is_scott_open(P: FinitePoset, mask: int, mode="definitional") -> bool:
@@ -52,14 +53,20 @@ def scott_closure(P: FinitePoset, mask: int, mode="fast") -> int:
 
 
 def _lattice_of_set_family(P, masks, name):
-    """A union/intersection-closed family in set_order, with its lattice.
+    """A union/intersection-closed family, given in set_order, with its
+    lattice; the order is not checked.
 
     Member m is below the members containing each of its elements, so its
     order row is the AND, over its elements e, of the members containing e.
+    Two members whose labels print alike, such as the pair of elements a
+    and b and the singleton of an element labelled "a,b", raise InputError.
     """
-    masks = sorted(masks, key=set_order)
     k = len(masks)
     limits.check_limit(k * k, "set-lattice table", limits.OPENS_LIMIT)
+    labels = tuple("{" + ",".join(P.labels_of(m)) + "}" for m in masks)
+    if len(set(labels)) != k:
+        clash = next(lab for i, lab in enumerate(labels) if lab in labels[:i])
+        raise InputError(f"{name} has two members labelled {clash}")
     containing = [0] * P.n
     for i, m in enumerate(masks):
         for e in iter_bits(m):
@@ -70,7 +77,6 @@ def _lattice_of_set_family(P, masks, name):
         for e in iter_bits(m):
             row &= containing[e]
         rows.append(row)
-    labels = tuple("{" + ",".join(P.labels_of(m)) + "}" for m in masks)
     return OpenSetLattice(P, tuple(masks), FiniteLattice(FinitePoset(labels, rows, name=name)))
 
 
@@ -92,7 +98,10 @@ def scott_opens(P: FinitePoset) -> OpenSetLattice:
 def scott_closed_lattice(P: FinitePoset) -> OpenSetLattice:
     """The lattice of Scott-closed subsets (complements of opens) ordered by
     inclusion; order-dual to the open-set lattice via complementation."""
-    masks = [P.full_mask ^ m for m in P.upper_masks()]
+    # complementing reverses set_order: sizes turn around, and of two sets
+    # of one size A comes first exactly when the least element of their
+    # symmetric difference lies in A, that is, not in A's complement
+    masks = [P.full_mask ^ m for m in reversed(P.upper_masks())]
     return _lattice_of_set_family(P, masks, name=f"gamma({P.name or 'P'})")
 
 

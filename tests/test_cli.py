@@ -224,6 +224,39 @@ def _one_line_error(capsys):
     return err
 
 
+def test_unwritable_label_exit(tmp_path, capsys):
+    # a quote is a valid label in a poset file, but neither σ(P) nor the
+    # DOT graph can write it
+    src = tmp_path / "quote.poset"
+    src.write_text('elements: a"b c\ncover a"b c\n')
+    for argv in (["export-dot", str(src)], ["dual", str(src)],
+                 ["dual", "--scott-closed", str(src)]):
+        assert main(argv) == 2
+        assert "cannot be written" in _one_line_error(capsys)
+
+
+def test_colliding_member_labels_exit(tmp_path, capsys):
+    # the member {a,b} of σ(P) prints like the singleton of the element "a,b"
+    src = tmp_path / "comma.poset"
+    src.write_text("elements: a b a,b\n")
+    for flags in ([], ["--scott-closed"]):
+        assert main(["dual", *flags, str(src)]) == 2
+        assert "two members labelled {a,b}" in _one_line_error(capsys)
+
+
+def test_dot_backslash_label_exit(tmp_path, capsys):
+    # "a\" would escape the closing quote of its DOT id; the poset format
+    # has no escapes, so emit keeps the label
+    src = tmp_path / "backslash.poset"
+    src.write_text("elements: a\\ b\ncover a\\ b\n")
+    assert main(["export-dot", str(src)]) == 2
+    assert "DOT file" in _one_line_error(capsys)
+    from orderkit.files import emit, parse
+
+    P = parse(src.read_text())
+    assert parse(emit(P)) == P
+
+
 def test_bad_max_n_env_exit(monkeypatch, capsys):
     monkeypatch.setenv("ORDERKIT_MAX_N", "abc")
     assert main(["enumerate", "--n", "3"]) == 2

@@ -2,7 +2,7 @@ import pytest
 
 from orderkit.generators import enumerate_lattices, named
 from orderkit import properties
-from orderkit.poset import FiniteLattice, FinitePoset
+from orderkit.poset import FiniteLattice, FinitePoset, iter_bits
 from orderkit.properties import (
     is_completely_distributive_oracle,
     is_continuous,
@@ -19,6 +19,7 @@ from orderkit.properties import (
     supinf_prime_rhs,
 )
 from orderkit.scott import scott_closed_lattice, scott_opens
+from test_poset import _literal_join, _literal_meet
 
 
 def test_continuous_examples(posets_upto_5, n5):
@@ -164,17 +165,46 @@ def test_distributive_examples(m3, n5):
 
 
 def _scan_verdicts(L):
-    """Whether the triple scan over the tables finds no violation, for each
-    form of the binary law: join over meet and its dual on pairs y < z, and
-    meet over join on all pairs."""
+    """Whether the law scan finds no violation, for each form of the binary
+    law: join over meet and its dual on pairs y < z, and meet over join on
+    all pairs."""
     n = L.n
-    below = [(y, z) for z in range(n) for y in range(z)]
-    every = [(y, z) for y in range(n) for z in range(n)]
+    below = [1 << y | 1 << z for z in range(n) for y in range(z)]
+    every = [1 << y | 1 << z for y in range(n) for z in range(n)]
     return {
-        properties._first_violation(n, L.join, L.meet, below) is None,
-        properties._first_violation(n, L.meet, L.join, below) is None,
-        properties._first_violation(n, L.meet, L.join, every) is None,
+        properties._first_violation(L, below) is None,
+        properties._first_violation(L, below, dual=True) is None,
+        properties._first_violation(L, every, dual=True) is None,
     }
+
+
+def _literal_violation(L, subsets, dual):
+    """``_first_violation`` written out with the literal bound scans."""
+    P = L.base
+    outer, inner = (_literal_meet, _literal_join) if dual else (_literal_join, _literal_meet)
+    for x in range(L.n):
+        for smask in subsets:
+            members = tuple(iter_bits(smask))
+            lhs = outer(P, (x, inner(P, members)))
+            rhs = inner(P, tuple(outer(P, (x, s)) for s in members))
+            if lhs != rhs:
+                return x, smask, lhs, rhs
+    return None
+
+
+def test_law_scan_matches_literal_scan(lattices_upto_6):
+    # every lattice with n <= 6, both orientations, all subsets in ascending
+    # and in descending mask order
+    hits = 0
+    for batch in lattices_upto_6.values():
+        for L in batch:
+            for subsets in (range(1 << L.n), range((1 << L.n) - 1, -1, -1)):
+                for dual in (False, True):
+                    got = properties._first_violation(L, subsets, dual)
+                    assert got == _literal_violation(L, subsets, dual), L.name
+                    hits += got is not None
+    # 25 lattices, 12 of them not distributive
+    assert hits == 4 * 12
 
 
 def test_birkhoff_screen_matches_triple_scan(monkeypatch):

@@ -1,10 +1,9 @@
 import pytest
 
 from orderkit import SizeLimitError, limits
-from orderkit import poset, scott
 from orderkit.cli import main
 from orderkit.generators import named
-from orderkit.poset import iter_bits
+from orderkit.poset import iter_bits, set_order
 from orderkit.properties import (
     is_distributive,
     is_frame,
@@ -19,7 +18,7 @@ from orderkit.scott import (
     scott_closure,
     scott_opens,
 )
-from orderkit.verifier import SUITE_ORDER, characterization_check, run_suites
+from orderkit.verifier import characterization_check
 
 
 def test_is_scott_open_examples():
@@ -65,61 +64,35 @@ def test_scott_opens_structure(posets_upto_5):
             assert family.opens[lat.top] == P.full_mask
             for i, a in enumerate(family.opens):
                 for j, b in enumerate(family.opens):
-                    assert family.opens[lat.join[i][j]] == a | b
-                    assert family.opens[lat.meet[i][j]] == a & b
+                    pair = 1 << i | 1 << j
+                    assert family.opens[lat.join_mask(pair)] == a | b
+                    assert family.opens[lat.meet_mask(pair)] == a & b
 
 
-def test_set_lattice_tables_stay_lazy(monkeypatch, posets_upto_5, capsys):
+def test_set_lattice_tables_stay_lazy(posets_upto_5, capsys):
     for P in posets_upto_5[4]:
         L = scott_opens(P).lattice
         assert is_prime_continuous(L).holds
         assert is_hypercontinuous(L).holds
         assert characterization_check(L).holds
-        assert "join" not in vars(L) and "meet" not in vars(L)
-    # σ(P) and Γ(P) pass Birkhoff's test, so the binary laws read neither
-    # table; where the test fails, the witness scan reads both
     for family in (scott_opens, scott_closed_lattice):
         for law in (is_join_continuous, is_frame, is_distributive):
-            L = family(named("N5")).lattice
-            assert law(L).holds
-            assert "join" not in vars(L) and "meet" not in vars(L)
+            assert law(family(named("N5")).lattice).holds
     for name in ("N5", "M3"):
         for law in (is_join_continuous, is_frame, is_distributive):
-            L = named(name).as_lattice()
-            assert not law(L).holds
-            assert "join" in vars(L) and "meet" in vars(L)
-
-    def refuse(rows, index):
-        raise AssertionError("bound table built")
-
-    monkeypatch.setattr(poset, "_bound_table", refuse)
+            assert not law(named(name).as_lattice()).holds
     for flags in ([], ["--scott-closed"]):
         assert main(["dual", "boolean(3)", *flags]) == 0
     assert capsys.readouterr().out
 
 
-def test_verify_builds_no_set_lattice_table(monkeypatch):
-    # the full suite at n <= 5 reads no join or meet table of any σ(P) or
-    # Γ(P); the non-distributive enumerated lattices still build theirs
-    set_lattices, built = [], []
-    make, table = scott._lattice_of_set_family, poset._bound_table
-
-    def recording(*args, **kwargs):
-        family = make(*args, **kwargs)
-        set_lattices.append(family.lattice.base)
-        return family
-
-    def bound_table(rows, index):
-        built.append(rows)
-        return table(rows, index)
-
-    monkeypatch.setattr(scott, "_lattice_of_set_family", recording)
-    monkeypatch.setattr(poset, "_bound_table", bound_table)
-    reports = run_suites(SUITE_ORDER, 5)
-    assert all(r.passed for r in reports)
-    assert len(set_lattices) == 2 * 87 and built
-    for base in set_lattices:
-        assert not any(rows is base.up or rows is base.down for rows in built), base.name
+def test_set_lattice_members_in_set_order(posets_upto_6):
+    # the families are handed over in set_order and not re-sorted; Γ(P)
+    # relies on complementing reversing that order
+    for batch in posets_upto_6.values():
+        for P in batch:
+            for family in (scott_opens(P), scott_closed_lattice(P)):
+                assert list(family.opens) == sorted(family.opens, key=set_order)
 
 
 def test_scott_opens_count_is_upper_set_count(posets_upto_5):

@@ -140,14 +140,14 @@ def _extend_with_max(P, down_mask):
     top_bit = 1 << n
     rows = [P.up[i] | (top_bit if down_mask >> i & 1 else 0) for i in range(n)]
     rows.append(top_bit)
-    return FinitePoset(default_labels(n + 1), rows)
+    return FinitePoset._trusted(default_labels(n + 1), rows)
 
 
 def _delete(P, c):
     """P without element c; the elements after c move down one index."""
     low = (1 << c) - 1
     rows = [row & low | row >> (c + 1) << c for i, row in enumerate(P.up) if i != c]
-    return FinitePoset(default_labels(P.n - 1), rows)
+    return FinitePoset._trusted(default_labels(P.n - 1), rows)
 
 
 @lru_cache(maxsize=None)
@@ -157,7 +157,7 @@ def _poset_level(n):
         return ((),)
     keys = []
     for key in _poset_level(n - 1):
-        keys.extend(_canonical_children(FinitePoset(default_labels(n - 1), key), key))
+        keys.extend(_canonical_children(FinitePoset._trusted(default_labels(n - 1), key), key))
     keys.sort()
     return tuple(keys)
 
@@ -205,19 +205,22 @@ def _canonical_children(parent, key):
     return found
 
 
-def _check_ceiling(n):
+def check_ceiling(kind, n):
+    """Refuse the ``kind`` universe ("posets" or "lattices") at size n past
+    its ceiling, before any level is built.  Both share the poset ceiling,
+    since the lattices of size n are read off the poset level n - 2."""
     limits.check_count(n, "n")
     ceiling = limits.enum_max()
     if n > ceiling:
-        raise SizeLimitError("poset enumeration", n, ceiling)
+        raise SizeLimitError(f"{kind[:-1]} enumeration", n, ceiling)
 
 
 def enumerate_posets(n: int):
     """One canonical representative per isomorphism class of n-element
     posets, in canonical order; deterministic across runs."""
-    _check_ceiling(n)
+    check_ceiling("posets", n)
     for i, key in enumerate(_poset_level(n)):
-        yield FinitePoset(default_labels(n), key, name=f"P{n}.{i}")
+        yield FinitePoset._trusted(default_labels(n), key, f"P{n}.{i}")
 
 
 def enumerate_lattices(n: int):
@@ -237,25 +240,25 @@ def enumerate_lattices(n: int):
     the one a filter of ``enumerate_posets(n)`` would give.  The ceiling is
     the poset ceiling.
     """
-    _check_ceiling(n)
+    check_ceiling("lattices", n)
     if n == 0:
         return
     if n == 1:
-        yield FinitePoset(default_labels(1), (1,), name="L1.0").as_lattice()
+        yield FinitePoset._trusted(default_labels(1), (1,), "L1.0").as_lattice()
         return
     top = 1 << (n - 1)
     keys = []
     for key in _poset_level(n - 2):
         # bottom at index 0, the poset at 1..n-2, top at n-1
         rows = [(1 << n) - 1, *((row << 1) | top for row in key), top]
-        bounded = FinitePoset(default_labels(n), rows)
+        bounded = FinitePoset._trusted(default_labels(n), rows)
         try:
             bounded.as_lattice()
         except NotALatticeError:
             continue
         keys.append(bounded.canonical_key())
     for k, key in enumerate(sorted(keys)):
-        yield FinitePoset(default_labels(n), key, name=f"L{n}.{k}").as_lattice()
+        yield FinitePoset._trusted(default_labels(n), key, f"L{n}.{k}").as_lattice()
 
 
 def random_poset(spec: GenSpec) -> FinitePoset:

@@ -61,23 +61,37 @@ class FinitePoset:
     """An immutable finite partial order with distinct element labels.
 
     ``up[i]`` is the mask of ``{j | i <= j}`` and ``down[j]`` the mask of
-    ``{i | i <= j}``.  Construction validates reflexivity, antisymmetry and
-    transitivity.
+    ``{i | i <= j}``.  The public constructor validates reflexivity,
+    antisymmetry and transitivity; the library's own builders, whose rows
+    are orders by construction, use ``_trusted`` instead.
     """
 
     def __init__(self, labels, up, name=""):
         labels = tuple(labels)
         up = tuple(up)
-        n = len(labels)
-        if len(set(labels)) != n:
+        if len(set(labels)) != len(labels):
             raise ValueError("labels must be pairwise distinct")
-        if len(up) != n:
+        if len(up) != len(labels):
             raise ValueError("one relation row per element required")
+        self._set(labels, up, name)
+        self._validate()
+
+    def _set(self, labels, up, name):
         self.name = name
         self.labels = labels
-        self.n = n
+        self.n = len(labels)
         self.up = up
-        self._validate()
+
+    @classmethod
+    def _trusted(cls, labels, up, name="", **cached):
+        """A poset over rows that are a partial order with distinct labels
+        by construction, not validated; ``cached`` seeds cached properties
+        already known, such as ``down`` and ``cover_rows``.  Tests pass
+        every builder's output through the validating constructor."""
+        self = cls.__new__(cls)
+        self._set(tuple(labels), tuple(up), name)
+        self.__dict__.update(cached)
+        return self
 
     def _validate(self):
         """Range and reflexivity row by row, then transitivity and
@@ -180,7 +194,7 @@ class FinitePoset:
         return f"FinitePoset({shown!r}, n={self.n})"
 
     def with_name(self, name):
-        return FinitePoset(self.labels, self.up, name=name)
+        return FinitePoset._trusted(self.labels, self.up, name)
 
     # -- closures, bounds, directedness --------------------------------
 
@@ -324,7 +338,7 @@ class FinitePoset:
 
     def dual(self):
         """Same carrier with the order reversed; an involution."""
-        return FinitePoset(self.labels, self.down, name=self.name)
+        return FinitePoset._trusted(self.labels, self.down, self.name, down=self.up)
 
     def as_lattice(self) -> "FiniteLattice":
         """The poset as a lattice: a pair has a join when the AND of its up
@@ -562,8 +576,8 @@ class FinitePoset:
         """Relabeled copy in canonical element order; idempotent, and equal
         relation tables exactly for isomorphic posets."""
         order = self._canonical_order
-        return FinitePoset(
-            tuple(self.labels[old] for old in order), self.canonical_key(), name=self.name
+        return FinitePoset._trusted(
+            (self.labels[old] for old in order), self.canonical_key(), self.name
         )
 
     def is_canonical(self):
@@ -610,19 +624,25 @@ class FiniteLattice:
         return {col: i for i, col in enumerate(self.base.down)}
 
     @cached_property
-    def birkhoff_distributive(self):
-        """Birkhoff's test of distributivity, which reads no join or meet
-        table.  Let J be the join-irreducibles, the elements with exactly
-        one lower cover.  In a finite lattice x -> J(x) = J ∩ ↓x is
-        injective and preserves meets, and the lattice is distributive
-        exactly when the image is closed under union, which makes the map
-        a lattice embedding into the subsets of J.  J(y) is the union of
-        the J(j) for j in J(y), so unions with those images suffice."""
+    def join_irreducibles(self):
+        """Mask of the join-irreducibles: the elements with exactly one
+        lower cover, that is, in exactly one cover row."""
         once = twice = 0
         for row in self.base.cover_rows:
             twice |= once & row
             once |= row
-        irreducible = once & ~twice
+        return once & ~twice
+
+    @cached_property
+    def birkhoff_distributive(self):
+        """Birkhoff's test of distributivity, which reads no join or meet
+        table.  Let J be the join-irreducibles.  In a finite lattice
+        x -> J(x) = J ∩ ↓x is injective and preserves meets, and the
+        lattice is distributive exactly when the image is closed under
+        union, which makes the map a lattice embedding into the subsets of
+        J.  J(y) is the union of the J(j) for j in J(y), so unions with
+        those images suffice."""
+        irreducible = self.join_irreducibles
         images = [col & irreducible for col in self.base.down]
         closed = set(images)
         generators = [images[j] for j in iter_bits(irreducible)]

@@ -83,14 +83,26 @@ def way_way_below(L: FiniteLattice, mode="closed") -> tuple:
     Oracle mode quantifies over all 2^n subsets including the empty one.
     Closed mode uses the worst-case witness S = complement of the up set of
     u, whose join decides the relation: u is way-way-below v exactly when
-    that join is not >= v.
+    that join is not >= v.  The join-irreducibles not above u have the
+    same join, since each x not above u is the join of the
+    join-irreducibles below it, none of them above u; so each u costs one
+    AND per join-irreducible, and the column of v collects the u whose
+    join is not above v.
     """
     P = L.base
     n = L.n
     if mode == "closed":
-        joins = [L.join_mask(P.full_mask & ~P.up[u]) for u in range(n)]
-        return tuple(mask_of(u for u in range(n) if not P.up[v] >> joins[u] & 1)
-                     for v in range(n))
+        irreducible = [(j, P.up[j]) for j in iter_bits(L.join_irreducibles)]
+        by_join = {}  # join -> mask of the u with that join
+        for u, above in enumerate(P.up):
+            ub = P.full_mask
+            for j, row in irreducible:
+                if not above >> j & 1:
+                    ub &= row
+            w = L._up_index[ub]
+            by_join[w] = by_join.get(w, 0) | 1 << u
+        # the masks are disjoint, so their sum is their union
+        return tuple(sum(us for w, us in by_join.items() if not row >> w & 1) for row in P.up)
     if mode != "oracle":
         raise ValueError(f"unknown mode {mode!r}")
     limits.check_subset_cap(n, "subset enumeration for way-way-below")

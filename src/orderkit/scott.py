@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from . import limits
 from .errors import InputError
-from .poset import FiniteLattice, FinitePoset, iter_bits
+from .poset import FiniteLattice, FinitePoset, _bit_reader
 
 
 def is_scott_open(P: FinitePoset, mask: int, mode="definitional") -> bool:
@@ -53,31 +53,49 @@ def scott_closure(P: FinitePoset, mask: int, mode="fast") -> int:
 
 
 def _lattice_of_set_family(P, masks, name):
-    """A union/intersection-closed family, given in set_order, with its
-    lattice; the order is not checked.
+    """The lattice of a family of subsets of P under inclusion, given in
+    set_order, built in one pass and not validated.
 
-    Member m is below the members containing each of its elements, so its
-    order row is the AND, over its elements e, of the members containing e.
-    Two members whose labels print alike, such as the pair of elements a
-    and b and the singleton of an element labelled "a,b", raise InputError.
+    The family must be all the upper sets, or all the down sets, of P.  It
+    is then closed under union and intersection, and a member m' covers m
+    exactly when m' adds one element to m: of the elements of m' not in m,
+    a maximal one (minimal, for down sets) can be added alone.  From the
+    members containing each element e, three rows of each member m follow:
+    its up row is the AND of those masks over e in m, its down row the
+    members disjoint from every e not in m, and its cover row the members
+    m | {e} over e not in m.  Two members whose labels print alike, such as
+    the pair of elements a and b and the singleton of an element labelled
+    "a,b", raise InputError.
     """
     k = len(masks)
     limits.check_limit(k * k, "set-lattice table", limits.OPENS_LIMIT)
-    labels = tuple("{" + ",".join(P.labels_of(m)) + "}" for m in masks)
+    bits = _bit_reader(P.n)
+    labels = tuple("{" + ",".join([P.labels[e] for e in bits(m)]) + "}" for m in masks)
     if len(set(labels)) != k:
         clash = next(lab for i, lab in enumerate(labels) if lab in labels[:i])
         raise InputError(f"{name} has two members labelled {clash}")
+    index = {m: i for i, m in enumerate(masks)}
     containing = [0] * P.n
     for i, m in enumerate(masks):
-        for e in iter_bits(m):
+        for e in bits(m):
             containing[e] |= 1 << i
-    rows = []
+    full = (1 << k) - 1
+    up, down, covers = [], [], []
     for m in masks:
-        row = (1 << k) - 1
-        for e in iter_bits(m):
+        row = full
+        for e in bits(m):
             row &= containing[e]
-        rows.append(row)
-    return OpenSetLattice(P, tuple(masks), FiniteLattice(FinitePoset(labels, rows, name=name)))
+        outside = cover = 0
+        for e in bits(P.full_mask ^ m):
+            outside |= containing[e]
+            j = index.get(m | 1 << e)
+            if j is not None:
+                cover |= 1 << j
+        up.append(row)
+        down.append(full & ~outside)
+        covers.append(cover)
+    base = FinitePoset._trusted(labels, up, name, down=tuple(down), cover_rows=tuple(covers))
+    return OpenSetLattice(P, tuple(masks), FiniteLattice(base))
 
 
 @dataclass(frozen=True)

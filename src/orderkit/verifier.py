@@ -28,7 +28,7 @@ from functools import cached_property, partial
 from . import limits, properties
 from .errors import NotALatticeError, ParseError
 from .files import emit
-from .generators import enumerate_lattices, enumerate_posets
+from .generators import check_ceiling, enumerate_lattices, enumerate_posets
 from .poset import FiniteLattice, Verdict, Witness, iter_bits, mask_of
 from .scott import scott_closed_lattice, scott_opens
 
@@ -302,18 +302,22 @@ def run_suites(names, max_n: int, jobs: int = 1) -> list:
     given.  Each universe kind is enumerated once, and every requested
     suite on it checks one instance before the next.  The reports are
     deterministic and independent of the worker count, which is clamped
-    to the number of CPUs."""
+    to the number of CPUs.  Every universe asked for is checked against
+    its ceiling before any is enumerated."""
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}")
     limits.check_count(max_n, "max_n", 1)
     limits.check_count(jobs, "jobs", 1)
     jobs = min(jobs, os.cpu_count() or 1)
-    reports = {}
+    kinds = {}
     for kind in ("lattices", "posets"):
         wanted = tuple(s for s in names if SUITES[s][0] == kind)
-        if not wanted:
-            continue
+        if wanted:
+            check_ceiling(kind, max_n)
+            kinds[kind] = wanted
+    reports = {}
+    for kind, wanted in kinds.items():
         instances = list(_stream(kind, max_n))
         check = partial(_check_instance, wanted)
         if jobs > 1 and len(instances) > 1:

@@ -6,7 +6,7 @@ import sys
 import time
 from pathlib import Path
 
-from orderkit import verifier
+from orderkit import generators, verifier
 from orderkit.cli import main
 from orderkit.generators import named
 
@@ -276,6 +276,19 @@ def test_verify_negative_max_n_exit(capsys):
 def test_verify_zero_jobs_exit(capsys):
     assert main(["verify", "--suite", "thm32", "--max-n", "2", "--jobs", "0"]) == 2
     assert "jobs" in _one_line_error(capsys)
+
+
+def test_verify_past_ceiling_names_the_size_asked(monkeypatch, capsys):
+    # each universe is checked against its ceiling before any level is built
+    monkeypatch.delenv("ORDERKIT_MAX_N", raising=False)
+    built = []
+    monkeypatch.setattr(generators, "_poset_level", lambda n: built.append(n) or ())
+    for argv, what in ((["verify", "--max-n", "9"], "lattice enumeration: 9"),
+                       (["verify", "--suite", "thm34", "--max-n", "8"], "poset enumeration: 8")):
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"size limit: {what} exceeds cap 7\n"
+    assert built == []
 
 
 def test_verify_zero_max_n_exit(capsys):

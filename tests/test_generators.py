@@ -27,6 +27,7 @@ from orderkit.generators import (
     random_poset,
 )
 from orderkit.poset import FinitePoset
+from orderkit.scott import scott_closed_lattice, scott_opens
 
 POSET_COUNTS = {1: 1, 2: 2, 3: 5, 4: 16, 5: 63}
 LATTICE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 5, 6: 15, 7: 53}
@@ -191,6 +192,30 @@ def test_enumeration_emits_valid_canonical(posets_upto_5):
     for P in posets_upto_5[4]:
         assert P.validate()
         assert P.is_canonical()
+
+
+def _assert_valid(P):
+    # the validating constructor accepts the rows, and its generic walks
+    # give the down and cover rows the builder may have seeded
+    checked = FinitePoset(P.labels, P.up, name=P.name)
+    assert checked == P
+    assert P.down == checked.down
+    assert P.cover_rows == checked.cover_rows
+
+
+def test_trusted_builds_pass_validation(posets_upto_5, lattices_upto_7):
+    for n in range(1, 8):
+        for key in generators._poset_level(n):
+            _assert_valid(FinitePoset._trusted(default_labels(n), key))
+    for batch in lattices_upto_7.values():
+        for L in batch:
+            _assert_valid(L.base)
+    for batch in posets_upto_5.values():
+        for P in batch:
+            _assert_valid(P)
+            for Q in (scott_opens(P).lattice.base, scott_closed_lattice(P).lattice.base,
+                      P.dual(), P.canonical_form(), P.with_name("renamed")):
+                _assert_valid(Q)
 
 
 def test_enumeration_cap(monkeypatch):

@@ -3,6 +3,7 @@ import pytest
 from orderkit import SizeLimitError, limits
 from orderkit.generators import named
 from orderkit.poset import iter_bits
+from orderkit.scott import scott_closed_lattice, scott_opens
 from orderkit.relations import (
     fin_family,
     prec,
@@ -159,6 +160,15 @@ def test_mode_agreement(lattices_upto_6):
             assert way_way_below(L, "oracle") == way_way_below(L, "closed")
             assert prec(L, "oracle") == L.base.down
             assert way_below(L.base, "oracle") == L.base.down
+
+
+def test_way_way_below_modes_agree_on_set_lattices(posets_upto_5):
+    # closed mode joins only the join-irreducibles, n of them on σ(P)
+    for n in range(1, 4):
+        for P in posets_upto_5[n]:
+            for family in (scott_opens, scott_closed_lattice):
+                L = family(P).lattice
+                assert way_way_below(L, "closed") == way_way_below(L, "oracle"), L.name
 
 
 def test_prec_examples():

@@ -3,7 +3,7 @@ import pytest
 from orderkit import SizeLimitError, limits
 from orderkit.cli import main
 from orderkit.generators import named
-from orderkit.poset import iter_bits, set_order
+from orderkit.poset import FinitePoset, iter_bits, mask_of, set_order
 from orderkit.properties import (
     is_distributive,
     is_frame,
@@ -93,6 +93,24 @@ def test_set_lattice_members_in_set_order(posets_upto_6):
         for P in batch:
             for family in (scott_opens(P), scott_closed_lattice(P)):
                 assert list(family.opens) == sorted(family.opens, key=set_order)
+
+
+def test_set_lattice_views_match_validating_route(posets_upto_6):
+    # σ(P) and Γ(P) are built in one pass and not validated; the validating
+    # constructor over literal subset tests, with its generic pair walks,
+    # must give the same rows
+    extras = [named(name) for name in ("chain(0)", "antichain(1)", "antichain(5)", "boolean(3)")]
+    for P in [*(Q for batch in posets_upto_6.values() for Q in batch), *extras]:
+        for family in (scott_opens(P), scott_closed_lattice(P)):
+            L, masks = family.lattice, family.opens
+            k = len(masks)
+            rows = [mask_of(j for j in range(k) if not masks[i] & ~masks[j]) for i in range(k)]
+            literal = FinitePoset(L.labels, rows)
+            assert L.base.up == literal.up
+            assert L.base.down == literal.down
+            assert L.base.cover_rows == literal.cover_rows
+            lower_covers = [sum(row >> x & 1 for row in literal.cover_rows) for x in range(k)]
+            assert L.join_irreducibles == mask_of(x for x in range(k) if lower_covers[x] == 1)
 
 
 def test_scott_opens_count_is_upper_set_count(posets_upto_5):

@@ -5,12 +5,13 @@ Enumeration grows posets one element at a time: every poset arises from a
 smaller one by adding a new maximal element above a down-closed subset.
 Each level is built by canonical augmentation (McKay, "Isomorph-free
 exhaustive generation", 1998): every canonical representative is extended by
-every down set, and a child is kept only when its new element stands for
-its canonical deletion, a maximal element chosen by an
-isomorphism-invariant rule, so each class has one parent class.  A degree-signature pre-filter
-refuses most other children before they are built, the keys are
-deduplicated per parent, whose automorphisms can still make siblings
-isomorphic, and one sort of all parents' keys orders the level.
+one down set from each orbit of its automorphism group, and a child is kept
+only when its new element stands for its canonical deletion, a maximal
+element chosen by an isomorphism-invariant rule, so each class has one
+parent class.  A degree-signature pre-filter refuses most other children
+before they are built, each child's order views are the parent's with one
+element added, the keys are deduplicated per parent, since two orbits can
+still give one class, and one sort of all parents' keys orders the level.
 Lattices with n >= 2 elements are read off the poset level n - 2: each is
 one such poset with a new bottom and a new top added, kept when the result
 is a lattice, and distinct poset classes give distinct lattice classes.
@@ -27,7 +28,7 @@ from functools import lru_cache
 
 from . import limits
 from .errors import NotALatticeError, SizeLimitError, UnknownNameError
-from .poset import FinitePoset, _closure_rows, degree_signature, iter_bits, mask_of
+from .poset import FinitePoset, _bit_reader, _closure_rows, degree_signature, mask_of
 
 
 @dataclass(frozen=True)
@@ -134,13 +135,32 @@ NAMED_POSET_EXAMPLES = NAMED_LATTICE_EXAMPLES + (
 )
 
 
-def _extend_with_max(P, down_mask):
-    """Add one new maximal element strictly above exactly ``down_mask``."""
+def _extend_with_max(P, down, tops, signature):
+    """Add one new maximal element m strictly above exactly the down set
+    ``down``, given its maximal elements ``tops`` and m's
+    ``degree_signature`` ``signature``.
+
+    The child's order views are P's with m added, in O(n): each x in
+    ``down`` gains m in its up and strict up rows and one element above in
+    its signature, each top also gains m as a cover, and m itself is below
+    nothing and covers exactly the tops."""
     n = P.n
-    top_bit = 1 << n
-    rows = [P.up[i] | (top_bit if down_mask >> i & 1 else 0) for i in range(n)]
-    rows.append(top_bit)
-    return FinitePoset._trusted(default_labels(n + 1), rows)
+    m = 1 << n
+    up, strict_up = list(P.up), list(P._strict_up)
+    covers, signatures = list(P.cover_rows), list(P._degree_signatures)
+    for x in _bit_reader(n)(down):
+        up[x] |= m
+        strict_up[x] |= m
+        below, above, covered, covering = signatures[x]
+        if tops >> x & 1:
+            covers[x] |= m
+            covering += 1
+        signatures[x] = (below, above + 1, covered, covering)
+    return FinitePoset._trusted(
+        default_labels(n + 1), up + [m], down=P.down + (down | m,),
+        cover_rows=(*covers, 0), _strict_up=(*strict_up, 0),
+        _degree_signatures=(*signatures, signature),
+    )
 
 
 def _delete(P, c):
@@ -174,8 +194,14 @@ def _canonical_children(parent, key):
     or C - c is isomorphic to the parent.  Either way the parent's class is
     the class of C minus its canonical deletion, which the class of C
     determines, so different parents give disjoint classes; and every class
-    arises from the parent class of that deletion.  Siblings can still be
-    isomorphic under the parent's automorphisms, hence the set.
+    arises from the parent class of that deletion.
+
+    Down sets in one orbit of the parent's automorphisms, generated by those
+    its canonical labelling found, give children isomorphic by a map that
+    fixes m, and the test above does not change under such a map, so only
+    the first of each orbit is expanded.  Children of different orbits can
+    still be isomorphic, when each passes by C - c being isomorphic to the
+    parent, hence the set.
 
     Refinement keeps the order of ranks, so a child whose new element's
     ``degree_signature`` is below that of a maximal element it leaves
@@ -183,16 +209,22 @@ def _canonical_children(parent, key):
     """
     n = parent.n
     strict_up, signatures = parent._strict_up, parent._degree_signatures
+    generators = parent._canonical_search[1]
+    bits = _bit_reader(n)
     maximal = [x for x in range(n) if not strict_up[x]]
-    found = set()
+    found, seen = set(), set()
     for up_mask in parent.iter_upper_masks():
+        if up_mask in seen:
+            continue
+        if generators:
+            seen |= _orbit(up_mask, generators, bits)
         down = parent.full_mask ^ up_mask
         rivals = [x for x in maximal if not down >> x & 1]
-        tops = mask_of(x for x in iter_bits(down) if not strict_up[x] & down)
+        tops = mask_of(x for x in bits(down) if not strict_up[x] & down)
         signature = degree_signature(down, 0, tops, 0)
         if any(signatures[x] > signature for x in rivals):
             continue
-        child = _extend_with_max(parent, down)
+        child = _extend_with_max(parent, down, tops, signature)
         ranks = child._refined_ranks
         if any(ranks[x] > ranks[n] for x in rivals):
             continue
@@ -203,6 +235,22 @@ def _canonical_children(parent, key):
                 continue
         found.add(child_key)
     return found
+
+
+def _orbit(mask, generators, bits):
+    """The orbit of the subset ``mask`` under the group the permutations
+    ``generators`` generate: the closure of {mask} under their images."""
+    orbit, frontier = {mask}, [mask]
+    while frontier:
+        source = frontier.pop()
+        for g in generators:
+            image = 0
+            for x in bits(source):
+                image |= 1 << g[x]
+            if image not in orbit:
+                orbit.add(image)
+                frontier.append(image)
+    return orbit
 
 
 def check_ceiling(kind, n):

@@ -404,11 +404,19 @@ class FinitePoset:
         order = {s: r for r, s in enumerate(sorted(set(signatures)))}
         return [order[s] for s in signatures], len(order)
 
-    @cached_property
+    @property
     def _canonical_order(self):
-        """Old indices in canonical position order: of the rank-respecting
-        orderings, the first, in candidate order, whose relation table is
-        lexicographically least (cells read in growing-submatrix order).
+        """Old indices in canonical position order; see ``_canonical_search``."""
+        return self._canonical_search[0]
+
+    @cached_property
+    def _canonical_search(self):
+        """The canonical order, old indices in canonical position order, and
+        the automorphisms the search met on the way.
+
+        The order is, of the rank-respecting orderings, the first, in
+        candidate order, whose relation table is lexicographically least
+        (cells read in growing-submatrix order).
 
         An exact branch and bound over the positions, kept on an explicit
         stack so that no carrier size reaches the interpreter's recursion
@@ -423,14 +431,17 @@ class FinitePoset:
         level with the best again.
 
         A leaf that ties the best table gives an automorphism,
-        ``best[i] -> order[i]``.  It is stored, and the search returns to the
-        node where the two orderings part: the rest of that subtree is the
-        image of the best leaf's, so each of its tables comes after an equal
-        one.  A node skips a candidate in the orbit of an expanded sibling
-        under the stored automorphisms that fix its prefix, for the same
-        reason.  Neither cut removes the first least leaf, so the order is
-        the one the plain search would return (McKay and Piperno, "Practical
-        graph isomorphism, II", 2014).
+        ``best[i] -> order[i]``, stored as the tuple g with
+        g[best[i]] == order[i], and the search returns to the node where the
+        two orderings part: the rest of that subtree is the image of the best
+        leaf's, so each of its tables comes after an equal one.  A node skips
+        a candidate in the orbit of an expanded sibling under the stored
+        automorphisms that fix its prefix, for the same reason.  Neither cut
+        removes the first least leaf, so the order is the one the plain
+        search would return (McKay and Piperno, "Practical graph
+        isomorphism, II", 2014).  The stored automorphisms are returned
+        beside the order; a discrete ranking has none, since every
+        automorphism keeps each rank.
 
         Every chunk computed at depth k counts 2k table cells; the search
         is refused once more than ``limits.CANON_LIMIT`` are counted.  A
@@ -446,7 +457,7 @@ class FinitePoset:
         ranks = self._refined_ranks
         if len(set(ranks)) == n:
             limits.check_limit(n * (n - 1), "canonical labelling", limits.CANON_LIMIT)
-            return tuple(sorted(range(n), key=ranks.__getitem__))
+            return tuple(sorted(range(n), key=ranks.__getitem__)), ()
         by_rank = {}
         for i in range(n):
             by_rank.setdefault(ranks[i], []).append(i)
@@ -539,7 +550,7 @@ class FinitePoset:
                 auto = [0] * n
                 for b, x in zip(best_order, leaf):
                     auto[b] = x
-                autos.append(auto)
+                autos.append(tuple(auto))
                 d = next(p for p in range(n) if best_order[p] != leaf[p])
                 for x in order[d:]:
                     used ^= 1 << x
@@ -555,7 +566,7 @@ class FinitePoset:
                 chunks.pop()
             else:
                 stack.append(child)
-        return tuple(best_order)
+        return tuple(best_order), tuple(autos)
 
     def canonical_key(self):
         """Hashable structure invariant: equal keys iff isomorphic posets."""

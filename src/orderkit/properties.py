@@ -188,10 +188,17 @@ def is_prime_continuous(L: FiniteLattice, mode="closed") -> Verdict:
 
 
 def _joins_predecessors(L, below):
-    """Every y is the join of ``below[y]``, the column of its predecessors."""
+    """Every y is the join of ``below[y]``, the column of its predecessors.
+
+    Each column must be down-closed, as the columns of ``prec`` and
+    ``way_way_below`` are in every mode: then it has the join of its
+    join-irreducibles, since each member is the join of the
+    join-irreducibles below it, which the column holds too.  So only those
+    are joined; the witness still names the whole column."""
     P = L.base
+    irreducible = L.join_irreducibles
     for y, preds in enumerate(below):
-        j = L.join_mask(preds)
+        j = L.join_mask(preds & irreducible)
         if j != y:
             w = Witness(elements=(P.labels[y],), subsets=(P.labels_of(preds),),
                         lhs=P.labels[y], rhs=P.labels[j])

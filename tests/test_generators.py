@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,7 +27,7 @@ from orderkit.generators import (
     named,
     random_poset,
 )
-from orderkit.poset import FinitePoset
+from orderkit.poset import FinitePoset, iter_bits, mask_of
 from orderkit.scott import scott_closed_lattice, scott_opens
 
 POSET_COUNTS = {1: 1, 2: 2, 3: 5, 4: 16, 5: 63}
@@ -93,7 +94,9 @@ def test_poset_level_matches_literal_construction():
 
 def test_poset_level_labels_few_children(monkeypatch):
     # the literal construction labels all 5439 extensions of level 6; the
-    # degree-signature pre-filter also keeps most children from being built
+    # degree-signature pre-filter also keeps most children from being built,
+    # and one down set per orbit of the parent's automorphisms leaves 2046
+    # labelled children (2759 without that pruning) for 2045 classes
     generators._poset_level.cache_clear()
     generators._poset_level(6)
     counts = {"keys": 0, "builds": 0}
@@ -110,8 +113,89 @@ def test_poset_level_labels_few_children(monkeypatch):
     monkeypatch.setattr(FinitePoset, "canonical_key", counted_key)
     monkeypatch.setattr(FinitePoset, "__init__", counted_init)
     assert len(generators._poset_level(7)) == 2045
-    assert counts["keys"] < 3000
+    assert counts["keys"] < 2100
     assert counts["builds"] < 3500
+
+
+def _level_posets(top):
+    for n in range(top + 1):
+        for key in generators._poset_level(n):
+            yield FinitePoset._trusted(default_labels(n), key), key
+
+
+def _group_size(n, gens):
+    # closure of the identity under composition with the generators
+    group, frontier = {tuple(range(n))}, [tuple(range(n))]
+    while frontier:
+        h = frontier.pop()
+        for g in gens:
+            gh = tuple(g[x] for x in h)
+            if gh not in group:
+                group.add(gh)
+                frontier.append(gh)
+    return len(group)
+
+
+def test_stored_automorphisms_generate_the_group():
+    for P, _ in _level_posets(6):
+        relation = {(i, j) for i in range(P.n) for j in iter_bits(P.up[i])}
+        gens = P._canonical_search[1]
+        for g in gens:
+            assert {(g[i], g[j]) for i, j in relation} == relation
+        count = sum({(p[i], p[j]) for i, j in relation} == relation
+                    for p in itertools.permutations(range(P.n)))
+        assert _group_size(P.n, gens) == count
+
+
+def _unpruned_children(parent, key):
+    # every down set extended, no pre-filter and no orbit skipped: a child
+    # is kept when the new element m has the top refined rank among its
+    # maxima and is the unique one, or is the last maximal element in
+    # canonical order, or deleting that element leaves the parent's class
+    n = parent.n
+    out = set()
+    for down in range(1 << n):
+        if parent.down_closure_mask(down) != down:
+            continue
+        rows = [row | (1 << n if down >> i & 1 else 0) for i, row in enumerate(parent.up)]
+        C = FinitePoset(default_labels(n + 1), rows + [1 << n])
+        maxima = [x for x in range(n + 1) if C.up[x] == 1 << x]
+        ranks = C._refined_ranks
+        top = [x for x in maxima if ranks[x] == max(ranks[y] for y in maxima)]
+        if n not in top:
+            continue
+        c = next(e for e in reversed(C._canonical_order) if e in maxima)
+        if len(top) > 1 and c != n:
+            keep = [x for x in range(n + 1) if x != c]
+            rest = [mask_of(keep.index(j) for j in iter_bits(C.up[x]) if j != c) for x in keep]
+            if FinitePoset(default_labels(n), rest).canonical_key() != key:
+                continue
+        out.add(C.canonical_key())
+    return out
+
+
+def test_orbit_pruning_keeps_every_child():
+    for parent, key in _level_posets(6):
+        assert generators._canonical_children(parent, key) == _unpruned_children(parent, key)
+
+
+def test_children_views_seeded_from_parent(monkeypatch):
+    built = []
+    extend = generators._extend_with_max
+
+    def recording(*args):
+        child = extend(*args)
+        built.append(child)
+        return child
+
+    monkeypatch.setattr(generators, "_extend_with_max", recording)
+    for parent, key in _level_posets(6):
+        generators._canonical_children(parent, key)
+    assert len(built) > 2000
+    for child in built:
+        fresh = FinitePoset(child.labels, child.up)
+        for view in ("down", "cover_rows", "_strict_up", "_degree_signatures"):
+            assert vars(child)[view] == getattr(fresh, view), view
 
 
 def _cycles(*lengths):

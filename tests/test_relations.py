@@ -171,6 +171,18 @@ def test_way_way_below_modes_agree_on_set_lattices(posets_upto_5):
                 assert way_way_below(L, "closed") == way_way_below(L, "oracle"), L.name
 
 
+def test_predecessor_columns_are_down_closed(lattices_upto_6, posets_upto_5):
+    # the precondition under which the hypercontinuity and prime continuity
+    # checks join only the join-irreducibles of each column
+    pool = [L for batch in lattices_upto_6.values() for L in batch]
+    pool += [family(P).lattice for n in range(1, 5) for P in posets_upto_5[n]
+             for family in (scott_opens, scott_closed_lattice)]
+    for L in pool:
+        for rel in (prec(L, "fast"), prec(L, "oracle"),
+                    way_way_below(L, "closed"), way_way_below(L, "oracle")):
+            assert all(L.base.down_closure_mask(col) == col for col in rel), L.name
+
+
 def test_prec_examples():
     for name in ("chain(2)", "boolean(2)", "chain(1)"):
         L = named(name).as_lattice()

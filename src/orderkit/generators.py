@@ -255,10 +255,12 @@ def _orbit(mask, generators, bits):
 
 def check_ceiling(kind, n):
     """Refuse the ``kind`` universe ("posets" or "lattices") at size n past
-    its ceiling, before any level is built.  Both share the poset ceiling,
-    since the lattices of size n are read off the poset level n - 2."""
+    its own ceiling, ``limits.enum_max(kind)``, before any level is built.
+    The lattices of size n are read off the poset level n - 2, which the
+    lattice ceiling allows past the poset ceiling: lattices at 11 read
+    level 9, while enumerating posets stops at 8."""
     limits.check_count(n, "n")
-    ceiling = limits.enum_max()
+    ceiling = limits.enum_max(kind)
     if n > ceiling:
         raise SizeLimitError(f"{kind[:-1]} enumeration", n, ceiling)
 
@@ -286,7 +288,7 @@ def enumerate_lattices(n: int):
     lattices.  Sorting the canonical keys gives the order of the n-element
     poset level, of which the lattices are a subsequence, so every name is
     the one a filter of ``enumerate_posets(n)`` would give.  The ceiling is
-    the poset ceiling.
+    the lattice ceiling, which reaches past the poset one.
     """
     check_ceiling("lattices", n)
     if n == 0:

@@ -247,10 +247,21 @@ def supinf_continuous_rhs(L: FiniteLattice, x: int) -> int:
     return L.join_mask(mask_of(L.meet_mask(u) for u in L.base.upper_masks() if u >> x & 1))
 
 
-def supinf_hyper_rhs(L: FiniteLattice, x: int) -> int:
+def supinf_hyper_rhs(L: FiniteLattice, x: int, mode="fast") -> int:
     """Join over finite sets M avoiding x downward of the meet of the
-    complement of (down M)."""
+    complement of (down M).
+
+    The term reads M only through its down set D, and every down set is
+    the down set of itself, so fast mode loops over the down sets, the
+    complements of the cached upper sets U: x is outside D exactly when x
+    lies in U, and the complement of D is U.  That is the sup-inf form of
+    continuity, the Scott opens of a finite poset being its upper sets.
+    The oracle tries all 2^n subsets M."""
     P = L.base
+    if mode == "fast":
+        return L.join_mask(mask_of(L.meet_mask(u) for u in P.upper_masks() if u >> x & 1))
+    if mode != "oracle":
+        raise ValueError(f"unknown mode {mode!r}")
     limits.check_subset_cap(L.n, "subset enumeration for the finite-set form")
     downs = (P.down_closure_mask(m) for m in range(1 << L.n))
     return L.join_mask(mask_of(L.meet_mask(P.full_mask ^ d) for d in downs if not d >> x & 1))

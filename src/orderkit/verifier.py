@@ -29,46 +29,95 @@ from . import limits, properties
 from .errors import NotALatticeError, ParseError
 from .files import emit
 from .generators import check_ceiling, enumerate_lattices, enumerate_posets
-from .poset import FiniteLattice, Verdict, Witness, iter_bits, mask_of
+from .poset import FiniteLattice, Verdict, Witness, _bit_reader, iter_bits, mask_of
 from .scott import scott_closed_lattice, scott_opens
 
 
-def lemma31_check(L: FiniteLattice) -> Verdict:
+def lemma31_check(L: FiniteLattice, mode="fast") -> Verdict:
     """For every finite subset M: the meet of the complement of (down M)
     equals the join over m in M of the meets of the single complements.
     Both sides reduce to the bottom element for empty M.
 
     Asserts first, for every M, the set identity behind it: the complement
     of (down M) is the intersection of the single-element complements.
+
+    Both sides read M only through its down set D: the left side is the
+    meet of P minus D, and the meet of P minus (down m) falls as m rises,
+    so the right side is the join over the maximal elements of M, which
+    are those of D.  Fast mode therefore tests M = max(D) for each down set
+    D, walking the cached upper sets.  The witness is the failing max(D)
+    of least mask, which is the first failing M in mask order, since every
+    M with down set D contains max(D).  The oracle tries all 2^n subsets.
     """
-    identity = downset_complement_identity(L)
+    identity = downset_complement_identity(L, mode)
     if not identity.holds:
         return identity
     P = L.base
     full = P.full_mask
-    for mmask in range(1 << L.n):
-        lhs = L.meet_mask(full ^ P.down_closure_mask(mmask))
-        rhs = L.join_mask(mask_of(L.meet_mask(full ^ P.down[m]) for m in iter_bits(mmask)))
-        if lhs != rhs:
-            w = Witness(subsets=(P.labels_of(mmask),),
-                        lhs=P.labels[lhs], rhs=P.labels[rhs])
-            return Verdict(False, w)
-    return Verdict(True)
+    first = None  # (mask of M, lhs, rhs) of the first failing M
+    if mode == "fast":
+        singles = [L.meet_mask(full ^ d) for d in P.down]
+        bits = _bit_reader(L.n)
+        for top, u in _maximal_of_downsets(P):
+            if first is not None and top > first[0]:
+                continue
+            lhs = L.meet_mask(u)
+            rhs = L.join_mask(mask_of(singles[m] for m in bits(top)))
+            if lhs != rhs:
+                first = (top, lhs, rhs)
+    elif mode == "oracle":
+        for mmask in range(1 << L.n):
+            lhs = L.meet_mask(full ^ P.down_closure_mask(mmask))
+            rhs = L.join_mask(mask_of(L.meet_mask(full ^ P.down[m]) for m in iter_bits(mmask)))
+            if lhs != rhs:
+                first = (mmask, lhs, rhs)
+                break
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    if first is None:
+        return Verdict(True)
+    mmask, lhs, rhs = first
+    w = Witness(subsets=(P.labels_of(mmask),), lhs=P.labels[lhs], rhs=P.labels[rhs])
+    return Verdict(False, w)
 
 
-def downset_complement_identity(L: FiniteLattice) -> Verdict:
-    """Just the set identity part of lemma31_check, for every subset."""
+def downset_complement_identity(L: FiniteLattice, mode="fast") -> Verdict:
+    """Just the set identity part of lemma31_check.  The oracle tests every
+    subset M.  Fast mode tests the antichains, each the maximal elements of
+    one down set: in a transitive order a subset's non-maximal members
+    change neither side, so the identity fails at M exactly when it fails
+    at max(M), whose mask is no larger, and the failing antichain of least
+    mask is the oracle's first witness."""
     P = L.base
-    limits.check_subset_cap(L.n, "subset enumeration for the set identity")
     full = P.full_mask
-    for mmask in range(1 << L.n):
+    if mode == "fast":
+        subsets = sorted(top for top, _ in _maximal_of_downsets(P))
+    elif mode == "oracle":
+        limits.check_subset_cap(L.n, "subset enumeration for the set identity")
+        subsets = range(1 << L.n)
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    bits = _bit_reader(L.n)
+    for mmask in subsets:
         inter = full
-        for m in iter_bits(mmask):
+        for m in bits(mmask):
             inter &= full ^ P.down[m]
         if inter != full ^ P.down_closure_mask(mmask):
             w = Witness(subsets=(P.labels_of(mmask),), note="set identity mismatch")
             return Verdict(False, w)
     return Verdict(True)
+
+
+def _maximal_of_downsets(P):
+    """(max D, complement of D) for every down set D of P, complement of a
+    cached upper set, in the order of ``P.upper_masks()``."""
+    full, bits = P.full_mask, _bit_reader(P.n)
+    for u in P.upper_masks():
+        d = full ^ u
+        below = 0  # elements strictly below a member of D
+        for m in bits(d):
+            below |= P.down[m] ^ 1 << m
+        yield d & ~below, u
 
 
 def _profile_verdict(holds, profile, note=""):

@@ -258,9 +258,44 @@ def test_dot_backslash_label_exit(tmp_path, capsys):
 
 
 def test_bad_max_n_env_exit(monkeypatch, capsys):
-    monkeypatch.setenv("ORDERKIT_MAX_N", "abc")
-    assert main(["enumerate", "--n", "3"]) == 2
-    assert "ORDERKIT_MAX_N" in _one_line_error(capsys)
+    # "²" is a digit to str.isdigit but not to int()
+    for raw in ("abc", "\u00b2", "7\u00b2", "-1"):
+        monkeypatch.setenv("ORDERKIT_MAX_N", raw)
+        assert main(["enumerate", "--n", "3"]) == 2
+        assert "ORDERKIT_MAX_N" in _one_line_error(capsys)
+
+
+def test_bad_max_n_env_subprocess():
+    proc = subprocess.run(RUN + ["enumerate", "--n", "3"], capture_output=True, text=True,
+                          env=dict(os.environ, ORDERKIT_MAX_N="\u00b2"))
+    assert proc.returncode == 2
+    assert proc.stdout == "" and proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith("error: ORDERKIT_MAX_N")
+
+
+def test_ceiling_per_universe(monkeypatch, capsys):
+    # ORDERKIT_MAX_N is clamped to each universe's own hard ceiling
+    built = []
+    monkeypatch.setattr(generators, "_poset_level", lambda n: built.append(n) or ())
+    for raw in ("11", "12", "0011", "9" * 5000):
+        monkeypatch.setenv("ORDERKIT_MAX_N", raw)
+        assert main(["enumerate", "--n", "9"]) == 3
+        _, err = capsys.readouterr()
+        assert err == "size limit: poset enumeration: 9 exceeds cap 8\n"
+        assert main(["enumerate", "--n", "12", "--kind", "lattices"]) == 3
+        _, err = capsys.readouterr()
+        assert err == "size limit: lattice enumeration: 12 exceeds cap 11\n"
+        assert main(["verify", "--max-n", "9"]) == 3
+        _, err = capsys.readouterr()
+        assert err == "size limit: poset enumeration: 9 exceeds cap 8\n"
+    assert built == []
+
+
+def test_enumerate_lattices_n9(monkeypatch, capsys):
+    # OEIS A006966: 1078 lattices with 9 elements, past the poset ceiling
+    monkeypatch.setenv("ORDERKIT_MAX_N", "9")
+    assert main(["enumerate", "--n", "9", "--kind", "lattices"]) == 0
+    assert capsys.readouterr().out.strip() == "1078"
 
 
 def test_enumerate_negative_n_exit(capsys):

@@ -3,7 +3,7 @@ from collections import Counter
 import pytest
 
 from orderkit import ParseError, properties, verifier
-from orderkit.generators import named
+from orderkit.generators import enumerate_lattices, named
 from orderkit.poset import FinitePoset
 from orderkit.properties import is_join_continuous
 from orderkit.verifier import (
@@ -61,6 +61,51 @@ def test_lemma31_on_join_continuous(lattices_upto_6):
 def test_downset_complement_identity(lattices_upto_6):
     for L in lattices_upto_6[5]:
         assert downset_complement_identity(L).holds
+
+
+def test_downset_routes_match_subset_oracles(monkeypatch):
+    # every lattice with n <= 8: the down-set routes give the verdicts and
+    # exact witnesses of the literal loops over all 2^n subsets
+    monkeypatch.setenv("ORDERKIT_MAX_N", "8")
+    sizes = Counter()
+    for n in range(1, 9):
+        for L in enumerate_lattices(n):
+            v = lemma31_check(L)
+            assert v == lemma31_check(L, "oracle"), L.name
+            if not v.holds:
+                sizes[len(v.witness.subsets[0])] += 1
+            assert downset_complement_identity(L) == downset_complement_identity(L, "oracle")
+            for x in range(n):
+                assert (properties.supinf_hyper_rhs(L, x)
+                        == properties.supinf_hyper_rhs(L, x, "oracle")), L.name
+    # the first failing M is not always one element or a pair
+    assert sizes.keys() == {2, 3, 4, 5}
+
+
+def test_set_identity_routes_report_a_fault_alike(monkeypatch, lattices_upto_7):
+    # a down closure that drops the lowest member of every set of two or
+    # more breaks the identity; both routes name the same first subset
+    closure = FinitePoset.down_closure_mask
+    monkeypatch.setattr(FinitePoset, "down_closure_mask",
+                        lambda P, m: closure(P, m & (m - 1) if m.bit_count() > 1 else m))
+    failing = 0
+    for batch in lattices_upto_7.values():
+        for L in batch:
+            v = downset_complement_identity(L)
+            assert v == downset_complement_identity(L, "oracle"), L.name
+            if not v.holds:
+                assert lemma31_check(L) == v  # reported before the equation
+                failing += 1
+    assert failing == 71
+
+
+def test_downset_routes_reject_unknown_mode(m3):
+    L = m3.as_lattice()
+    for check in (lemma31_check, downset_complement_identity):
+        with pytest.raises(ValueError, match="unknown mode"):
+            check(L, "literal")
+    with pytest.raises(ValueError, match="unknown mode"):
+        properties.supinf_hyper_rhs(L, 0, "literal")
 
 
 def test_thm32_examples(m3):

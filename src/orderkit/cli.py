@@ -205,15 +205,7 @@ def cmd_export_dot(args):
     return EXIT_PASS
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="orderkit",
-        description="Finite poset and lattice toolkit: predicates, Scott "
-        "topology duals, exhaustive verification suites.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", help="run predicates on one poset")
+def _check_arguments(p):
     p.add_argument("input", help="poset file, '-' for stdin, or a named "
                    "instance such as M3, chain(4), boolean(2)")
     p.add_argument("--properties", default="all",
@@ -224,14 +216,16 @@ def build_parser():
                    help="exit 0 even when a predicate is false")
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("dual", help="emit the Scott open or closed set lattice")
+
+def _dual_arguments(p):
     p.add_argument("--scott-closed", action="store_true",
                    help="emit the closed-set lattice instead of the opens")
     p.add_argument("input")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_dual)
 
-    p = sub.add_parser("enumerate", help="enumerate posets or lattices up to isomorphism")
+
+def _enumerate_arguments(p):
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--kind", choices=("posets", "lattices"), default="posets")
     p.add_argument("--filter", default=None, help="predicate expression, e.g. "
@@ -240,7 +234,8 @@ def build_parser():
                    help="also write one poset file per instance into DIR")
     p.set_defaults(func=cmd_enumerate)
 
-    p = sub.add_parser("verify", help="run verification suites over enumerated universes")
+
+def _verify_arguments(p):
     p.add_argument("--suite", default="full",
                    choices=verifier.SUITE_ORDER + ("full",))
     p.add_argument("--max-n", type=int, default=5)
@@ -250,17 +245,53 @@ def build_parser():
                    help="omit wall times so identical runs are byte-identical")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("export-dot", help="write the Hasse diagram in DOT syntax")
+
+def _export_dot_arguments(p):
     p.add_argument("input")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_export_dot)
 
+
+# name -> (help, function adding the command's arguments to its parser)
+COMMANDS = {
+    "check": ("run predicates on one poset", _check_arguments),
+    "dual": ("emit the Scott open or closed set lattice", _dual_arguments),
+    "enumerate": ("enumerate posets or lattices up to isomorphism", _enumerate_arguments),
+    "verify": ("run verification suites over enumerated universes", _verify_arguments),
+    "export-dot": ("write the Hasse diagram in DOT syntax", _export_dot_arguments),
+}
+
+
+def build_parser(command=None):
+    """The argument parser, with every subcommand, or with only ``command``,
+    which is all ``main`` needs: building the other four costs more than
+    deciding a small instance."""
+    parser = argparse.ArgumentParser(
+        prog="orderkit",
+        description="Finite poset and lattice toolkit: predicates, Scott "
+        "topology duals, exhaustive verification suites.",
+    )
+    # the metavar keeps every subcommand in the usage line argparse prints
+    # for an unrecognised option; the full parser leaves it out, because
+    # argparse would also print it for "command" in its argument errors
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (help_text, add_arguments) in COMMANDS.items():
+        if command is None or name == command:
+            add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
+def command_of(argv):
+    """The subcommand ``argv`` runs, or None when its first word names none:
+    for help, no arguments or an unknown command argparse needs them all."""
+    return argv[0] if argv and argv[0] in COMMANDS else None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(command_of(argv)).parse_args(argv)
     try:
         return args.func(args)
     except SizeLimitError as exc:

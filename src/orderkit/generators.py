@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from . import limits
@@ -31,23 +31,21 @@ from .errors import NotALatticeError, SizeLimitError, UnknownNameError
 from .poset import FinitePoset, _bit_reader, _closure_rows, degree_signature, mask_of
 
 
-@dataclass(frozen=True)
-class GenSpec:
-    """Parameters of a generated universe or a single random draw."""
+class GenSpec(namedtuple("GenSpec", "n kind seed density")):
+    """Parameters of a generated universe or a single random draw; ``kind``
+    is posets, lattices or random."""
 
-    n: int
-    kind: str = "posets"  # posets | lattices | random
-    seed: int = 0
-    density: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in ("posets", "lattices", "random"):
-            raise ValueError(f"unknown kind {self.kind!r}")
-        limits.check_count(self.n, "n", 1 if self.kind == "lattices" else 0)
-        if self.density is not None and self.kind != "random":
+    def __new__(cls, n, kind="posets", seed=0, density=None):
+        if kind not in ("posets", "lattices", "random"):
+            raise ValueError(f"unknown kind {kind!r}")
+        limits.check_count(n, "n", 1 if kind == "lattices" else 0)
+        if density is not None and kind != "random":
             raise ValueError("density applies to random generation only")
-        if self.density is not None and not 0 <= self.density <= 1:
-            raise ValueError(f"density must lie in [0, 1], got {self.density}")
+        if density is not None and not 0 <= density <= 1:
+            raise ValueError(f"density must lie in [0, 1], got {density}")
+        return super().__new__(cls, n, kind, seed, density)
 
 
 @lru_cache(maxsize=32)

@@ -11,7 +11,7 @@ share between concurrent tasks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 from .errors import CycleError, NotALatticeError, SizeLimitError, UnknownLabelError
@@ -602,17 +602,35 @@ class FinitePoset:
         return self.canonical_key() == other.canonical_key()
 
 
-@dataclass(frozen=True)
 class FiniteLattice:
     """A finite lattice, read through its poset's order rows.
 
     A finite lattice is complete, so the upper bounds of a subset S are the
     principal filter of its join: the join of S is the element whose up row
     is the AND of the up rows of S, and the meet is the dual.  No join or
-    meet table is built.
+    meet table is built.  Equal bases make equal lattices; the cached views
+    are written to the instance dictionary, and nothing else is assigned.
     """
 
-    base: FinitePoset
+    def __init__(self, base: FinitePoset):
+        object.__setattr__(self, "base", base)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.base == other.base
+
+    def __hash__(self):
+        return hash((self.base,))
+
+    def __repr__(self):
+        return f"FiniteLattice(base={self.base!r})"
 
     @property
     def n(self):
@@ -659,6 +677,11 @@ class FiniteLattice:
         generators = [images[j] for j in iter_bits(irreducible)]
         return all(a | g in closed for a in images for g in generators)
 
+    @cached_property
+    def upper_meets(self):
+        """The meet of every upper set, aligned with ``base.upper_masks()``."""
+        return tuple(self.meet_mask(u) for u in self.base.upper_masks())
+
     def join_mask(self, mask):
         """Join of the masked subset; bottom for the empty mask."""
         up, ub = self.base.up, self.base.full_mask
@@ -681,16 +704,12 @@ class FiniteLattice:
         return self.meet_mask(0)
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(namedtuple("Witness", "elements subsets lhs rhs note",
+                          defaults=((), (), None, None, ""))):
     """Offending elements/subsets of a failed check, with both sides'
     values; all entries are element labels, never indices."""
 
-    elements: tuple = ()
-    subsets: tuple = ()
-    lhs: str | None = None
-    rhs: str | None = None
-    note: str = ""
+    __slots__ = ()
 
     def as_dict(self):
         return {
@@ -701,13 +720,10 @@ class Witness:
         }
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(namedtuple("Verdict", "holds witness profile", defaults=(None, ()))):
     """Outcome of a check: pass, or fail with a minimal witness."""
 
-    holds: bool
-    witness: Witness | None = None
-    profile: tuple = ()
+    __slots__ = ()
 
     def profile_dict(self):
         return dict(self.profile)

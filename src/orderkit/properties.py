@@ -243,8 +243,10 @@ def is_completely_distributive_oracle(L: FiniteLattice, family_bound=3) -> Verdi
 
 
 def supinf_continuous_rhs(L: FiniteLattice, x: int) -> int:
-    """Join over Scott opens containing x of the meet of the open."""
-    return L.join_mask(mask_of(L.meet_mask(u) for u in L.base.upper_masks() if u >> x & 1))
+    """Join over Scott opens containing x of the meet of the open; the
+    meets are computed once per lattice, in ``L.upper_meets``."""
+    uppers = L.base.upper_masks()
+    return L.join_mask(mask_of(m for u, m in zip(uppers, L.upper_meets) if u >> x & 1))
 
 
 def supinf_hyper_rhs(L: FiniteLattice, x: int, mode="fast") -> int:
@@ -255,11 +257,12 @@ def supinf_hyper_rhs(L: FiniteLattice, x: int, mode="fast") -> int:
     the down set of itself, so fast mode loops over the down sets, the
     complements of the cached upper sets U: x is outside D exactly when x
     lies in U, and the complement of D is U.  That is the sup-inf form of
-    continuity, the Scott opens of a finite poset being its upper sets.
-    The oracle tries all 2^n subsets M."""
+    continuity, the Scott opens of a finite poset being its upper sets, so
+    fast mode is ``supinf_continuous_rhs``.  The oracle tries all 2^n
+    subsets M."""
     P = L.base
     if mode == "fast":
-        return L.join_mask(mask_of(L.meet_mask(u) for u in P.upper_masks() if u >> x & 1))
+        return supinf_continuous_rhs(L, x)
     if mode != "oracle":
         raise ValueError(f"unknown mode {mode!r}")
     limits.check_subset_cap(L.n, "subset enumeration for the finite-set form")

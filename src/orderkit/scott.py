@@ -7,7 +7,7 @@ implemented and cross-checked against that collapse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import limits
 from .errors import InputError
@@ -98,14 +98,12 @@ def _lattice_of_set_family(P, masks, name):
     return OpenSetLattice(P, tuple(masks), FiniteLattice(base))
 
 
-@dataclass(frozen=True)
-class OpenSetLattice:
+class OpenSetLattice(namedtuple("OpenSetLattice", "base_poset opens lattice")):
     """A family of subsets of one poset, with the lattice they form under
-    inclusion (union as join, intersection as meet)."""
+    inclusion (union as join, intersection as meet); ``opens`` holds the
+    member masks in lattice element order."""
 
-    base_poset: FinitePoset
-    opens: tuple  # member masks in lattice element order
-    lattice: FiniteLattice
+    __slots__ = ()
 
 
 def scott_opens(P: FinitePoset) -> OpenSetLattice:

@@ -21,8 +21,8 @@ from __future__ import annotations
 import os
 import re
 import time
+from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from functools import cached_property, partial
 
 from . import limits, properties
@@ -45,9 +45,10 @@ def lemma31_check(L: FiniteLattice, mode="fast") -> Verdict:
     meet of P minus D, and the meet of P minus (down m) falls as m rises,
     so the right side is the join over the maximal elements of M, which
     are those of D.  Fast mode therefore tests M = max(D) for each down set
-    D, walking the cached upper sets.  The witness is the failing max(D)
-    of least mask, which is the first failing M in mask order, since every
-    M with down set D contains max(D).  The oracle tries all 2^n subsets.
+    D, walking the cached upper sets, and reads the left sides, their
+    meets, from ``L.upper_meets``.  The witness is the failing max(D) of
+    least mask, which is the first failing M in mask order, since every M
+    with down set D contains max(D).  The oracle tries all 2^n subsets.
     """
     identity = downset_complement_identity(L, mode)
     if not identity.holds:
@@ -58,10 +59,9 @@ def lemma31_check(L: FiniteLattice, mode="fast") -> Verdict:
     if mode == "fast":
         singles = [L.meet_mask(full ^ d) for d in P.down]
         bits = _bit_reader(L.n)
-        for top, u in _maximal_of_downsets(P):
+        for top, lhs in zip(_maximal_of_downsets(P), L.upper_meets):
             if first is not None and top > first[0]:
                 continue
-            lhs = L.meet_mask(u)
             rhs = L.join_mask(mask_of(singles[m] for m in bits(top)))
             if lhs != rhs:
                 first = (top, lhs, rhs)
@@ -91,7 +91,7 @@ def downset_complement_identity(L: FiniteLattice, mode="fast") -> Verdict:
     P = L.base
     full = P.full_mask
     if mode == "fast":
-        subsets = sorted(top for top, _ in _maximal_of_downsets(P))
+        subsets = sorted(_maximal_of_downsets(P))
     elif mode == "oracle":
         limits.check_subset_cap(L.n, "subset enumeration for the set identity")
         subsets = range(1 << L.n)
@@ -109,15 +109,15 @@ def downset_complement_identity(L: FiniteLattice, mode="fast") -> Verdict:
 
 
 def _maximal_of_downsets(P):
-    """(max D, complement of D) for every down set D of P, complement of a
-    cached upper set, in the order of ``P.upper_masks()``."""
+    """max D for every down set D of P, the complement of a cached upper
+    set, in the order of ``P.upper_masks()``."""
     full, bits = P.full_mask, _bit_reader(P.n)
     for u in P.upper_masks():
         d = full ^ u
         below = 0  # elements strictly below a member of D
         for m in bits(d):
             below |= P.down[m] ^ 1 << m
-        yield d & ~below, u
+        yield d & ~below
 
 
 def _profile_verdict(holds, profile, note=""):
@@ -240,26 +240,16 @@ def characterization_check(L) -> Verdict:
 # -- suites ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckRecord:
+class CheckRecord(namedtuple("CheckRecord", "name n text verdict")):
     """One suite entry that needs reporting; ``text`` re-creates the
     instance exactly."""
 
-    name: str
-    n: int
-    text: str
-    verdict: Verdict
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SuiteReport:
-    suite: str
-    universe: str
-    instances: int
-    failures: tuple
-    expected_failures: tuple
-    trivialized: tuple
-    wall_time: float
+class SuiteReport(namedtuple("SuiteReport", "suite universe instances failures "
+                                            "expected_failures trivialized wall_time")):
+    __slots__ = ()
 
     @property
     def passed(self):

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import os
@@ -6,8 +7,10 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 from orderkit import generators, verifier
-from orderkit.cli import main
+from orderkit.cli import COMMANDS, build_parser, command_of, main
 from orderkit.generators import named
 
 RUN = [sys.executable, "-m", "orderkit"]
@@ -419,3 +422,43 @@ def test_verify_full_matches_golden(capsys):
         assert main(["verify", "--suite", "full", "--max-n", "4", "--json",
                      "--deterministic", "--jobs", jobs]) == 0
         assert capsys.readouterr().out == golden
+
+
+def _parse_outcome(parser, argv):
+    """(exit code, stdout, stderr) of parsing ``argv``; code None on success."""
+    out, err = io.StringIO(), io.StringIO()
+    code = None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            parser.parse_args(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    ["-h"],
+    *([name, "-h"] for name in COMMANDS),
+    ["check"],
+    ["verify", "--suite", "nope"],
+    ["enumerate", "--n", "x"],
+    ["check", "--bogus", "M3"],
+    [],
+], ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_command_parser_matches_full_parser(argv):
+    """main builds only the invoked command's parser; help, usage and
+    argument errors must read as with every command built."""
+    full = _parse_outcome(build_parser(), argv)
+    assert full[0] is not None
+    assert _parse_outcome(build_parser(command_of(argv)), argv) == full
+
+
+def test_cli_import_skips_dataclass_machinery():
+    """dataclasses pulls in inspect, which cost every invocation about
+    19 ms; the record types are named tuples instead."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import orderkit.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-S", "-c", code, str(src)],
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"

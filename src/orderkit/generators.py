@@ -28,7 +28,7 @@ from functools import lru_cache
 
 from . import limits
 from .errors import NotALatticeError, SizeLimitError, UnknownNameError
-from .poset import FinitePoset, _bit_reader, _closure_rows, degree_signature, mask_of
+from .poset import FinitePoset, _closure_rows, degree_signature, iter_bits, mask_of
 
 
 class GenSpec(namedtuple("GenSpec", "n kind seed density")):
@@ -146,7 +146,7 @@ def _extend_with_max(P, down, tops, signature):
     m = 1 << n
     up, strict_up = list(P.up), list(P._strict_up)
     covers, signatures = list(P.cover_rows), list(P._degree_signatures)
-    for x in _bit_reader(n)(down):
+    for x in iter_bits(down):
         up[x] |= m
         strict_up[x] |= m
         below, above, covered, covering = signatures[x]
@@ -208,17 +208,16 @@ def _canonical_children(parent, key):
     n = parent.n
     strict_up, signatures = parent._strict_up, parent._degree_signatures
     generators = parent._canonical_search[1]
-    bits = _bit_reader(n)
     maximal = [x for x in range(n) if not strict_up[x]]
     found, seen = set(), set()
     for up_mask in parent.iter_upper_masks():
         if up_mask in seen:
             continue
         if generators:
-            seen |= _orbit(up_mask, generators, bits)
+            seen |= _orbit(up_mask, generators)
         down = parent.full_mask ^ up_mask
         rivals = [x for x in maximal if not down >> x & 1]
-        tops = mask_of(x for x in bits(down) if not strict_up[x] & down)
+        tops = mask_of(x for x in iter_bits(down) if not strict_up[x] & down)
         signature = degree_signature(down, 0, tops, 0)
         if any(signatures[x] > signature for x in rivals):
             continue
@@ -235,16 +234,14 @@ def _canonical_children(parent, key):
     return found
 
 
-def _orbit(mask, generators, bits):
+def _orbit(mask, generators):
     """The orbit of the subset ``mask`` under the group the permutations
     ``generators`` generate: the closure of {mask} under their images."""
     orbit, frontier = {mask}, [mask]
     while frontier:
         source = frontier.pop()
         for g in generators:
-            image = 0
-            for x in bits(source):
-                image |= 1 << g[x]
+            image = mask_of(g[x] for x in iter_bits(source))
             if image not in orbit:
                 orbit.add(image)
                 frontier.append(image)

@@ -7,7 +7,9 @@ own count, checked before or while they are built.  ``OPENS_LIMIT`` also
 bounds the k x k order rows of a set lattice such as the Scott opens,
 refused before they are built when k * k passes it.  ``CANON_LIMIT``
 bounds the relation-table cells one canonical labelling compares, counted
-while it searches.
+while it searches.  ``EXPRESSION_DEPTH`` bounds the nesting of
+parentheses in a filter expression, which its parser and evaluator
+recurse through.
 
 Each enumerated universe has its own ceiling: posets up to
 ``ENUM_MAX_HARD["posets"]`` elements and lattices, read off the poset
@@ -26,6 +28,7 @@ SUBSET_CAP = 24           # refuse 2^n loops and named carriers beyond this size
 OPENS_LIMIT = 1 << 20     # max number of upper sets tabulated per poset
 DIRECTED_LIMIT = 1 << 16  # max number of directed subsets tabulated per poset
 CANON_LIMIT = 1 << 24     # max relation-table cells compared by one canonical labelling
+EXPRESSION_DEPTH = 100    # max nesting of parentheses in a filter expression
 ENUM_MAX_DEFAULT = 7      # enumeration ceiling of every universe (env-overridable)
 ENUM_MAX_HARD = {"posets": 8, "lattices": 11}
 

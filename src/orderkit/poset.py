@@ -13,28 +13,32 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cached_property
+from itertools import compress
 
 from .errors import CycleError, NotALatticeError, SizeLimitError, UnknownLabelError
 from . import limits
 
 
-# the set-bit indices of every mask of a carrier with at most 8 elements, as
+# the set-bit indices of every byte, and of every byte shifted up by 8, as
 # bytes, which add no objects for the garbage collector to track
 _BYTE_BITS = tuple(bytes(i for i in range(8) if m >> i & 1) for m in range(256))
+_HIGH_BYTE_BITS = tuple(bytes(8 + i for i in row) for row in _BYTE_BITS)
+# the binary digits "0" and "1" as the bytes 0 and 1
+_DIGIT_VALUES = bytes.maketrans(b"01", b"\0\1")
 
 
 def iter_bits(mask):
-    """Indices of the set bits of ``mask``, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _bit_reader(n):
-    """``iter_bits`` for the masks of an n-element carrier; a table lookup,
-    with no generator to resume, when n <= 8."""
-    return _BYTE_BITS.__getitem__ if n <= 8 else iter_bits
+    """Indices of the set bits of the non-negative ``mask``, ascending, as a
+    sequence: bytes below 2^16 and a list above, so not a comparable key.
+    A mask below 256 is a row of the byte table and one below 2^16 a row of
+    each table joined; a wider one selects, in C, the positions of its
+    binary digits that are 1."""
+    if mask < 256:
+        return _BYTE_BITS[mask]
+    if mask < 65536:
+        return _BYTE_BITS[mask & 255] + _HIGH_BYTE_BITS[mask >> 8]
+    digits = format(mask, "b")[::-1].encode().translate(_DIGIT_VALUES)
+    return list(compress(range(len(digits)), digits))
 
 
 def mask_of(indices):
@@ -101,7 +105,7 @@ class FinitePoset:
         pairwise distinct (i <= j <= i makes the rows of i and j equal).
         Only when that fails does the per-pair scan run, to raise the first
         offending pair."""
-        n, up, bits = self.n, self.up, _bit_reader(self.n)
+        n, up = self.n, self.up
         full = (1 << n) - 1
         for i in range(n):
             if up[i] & ~full:
@@ -110,7 +114,7 @@ class FinitePoset:
                 raise ValueError(f"relation not reflexive at {self.labels[i]}")
         for row in up:
             union = 0
-            for j in bits(row):
+            for j in iter_bits(row):
                 union |= up[j]
             if union != row:
                 break
@@ -118,11 +122,11 @@ class FinitePoset:
             if len(set(up)) == n:
                 return
         for i in range(n):
-            for j in bits(up[i] & ~(1 << i)):
+            for j in iter_bits(up[i] & ~(1 << i)):
                 if up[j] >> i & 1:
                     raise CycleError((self.labels[i], self.labels[j]))
                 if up[j] & ~up[i]:
-                    k = next(iter_bits(up[j] & ~up[i]))
+                    k = iter_bits(up[j] & ~up[i])[0]
                     raise ValueError(
                         "relation not transitive: "
                         f"{self.labels[i]} <= {self.labels[j]} <= {self.labels[k]}"
@@ -139,11 +143,11 @@ class FinitePoset:
     @cached_property
     def down(self):
         """Column masks: ``down[j]`` = mask of {i | i <= j}."""
-        n, up, bits = self.n, self.up, _bit_reader(self.n)
+        n, up = self.n, self.up
         cols = [0] * n
         for i in range(n):
             bit = 1 << i
-            for j in bits(up[i]):
+            for j in iter_bits(up[i]):
                 cols[j] |= bit
         return tuple(cols)
 
@@ -327,11 +331,11 @@ class FinitePoset:
     def cover_rows(self):
         """``cover_rows[i]`` masks the elements covering i: those strictly
         above i and not strictly above anything strictly above i."""
-        strict_up, bits = self._strict_up, _bit_reader(self.n)
+        strict_up = self._strict_up
         rows = []
         for row in strict_up:
             above = 0
-            for j in bits(row):
+            for j in iter_bits(row):
                 above |= strict_up[j]
             rows.append(row & ~above)
         return tuple(rows)
@@ -365,11 +369,10 @@ class FinitePoset:
         """Each element's ``degree_signature``: the first colors of
         ``_refined_ranks``."""
         strict_up, covers_up = self._strict_up, self.cover_rows
-        bits = _bit_reader(self.n)
         strict_down = [col & ~(1 << i) for i, col in enumerate(self.down)]
         covers_down = [0] * self.n
         for i, row in enumerate(covers_up):
-            for j in bits(row):
+            for j in iter_bits(row):
                 covers_down[j] |= 1 << i
         return tuple(map(degree_signature, strict_down, strict_up, covers_down, covers_up))
 
@@ -384,9 +387,8 @@ class FinitePoset:
         ranks, classes = self._intern(self._degree_signatures)
         if classes == n:
             return tuple(ranks)
-        bits = _bit_reader(n)
-        below = [tuple(bits(col & ~(1 << i))) for i, col in enumerate(self.down)]
-        above = [tuple(bits(row)) for row in self._strict_up]
+        below = [iter_bits(col & ~(1 << i)) for i, col in enumerate(self.down)]
+        above = [iter_bits(row) for row in self._strict_up]
         while True:
             color = ranks.__getitem__
             sig = [
@@ -463,22 +465,16 @@ class FinitePoset:
             by_rank.setdefault(ranks[i], []).append(i)
         classes = [by_rank[r] for r in sorted(ranks)]
         up, down = self.up, self.down
-        # the bit of each placed element maps to its weight 2^(n-1-p) at
-        # position p; stale entries of unplaced elements are masked off
-        weight = {}
+        # the weight 2^(n-1-p) of each element placed at position p; stale
+        # entries of unplaced elements are masked off
+        weight = [0] * n
 
         def chunk(e, used):
             below = above = 0
-            mask = down[e] & used
-            while mask:
-                low = mask & -mask
-                below |= weight[low]
-                mask ^= low
-            mask = up[e] & used
-            while mask:
-                low = mask & -mask
-                above |= weight[low]
-                mask ^= low
+            for x in iter_bits(down[e] & used):
+                below |= weight[x]
+            for x in iter_bits(up[e] & used):
+                above |= weight[x]
             return below << n | above
 
         cells, limit = 0, limits.CANON_LIMIT
@@ -512,10 +508,7 @@ class FinitePoset:
             gens = [g for g in autos if all(g[p] == p for p in prefix)]
             orbit = frontier = done
             while frontier and not orbit >> e & 1:
-                image = 0
-                for x in iter_bits(frontier):
-                    for g in gens:
-                        image |= 1 << g[x]
+                image = mask_of(g[x] for x in iter_bits(frontier) for g in gens)
                 frontier = image & ~orbit
                 orbit |= frontier
             return orbit >> e & 1
@@ -559,7 +552,7 @@ class FinitePoset:
             order.append(e)
             chunks.append(least)
             used |= 1 << e
-            weight[1 << e] = 1 << (n - 1 - k)
+            weight[e] = 1 << (n - 1 - k)
             child = node(k + 1, used, ahead)
             if child is None:
                 used ^= 1 << order.pop()
@@ -571,14 +564,13 @@ class FinitePoset:
     def canonical_key(self):
         """Hashable structure invariant: equal keys iff isomorphic posets."""
         order = self._canonical_order
-        bits = _bit_reader(self.n)
         bit = [0] * self.n
         for new, old in enumerate(order):
             bit[old] = 1 << new
         rows = []
         for old in order:
             row = 0
-            for j in bits(self.up[old]):
+            for j in iter_bits(self.up[old]):
                 row |= bit[j]
             rows.append(row)
         return tuple(rows)

@@ -23,7 +23,7 @@ from itertools import combinations_with_replacement, product
 from operator import and_
 
 from . import limits
-from .poset import FiniteLattice, FinitePoset, Verdict, Witness, _bit_reader, iter_bits, mask_of
+from .poset import FiniteLattice, FinitePoset, Verdict, Witness, iter_bits, mask_of
 from .relations import fin_family, prec, way_below, way_way_below
 from .scott import scott_closure
 
@@ -105,13 +105,13 @@ def _first_violation(L, subsets, dual=False):
     P = L.base
     up, down = (P.up, L._up_index), (P.down, L._down_index)
     (outer, outer_index), (inner, inner_index) = (down, up) if dual else (up, down)
-    bits, full = _bit_reader(L.n), P.full_mask
+    full = P.full_mask
     for x in range(L.n):
         r = outer[x]
         row = [outer_index[r & s] for s in outer]
         for smask in subsets:
             folded = pointwise = full
-            for s in bits(smask):
+            for s in iter_bits(smask):
                 folded &= inner[s]
                 pointwise &= inner[row[s]]
             lhs = row[inner_index[folded]]
@@ -230,7 +230,7 @@ def is_completely_distributive_oracle(L: FiniteLattice, family_bound=3) -> Verdi
     P = L.base
     n = L.n
     limits.check_subset_cap(n, "family enumeration for complete distributivity")
-    subsets = [tuple(iter_bits(m)) for m in range(1, 1 << n)]
+    subsets = [iter_bits(m) for m in range(1, 1 << n)]
     for k in range(1, family_bound + 1):
         for family in combinations_with_replacement(subsets, k):
             lhs = L.meet_mask(mask_of(L.join_mask(mask_of(js)) for js in family))

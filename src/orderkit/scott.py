@@ -11,7 +11,7 @@ from collections import namedtuple
 
 from . import limits
 from .errors import InputError
-from .poset import FiniteLattice, FinitePoset, _bit_reader
+from .poset import FiniteLattice, FinitePoset, iter_bits
 
 
 def is_scott_open(P: FinitePoset, mask: int, mode="definitional") -> bool:
@@ -69,24 +69,23 @@ def _lattice_of_set_family(P, masks, name):
     """
     k = len(masks)
     limits.check_limit(k * k, "set-lattice table", limits.OPENS_LIMIT)
-    bits = _bit_reader(P.n)
-    labels = tuple("{" + ",".join([P.labels[e] for e in bits(m)]) + "}" for m in masks)
+    labels = tuple("{" + ",".join([P.labels[e] for e in iter_bits(m)]) + "}" for m in masks)
     if len(set(labels)) != k:
         clash = next(lab for i, lab in enumerate(labels) if lab in labels[:i])
         raise InputError(f"{name} has two members labelled {clash}")
     index = {m: i for i, m in enumerate(masks)}
     containing = [0] * P.n
     for i, m in enumerate(masks):
-        for e in bits(m):
+        for e in iter_bits(m):
             containing[e] |= 1 << i
     full = (1 << k) - 1
     up, down, covers = [], [], []
     for m in masks:
         row = full
-        for e in bits(m):
+        for e in iter_bits(m):
             row &= containing[e]
         outside = cover = 0
-        for e in bits(P.full_mask ^ m):
+        for e in iter_bits(P.full_mask ^ m):
             outside |= containing[e]
             j = index.get(m | 1 << e)
             if j is not None:

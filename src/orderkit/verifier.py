@@ -29,7 +29,7 @@ from . import limits, properties
 from .errors import NotALatticeError, ParseError
 from .files import emit
 from .generators import check_ceiling, enumerate_lattices, enumerate_posets
-from .poset import FiniteLattice, Verdict, Witness, _bit_reader, iter_bits, mask_of
+from .poset import FiniteLattice, Verdict, Witness, iter_bits, mask_of
 from .scott import scott_closed_lattice, scott_opens
 
 
@@ -45,35 +45,37 @@ def lemma31_check(L: FiniteLattice, mode="fast") -> Verdict:
     meet of P minus D, and the meet of P minus (down m) falls as m rises,
     so the right side is the join over the maximal elements of M, which
     are those of D.  Fast mode therefore tests M = max(D) for each down set
-    D, walking the cached upper sets, and reads the left sides, their
-    meets, from ``L.upper_meets``.  The witness is the failing max(D) of
+    D, walking the cached upper sets once for both the set identity and the
+    equation, and reads the left sides, their meets, from
+    ``L.upper_meets``.  The witness is the failing max(D) of
     least mask, which is the first failing M in mask order, since every M
     with down set D contains max(D).  The oracle tries all 2^n subsets.
     """
-    identity = downset_complement_identity(L, mode)
+    P = L.base
+    if mode == "fast":
+        tops = tuple(_maximal_of_downsets(P))
+        identity = _set_identity(P, sorted(tops))
+    else:
+        identity = downset_complement_identity(L, mode)
     if not identity.holds:
         return identity
-    P = L.base
     full = P.full_mask
     first = None  # (mask of M, lhs, rhs) of the first failing M
     if mode == "fast":
         singles = [L.meet_mask(full ^ d) for d in P.down]
-        bits = _bit_reader(L.n)
-        for top, lhs in zip(_maximal_of_downsets(P), L.upper_meets):
+        for top, lhs in zip(tops, L.upper_meets):
             if first is not None and top > first[0]:
                 continue
-            rhs = L.join_mask(mask_of(singles[m] for m in bits(top)))
+            rhs = L.join_mask(mask_of(singles[m] for m in iter_bits(top)))
             if lhs != rhs:
                 first = (top, lhs, rhs)
-    elif mode == "oracle":
+    else:
         for mmask in range(1 << L.n):
             lhs = L.meet_mask(full ^ P.down_closure_mask(mmask))
             rhs = L.join_mask(mask_of(L.meet_mask(full ^ P.down[m]) for m in iter_bits(mmask)))
             if lhs != rhs:
                 first = (mmask, lhs, rhs)
                 break
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
     if first is None:
         return Verdict(True)
     mmask, lhs, rhs = first
@@ -88,19 +90,21 @@ def downset_complement_identity(L: FiniteLattice, mode="fast") -> Verdict:
     change neither side, so the identity fails at M exactly when it fails
     at max(M), whose mask is no larger, and the failing antichain of least
     mask is the oracle's first witness."""
-    P = L.base
-    full = P.full_mask
     if mode == "fast":
-        subsets = sorted(_maximal_of_downsets(P))
-    elif mode == "oracle":
+        return _set_identity(L.base, sorted(_maximal_of_downsets(L.base)))
+    if mode == "oracle":
         limits.check_subset_cap(L.n, "subset enumeration for the set identity")
-        subsets = range(1 << L.n)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    bits = _bit_reader(L.n)
+        return _set_identity(L.base, range(1 << L.n))
+    raise ValueError(f"unknown mode {mode!r}")
+
+
+def _set_identity(P, subsets):
+    """The set identity on each mask of ``subsets``, in their order; the
+    first failing one is the witness."""
+    full = P.full_mask
     for mmask in subsets:
         inter = full
-        for m in bits(mmask):
+        for m in iter_bits(mmask):
             inter &= full ^ P.down[m]
         if inter != full ^ P.down_closure_mask(mmask):
             w = Witness(subsets=(P.labels_of(mmask),), note="set identity mismatch")
@@ -111,11 +115,11 @@ def downset_complement_identity(L: FiniteLattice, mode="fast") -> Verdict:
 def _maximal_of_downsets(P):
     """max D for every down set D of P, the complement of a cached upper
     set, in the order of ``P.upper_masks()``."""
-    full, bits = P.full_mask, _bit_reader(P.n)
+    full = P.full_mask
     for u in P.upper_masks():
         d = full ^ u
         below = 0  # elements strictly below a member of D
-        for m in bits(d):
+        for m in iter_bits(d):
             below |= P.down[m] ^ 1 << m
         yield d & ~below
 
@@ -383,6 +387,7 @@ _TOKEN_RE = re.compile(r"\s*(?:([a-z_]+)|([!&|()]))")
 
 
 def _tokenize(text):
+    """(kind, value, column) of each token, then an end token."""
     tokens = []
     pos = 0
     while pos < len(text):
@@ -394,74 +399,75 @@ def _tokenize(text):
             if name not in EXPRESSION_NAMES:
                 raise ParseError(f"unknown predicate name {name!r}",
                                  column=m.start(1) + 1)
-            tokens.append(("name", name))
+            tokens.append(("name", name, m.start(1) + 1))
         else:
-            tokens.append(("sym", sym))
+            tokens.append(("sym", sym, m.start(2) + 1))
         pos = m.end()
-    tokens.append(("end", ""))
+    tokens.append(("end", "", len(text) + 1))
     return tokens
 
 
 def compile_expression(text: str):
     """Compile a boolean combination of predicate names (operators !, &, |
-    and parentheses) into a function of an instance profile."""
+    and parentheses) into a function of an instance profile.
+
+    A chain of one binary operator is one node, evaluated by ``all`` or
+    ``any``, and a run of ! keeps only its parity, so the parser and the
+    evaluator recurse once per level of parentheses, which may nest at
+    most ``limits.EXPRESSION_DEPTH`` deep."""
     tokens = _tokenize(text)
     pos = 0
-
-    def peek():
-        return tokens[pos]
 
     def take(kind, value=None):
         nonlocal pos
         t = tokens[pos]
         if t[0] != kind or (value is not None and t[1] != value):
-            raise ParseError(f"expected {value or kind}, found {t[1] or 'end of input'!r}")
+            raise ParseError(f"expected {value or kind}, found {t[1] or 'end of input'!r}",
+                             column=t[2])
         pos += 1
-        return t
 
-    def parse_or():
-        node = parse_and()
-        while peek() == ("sym", "|"):
-            take("sym", "|")
-            rhs = parse_and()
-            node = ("or", node, rhs)
-        return node
+    def parse_chain(depth, sym):
+        # a chain of | over & chains, or of & over negations
+        nodes = []
+        while True:
+            nodes.append(parse_chain(depth, "&") if sym == "|" else parse_not(depth))
+            if tokens[pos][:2] != ("sym", sym):
+                return nodes[0] if len(nodes) == 1 else (sym, nodes)
+            take("sym", sym)
 
-    def parse_and():
-        node = parse_not()
-        while peek() == ("sym", "&"):
-            take("sym", "&")
-            rhs = parse_not()
-            node = ("and", node, rhs)
-        return node
-
-    def parse_not():
-        if peek() == ("sym", "!"):
+    def parse_not(depth):
+        negate = False
+        while tokens[pos][:2] == ("sym", "!"):
             take("sym", "!")
-            return ("not", parse_not())
-        if peek() == ("sym", "("):
+            negate = not negate
+        kind, value, column = tokens[pos]
+        if (kind, value) == ("sym", "("):
+            if depth == limits.EXPRESSION_DEPTH:
+                raise ParseError("parentheses nested more than "
+                                 f"{limits.EXPRESSION_DEPTH} deep", column=column)
             take("sym", "(")
-            node = parse_or()
+            node = parse_chain(depth + 1, "|")
             take("sym", ")")
-            return node
-        kind, value = peek()
-        if kind != "name":
-            raise ParseError(f"expected a predicate name, found {value or 'end of input'!r}")
-        take("name")
-        return ("name", value)
+        elif kind == "name":
+            take("name")
+            node = ("name", value)
+        else:
+            raise ParseError(f"expected a predicate name, found {value or 'end of input'!r}",
+                             column=column)
+        return ("!", node) if negate else node
 
-    tree = parse_or()
+    tree = parse_chain(0, "|")
     take("end")
 
     def evaluate(profile, node=tree):
-        op = node[0]
+        op, arg = node
         if op == "name":
-            return profile.value(node[1])
-        if op == "not":
-            return not evaluate(profile, node[1])
-        if op == "and":
-            return evaluate(profile, node[1]) and evaluate(profile, node[2])
-        return evaluate(profile, node[1]) or evaluate(profile, node[2])
+            return profile.value(arg)
+        if op == "!":
+            return not evaluate(profile, arg)
+        if op == "&":
+            return all(evaluate(profile, child) for child in arg)
+        return any(evaluate(profile, child) for child in arg)
 
     return evaluate
 

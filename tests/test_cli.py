@@ -168,6 +168,18 @@ def test_enumerate_filter_parse_error():
     assert main(["enumerate", "--n", "3", "--filter", "lattice &"]) == 2
 
 
+def test_enumerate_filter_long_or_deep(capsys):
+    # a long chain or a long run of ! evaluates without deep recursion;
+    # parentheses past limits.EXPRESSION_DEPTH are an input error
+    for text in (" & ".join(["lattice"] * 3000), "!" * 3000 + "lattice"):
+        assert main(["enumerate", "--n", "2", "--filter", text]) == 0
+        assert capsys.readouterr().out.strip() == "1"
+    nested = "(" * 3000 + "lattice" + ")" * 3000
+    assert main(["enumerate", "--n", "2", "--filter", nested]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "column 101" in err
+
+
 def test_enumerate_emit(tmp_path, capsys):
     assert main(["enumerate", "--n", "3", "--emit", str(tmp_path)]) == 0
     capsys.readouterr()

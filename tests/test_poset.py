@@ -15,7 +15,7 @@ from orderkit import (
     limits,
 )
 from orderkit.generators import GenSpec, default_labels, enumerate_posets, named, random_poset
-from orderkit.poset import FinitePoset, _bit_reader, _closure_rows, iter_bits, mask_of, set_order
+from orderkit.poset import FinitePoset, _closure_rows, iter_bits, mask_of, set_order
 from orderkit.scott import scott_closed_lattice, scott_opens
 
 
@@ -538,7 +538,10 @@ def test_relabeling_keeps_canonical_key(n, seed):
 def test_mask_helpers():
     assert mask_of([0, 3]) == 0b1001
     assert list(iter_bits(0b1010)) == [1, 3]
-    # carriers of at most 8 elements read the bits of their masks from a table
-    for mask in range(256):
-        assert list(_bit_reader(8)(mask)) == [i for i in range(8) if mask >> i & 1]
-    assert _bit_reader(9) is iter_bits
+    # one walk at every width, below and past each of its shortcuts
+    wide = [(1 << 16) - 1, 1 << 16, 1 << 300 | 1 << 64 | 0b1011 << 7, (1 << 1000) - 1]
+    for mask in [*range(1 << 10), *wide]:
+        bits = iter_bits(mask)
+        assert list(bits) == [i for i in range(mask.bit_length()) if mask >> i & 1]
+        if mask:
+            assert bits[0] == (mask & -mask).bit_length() - 1

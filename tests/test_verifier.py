@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from orderkit import ParseError, properties, verifier
+from orderkit import ParseError, limits, properties, verifier
 from orderkit.generators import enumerate_lattices, named
 from orderkit.poset import FinitePoset
 from orderkit.properties import is_join_continuous
@@ -97,6 +97,21 @@ def test_set_identity_routes_report_a_fault_alike(monkeypatch, lattices_upto_7):
                 assert lemma31_check(L) == v  # reported before the equation
                 failing += 1
     assert failing == 71
+
+
+def test_lemma31_walks_down_sets_once(monkeypatch, lattices_upto_6):
+    # fast mode finds max(D) for every down set D in one walk, which the set
+    # identity and the equation share
+    calls = []
+    walk = verifier._maximal_of_downsets
+    monkeypatch.setattr(verifier, "_maximal_of_downsets",
+                        lambda P: calls.append(P) or walk(P))
+    checks = 0
+    for batch in lattices_upto_6.values():
+        for L in batch:
+            lemma31_check(L)
+            checks += 1
+    assert len(calls) == checks
 
 
 def test_downset_routes_reject_unknown_mode(m3):
@@ -228,6 +243,23 @@ def test_expression_parser():
         compile_expression("lattice & 3")
     with pytest.raises(ParseError):
         compile_expression("(lattice")
+
+
+def test_expression_chains_and_nesting():
+    # chains and runs of ! are flat; parentheses nest up to a fixed depth
+    prof = InstanceProfile(named("M3"))
+    assert compile_expression(" & ".join(["lattice"] * 3000))(prof) is True
+    assert compile_expression("!" * 3000 + "lattice")(prof) is True
+    assert compile_expression("!" * 3001 + "lattice")(prof) is False
+    deep = "lattice"
+    for _ in range(limits.EXPRESSION_DEPTH - 1):
+        deep = f"!(frame | lattice & {deep})"
+    assert compile_expression(f"({deep})")(prof) is False
+    # one more level: the error names the column of the innermost (
+    text = f"(({deep}))"
+    with pytest.raises(ParseError, match="parentheses nested") as info:
+        compile_expression(text)
+    assert info.value.column == text.rindex("(") + 1
 
 
 def test_profile_on_non_lattice():

@@ -116,22 +116,21 @@ def cmd_dual(args):
 
 
 def cmd_enumerate(args):
-    from .generators import enumerate_lattices, enumerate_posets
+    from .generators import check_ceiling, enumerate_lattices, enumerate_posets
 
     evaluate = verifier.compile_expression(args.filter) if args.filter else None
+    if args.emit:
+        check_ceiling(args.kind, args.n)  # a refused size makes no directory
+        out_dir = Path(args.emit)
+        out_dir.mkdir(parents=True, exist_ok=True)
     count = 0
-    emitted = []
     stream = enumerate_lattices(args.n) if args.kind == "lattices" else enumerate_posets(args.n)
     for obj in stream:
         if evaluate is not None and not evaluate(verifier.InstanceProfile(obj)):
             continue
         count += 1
         if args.emit:
-            emitted.append(obj.base if hasattr(obj, "base") else obj)
-    if args.emit:
-        out_dir = Path(args.emit)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for P in emitted:
+            P = obj.base if hasattr(obj, "base") else obj
             _write_out(files.emit(P), out_dir / f"{P.name}.poset")
     _write_out(f"{count}\n")
     return EXIT_PASS

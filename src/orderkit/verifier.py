@@ -24,6 +24,7 @@ import time
 from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from functools import cached_property, partial
+from itertools import islice
 
 from . import limits, properties
 from .errors import NotALatticeError, ParseError
@@ -300,6 +301,8 @@ SUITES = {
 
 SUITE_ORDER = tuple(SUITES)
 
+_BATCH = 1024  # instances handed to the worker pool at a time
+
 
 def _stream(kind, max_n):
     """The enumerated universe of one kind, n = 1..max_n, in order."""
@@ -309,44 +312,39 @@ def _stream(kind, max_n):
 
 
 def _check_instance(names, instance):
-    """(status, verdict, seconds) of each named suite on one instance; the
-    suites share one profile, which is dropped on return."""
+    """(status, CheckRecord or None on a pass, seconds) of each named suite on
+    one instance; the suites share one profile, which is dropped on return."""
     profile = InstanceProfile(instance)
+    P = profile.poset
     out = []
     for name in names:
         started = time.perf_counter()
         status, verdict = SUITES[name][1](profile)
-        out.append((status, verdict, time.perf_counter() - started))
+        spent = time.perf_counter() - started
+        record = None if status == "pass" else CheckRecord(P.name, P.n, emit(P), verdict)
+        out.append((status, record, spent))
     return out
 
 
-def _suite_report(name, universe, instances, outcomes):
-    failures = []
-    expected = []
-    for obj, (status, verdict, _) in zip(instances, outcomes):
-        if status == "pass":
-            continue
-        P = obj.base if isinstance(obj, FiniteLattice) else obj
-        rec = CheckRecord(P.name, P.n, emit(P), verdict)
-        (failures if status == "fail" else expected).append(rec)
-    return SuiteReport(
-        suite=name,
-        universe=universe,
-        instances=len(instances),
-        failures=tuple(failures),
-        expected_failures=tuple(expected),
-        trivialized=SUITES[name][2],
-        wall_time=sum(spent for _, _, spent in outcomes),
-    )
+def _outcomes(check, stream, jobs):
+    """``check`` of each instance of ``stream``, in order.  A pool takes the
+    stream a batch at a time: its ``map`` would submit all of it at once."""
+    if jobs == 1:
+        yield from map(check, stream)
+        return
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        while batch := list(islice(stream, _BATCH)):
+            yield from pool.map(check, batch, chunksize=8)
 
 
 def run_suites(names, max_n: int, jobs: int = 1) -> list:
     """Run the named suites up to max_n, one report per name in the order
-    given.  Each universe kind is enumerated once, and every requested
-    suite on it checks one instance before the next.  The reports are
-    deterministic and independent of the worker count, which is clamped
-    to the number of CPUs.  Every universe asked for is checked against
-    its ceiling before any is enumerated."""
+    given.  Each universe kind is enumerated once, every requested suite
+    checks one instance before the next, and the outcomes are folded into
+    the reports as they arrive, so no instance outlives its checks.  The
+    reports are deterministic and independent of the worker count, which
+    is clamped to the number of CPUs.  Every universe asked for is checked
+    against its ceiling before any is enumerated."""
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}")
@@ -361,16 +359,19 @@ def run_suites(names, max_n: int, jobs: int = 1) -> list:
             kinds[kind] = wanted
     reports = {}
     for kind, wanted in kinds.items():
-        instances = list(_stream(kind, max_n))
-        check = partial(_check_instance, wanted)
-        if jobs > 1 and len(instances) > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                outcomes = list(pool.map(check, instances, chunksize=8))
-        else:
-            outcomes = [check(obj) for obj in instances]
-        for i, name in enumerate(wanted):
-            column = [row[i] for row in outcomes]
-            reports[name] = _suite_report(name, f"{kind} n=1..{max_n}", instances, column)
+        count = 0
+        records = {name: {"fail": [], "expected": []} for name in wanted}
+        spent = dict.fromkeys(wanted, 0)
+        for outcome in _outcomes(partial(_check_instance, wanted), _stream(kind, max_n), jobs):
+            count += 1
+            for name, (status, record, seconds) in zip(wanted, outcome):
+                if record is not None:
+                    records[name][status].append(record)
+                spent[name] += seconds
+        for name in wanted:
+            found = records[name]
+            reports[name] = SuiteReport(name, f"{kind} n=1..{max_n}", count, tuple(found["fail"]),
+                                        tuple(found["expected"]), SUITES[name][2], spent[name])
     return [reports[name] for name in names]
 
 
@@ -383,25 +384,25 @@ def run_suite(which: str, max_n: int, jobs: int = 1) -> SuiteReport:
 
 EXPRESSION_NAMES = properties.PREDICATE_NAMES + ("lattice",)
 
-_TOKEN_RE = re.compile(r"\s*(?:([a-z_]+)|([!&|()]))")
+_SPACE_RE = re.compile(r"\s*")
+_TOKEN_RE = re.compile(r"(?:([a-z_]+)|([!&|()]))\s*")
 
 
 def _tokenize(text):
     """(kind, value, column) of each token, then an end token."""
     tokens = []
-    pos = 0
+    pos = _SPACE_RE.match(text).end()
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
+        if m is None:
             raise ParseError(f"unexpected character {text[pos]!r}", column=pos + 1)
-        name, sym = m.group(1), m.group(2)
-        if name is not None:
-            if name not in EXPRESSION_NAMES:
-                raise ParseError(f"unknown predicate name {name!r}",
-                                 column=m.start(1) + 1)
-            tokens.append(("name", name, m.start(1) + 1))
+        name, sym = m.groups()
+        if name is None:
+            tokens.append(("sym", sym, pos + 1))
+        elif name not in EXPRESSION_NAMES:
+            raise ParseError(f"unknown predicate name {name!r}", column=pos + 1)
         else:
-            tokens.append(("sym", sym, m.start(2) + 1))
+            tokens.append(("name", name, pos + 1))
         pos = m.end()
     tokens.append(("end", "", len(text) + 1))
     return tokens

@@ -164,14 +164,23 @@ def test_enumerate_filter(capsys):
     assert capsys.readouterr().out.strip() == "2"
 
 
-def test_enumerate_filter_parse_error():
+def test_enumerate_filter_parse_error(capsys):
     assert main(["enumerate", "--n", "3", "--filter", "lattice &"]) == 2
+    capsys.readouterr()
+    # the error names the offending token's column, past any whitespace
+    for text, message in (
+        ("lattice & 3", "column 11: unexpected character '3'"),
+        ("   ", "column 4: expected a predicate name, found 'end of input'"),
+    ):
+        assert main(["enumerate", "--n", "2", "--filter", text]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_enumerate_filter_long_or_deep(capsys):
     # a long chain or a long run of ! evaluates without deep recursion;
     # parentheses past limits.EXPRESSION_DEPTH are an input error
-    for text in (" & ".join(["lattice"] * 3000), "!" * 3000 + "lattice"):
+    for text in (" & ".join(["lattice"] * 3000), "!" * 3000 + "lattice", "lattice ",
+                 " ( lattice ) "):
         assert main(["enumerate", "--n", "2", "--filter", text]) == 0
         assert capsys.readouterr().out.strip() == "1"
     nested = "(" * 3000 + "lattice" + ")" * 3000
@@ -180,15 +189,26 @@ def test_enumerate_filter_long_or_deep(capsys):
     assert err.count("\n") == 1 and "column 101" in err
 
 
-def test_enumerate_emit(tmp_path, capsys):
-    assert main(["enumerate", "--n", "3", "--emit", str(tmp_path)]) == 0
+def test_enumerate_emit(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "out"
+    assert main(["enumerate", "--n", "3", "--emit", str(out)]) == 0
     capsys.readouterr()
-    files = sorted(tmp_path.glob("*.poset"))
-    assert len(files) == 5
+    files = sorted(out.glob("*.poset"))
+    assert [f.name for f in files] == [f"P3.{k}.poset" for k in range(5)]
     from orderkit.files import parse
 
     seen = {parse(f.read_text()).canonical_key() for f in files}
     assert len(seen) == 5
+    # no match still makes the directory; a refused size makes none
+    empty = tmp_path / "empty"
+    assert main(["enumerate", "--n", "3", "--filter", "lattice & !distributive",
+                 "--emit", str(empty)]) == 0
+    assert capsys.readouterr().out == "0\n"
+    assert empty.is_dir() and not any(empty.iterdir())
+    monkeypatch.delenv("ORDERKIT_MAX_N", raising=False)
+    refused = tmp_path / "refused"
+    assert main(["enumerate", "--n", "9", "--emit", str(refused)]) == 3
+    assert not refused.exists()
 
 
 def test_verify_full_exit(capsys):

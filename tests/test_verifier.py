@@ -1,3 +1,5 @@
+import gc
+import weakref
 from collections import Counter
 
 import pytest
@@ -198,11 +200,37 @@ def test_run_suite_lemma31_expected_failures():
     assert any(P.is_isomorphic(named("N5")) for P in parsed)
 
 
-def test_run_suite_jobs_deterministic():
+def test_run_suite_jobs_deterministic(monkeypatch):
     seq = run_suite("chains", 4, jobs=1)
     par = run_suite("chains", 4, jobs=2)
     assert seq.failures == par.failures
     assert seq.instances == par.instances
+    # batches of 7 instances: several per universe, the last one ragged
+    monkeypatch.setattr(verifier, "_BATCH", 7)
+    reports = [[r._replace(wall_time=0) for r in run_suites(SUITE_ORDER, 6, jobs=jobs)]
+               for jobs in (1, 2)]
+    assert reports[0] == reports[1]
+    assert [r.instances for r in reports[0]] == [25, 25, 405, 405, 405, 405, 25, 25]
+
+
+def test_run_suites_streams(monkeypatch):
+    # an instance is dropped once its outcome is folded in: when instance k
+    # is yielded, none before k - 1 is alive
+    refs = []
+    dead_before = []
+
+    def stream(kind, max_n):
+        for k in range(6):
+            gc.collect()
+            dead_before.append(all(ref() is None for ref in refs[:k - 1]))
+            P = named(f"chain({k + 1})")
+            refs.append(weakref.ref(P))
+            yield P
+
+    monkeypatch.setattr(verifier, "_stream", stream)
+    (report,) = run_suites(("thm34",), 6)
+    assert report.instances == 6 and report.passed
+    assert dead_before == [True] * 6
 
 
 def test_run_suite_unknown():

@@ -32,7 +32,7 @@ from .properties import (
     supinf_hyper_rhs,
     supinf_prime_rhs,
 )
-from .generators import GenSpec, enumerate_lattices, enumerate_posets, named, random_poset
+from .generators import enumerate_lattices, enumerate_posets, named, random_poset
 from .verifier import (
     SuiteReport,
     chain_check,
@@ -63,7 +63,7 @@ __all__ = [
     "is_hypercontinuous", "is_prime_continuous", "is_distributive",
     "is_completely_distributive_oracle",
     "supinf_continuous_rhs", "supinf_hyper_rhs", "supinf_prime_rhs",
-    "GenSpec", "named", "enumerate_posets", "enumerate_lattices", "random_poset",
+    "named", "enumerate_posets", "enumerate_lattices", "random_poset",
     "SuiteReport", "lemma31_check", "thm32_check", "thm34_check", "thm21_check",
     "thm23_check", "thm25_check", "chain_check", "characterization_check",
     "run_suite", "run_suites", "search",

@@ -7,6 +7,7 @@ Exit codes: 0 pass, 1 predicate or suite failure, 2 input error,
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import re
 import sys
@@ -51,6 +52,19 @@ def _write_out(text, out=None):
         sys.stdout.buffer.write(text.encode("utf-8"))
 
 
+def _write_json(payload):
+    """Write ``payload`` as indented JSON to stdout, UTF-8 as ``_write_out``
+    does, in pieces as it is encoded: a report can be tens of megabytes,
+    and neither the whole text nor its bytes are held."""
+    sys.stdout.flush()
+    out = io.TextIOWrapper(sys.stdout.buffer, encoding="utf-8", newline="\n")
+    try:
+        json.dump(payload, out, indent=2, sort_keys=True)
+        out.write("\n")
+    finally:
+        out.detach()  # flushes, and leaves stdout open
+
+
 def _check_report(P, names):
     report = {"name": P.name, "n": P.n, "properties": {}, "witnesses": {}}
     profile = verifier.InstanceProfile(P)
@@ -91,7 +105,7 @@ def cmd_check(args):
             raise InputError(f"--properties {args.properties!r} names no property")
     report = _check_report(P, names)
     if args.json:
-        _write_out(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        _write_json(report)
     else:
         lines = [f"poset {P.name or '<unnamed>'} (n={P.n})"]
         for prop in names:
@@ -177,7 +191,7 @@ def cmd_verify(args):
             "max_n": args.max_n,
             "suites": [_suite_dict(r, args.deterministic) for r in reports],
         }
-        _write_out(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _write_json(payload)
     else:
         lines = []
         for r in reports:

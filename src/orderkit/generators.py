@@ -23,29 +23,11 @@ from __future__ import annotations
 
 import random
 import re
-from collections import namedtuple
 from functools import lru_cache
 
 from . import limits
 from .errors import NotALatticeError, SizeLimitError, UnknownNameError
 from .poset import FinitePoset, _closure_rows, degree_signature, iter_bits, mask_of
-
-
-class GenSpec(namedtuple("GenSpec", "n kind seed density")):
-    """Parameters of a generated universe or a single random draw; ``kind``
-    is posets, lattices or random."""
-
-    __slots__ = ()
-
-    def __new__(cls, n, kind="posets", seed=0, density=None):
-        if kind not in ("posets", "lattices", "random"):
-            raise ValueError(f"unknown kind {kind!r}")
-        limits.check_count(n, "n", 1 if kind == "lattices" else 0)
-        if density is not None and kind != "random":
-            raise ValueError("density applies to random generation only")
-        if density is not None and not 0 <= density <= 1:
-            raise ValueError(f"density must lie in [0, 1], got {density}")
-        return super().__new__(cls, n, kind, seed, density)
 
 
 @lru_cache(maxsize=32)
@@ -306,21 +288,19 @@ def enumerate_lattices(n: int):
         yield FinitePoset._trusted(default_labels(n), key, f"L{n}.{k}").as_lattice()
 
 
-def random_poset(spec: GenSpec) -> FinitePoset:
+def random_poset(n: int, *, seed=0, density=0.0) -> FinitePoset:
     """Random poset from a shuffled linear extension: each forward pair is
     related with probability ``density``, then closed transitively.  A pure
     function of (n, seed, density)."""
-    if spec.kind != "random":
-        raise ValueError("random_poset needs kind='random'")
-    density = 0.0 if spec.density is None else spec.density
-    rng = random.Random(spec.seed)
-    order = list(range(spec.n))
+    limits.check_count(n, "n", 0)
+    if not 0 <= density <= 1:
+        raise ValueError(f"density must lie in [0, 1], got {density}")
+    rng = random.Random(seed)
+    order = list(range(n))
     rng.shuffle(order)
-    rows = [1 << i for i in range(spec.n)]
-    for a in range(spec.n):
-        for b in range(a + 1, spec.n):
+    rows = [1 << i for i in range(n)]
+    for a in range(n):
+        for b in range(a + 1, n):
             if rng.random() < density:
                 rows[order[a]] |= 1 << order[b]
-    return FinitePoset(
-        default_labels(spec.n), _closure_rows(spec.n, rows), name=f"R{spec.n}.{spec.seed}"
-    )
+    return FinitePoset(default_labels(n), _closure_rows(n, rows), name=f"R{n}.{seed}")

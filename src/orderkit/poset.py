@@ -583,9 +583,6 @@ class FinitePoset:
             (self.labels[old] for old in order), self.canonical_key(), self.name
         )
 
-    def is_canonical(self):
-        return self._canonical_order == tuple(range(self.n))
-
     def is_isomorphic(self, other: "FinitePoset") -> bool:
         if self.n != other.n:
             return False

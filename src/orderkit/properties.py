@@ -28,9 +28,9 @@ from .relations import fin_family, prec, way_below, way_way_below
 from .scott import scott_closure
 
 
-def is_continuous(P: FinitePoset, mode="fast") -> Verdict:
+def is_continuous(P: FinitePoset, *, oracle=False) -> Verdict:
     """Every element is the directed supremum of the elements way-below it."""
-    for x, approx in enumerate(way_below(P, mode)):
+    for x, approx in enumerate(way_below(P, oracle=oracle)):
         if not P.is_directed_mask(approx):
             w = Witness(elements=(P.labels[x],), subsets=(P.labels_of(approx),),
                         note="approximant set not directed")
@@ -140,58 +140,56 @@ def _verdict(L, hit, note=""):
                                   lhs=labels[lhs], rhs=labels[rhs], note=note))
 
 
-def _distributes(L, mode, dual=False):
+def _distributes(L, dual=False, *, oracle=False):
     """x join (meet of S) equals the meet of the x join s, for every subset
     S including the empty one; ``dual`` swaps join and meet.
 
-    Reduced mode is Birkhoff's test: the binary law decides the general
+    The shortcut is Birkhoff's test: the binary law decides the general
     one on a finite carrier, since subset folds are folds of the binary
     operation and the empty case holds in any bounded lattice, and either
     binary law is distributivity.  The scan over the pairs y < z, in
     ascending mask order, runs only when the test fails, to find the first
-    witness.  Definitional mode scans all subsets.
+    witness.  The oracle scans all subsets.
     """
     n = L.n
     note = "evaluated in the order dual" if dual else ""
-    if mode == "reduced":
-        if L.birkhoff_distributive:
-            return Verdict(True)
-        pairs = [1 << y | 1 << z for z in range(n) for y in range(z)]
-        return _verdict(L, _witness(L, pairs, dual), note)
-    if mode == "definitional":
+    if oracle:
         limits.check_subset_cap(n, "subset enumeration for join continuity")
         return _verdict(L, _first_violation(L, range(1 << n), dual), note)
-    raise ValueError(f"unknown mode {mode!r}")
+    if L.birkhoff_distributive:
+        return Verdict(True)
+    pairs = [1 << y | 1 << z for z in range(n) for y in range(z)]
+    return _verdict(L, _witness(L, pairs, dual), note)
 
 
-def is_join_continuous(L: FiniteLattice, mode="reduced") -> Verdict:
+def is_join_continuous(L: FiniteLattice, *, oracle=False) -> Verdict:
     """Joins distribute over arbitrary meets: x join (meet of S) equals the
     meet of the pointwise joins, for every subset S."""
-    return _distributes(L, mode)
+    return _distributes(L, oracle=oracle)
 
 
-def is_frame(L: FiniteLattice, mode="reduced") -> Verdict:
+def is_frame(L: FiniteLattice, *, oracle=False) -> Verdict:
     """Meets distribute over arbitrary joins: the order dual of join
     continuity, checked as that law with the join and meet tables swapped."""
-    return _distributes(L, mode, dual=True)
+    return _distributes(L, dual=True, oracle=oracle)
 
 
-def is_hypercontinuous(L: FiniteLattice, mode="fast") -> Verdict:
+def is_hypercontinuous(L: FiniteLattice, *, oracle=False) -> Verdict:
     """Every element is the join of its predecessors in the upper-set
     interpolation order."""
-    return _joins_predecessors(L, prec(L, mode))
+    return _joins_predecessors(L, prec(L, oracle=oracle))
 
 
-def is_prime_continuous(L: FiniteLattice, mode="closed") -> Verdict:
+def is_prime_continuous(L: FiniteLattice, *, oracle=False) -> Verdict:
     """Every element is the join of the elements way-way-below it."""
-    return _joins_predecessors(L, way_way_below(L, mode))
+    return _joins_predecessors(L, way_way_below(L, oracle=oracle))
 
 
 def _joins_predecessors(L, below):
     """Every y is the join of ``below[y]``, the column of its predecessors.
 
     Each column must be down-closed, as the columns of ``prec`` and
-    ``way_way_below`` are in every mode: then it has the join of its
+    ``way_way_below`` are on both routes: then it has the join of its
     join-irreducibles, since each member is the join of the
     join-irreducibles below it, which the column holds too.  So only those
     are joined; the witness still names the whole column."""
@@ -249,22 +247,20 @@ def supinf_continuous_rhs(L: FiniteLattice, x: int) -> int:
     return L.join_mask(mask_of(m for u, m in zip(uppers, L.upper_meets) if u >> x & 1))
 
 
-def supinf_hyper_rhs(L: FiniteLattice, x: int, mode="fast") -> int:
+def supinf_hyper_rhs(L: FiniteLattice, x: int, *, oracle=False) -> int:
     """Join over finite sets M avoiding x downward of the meet of the
     complement of (down M).
 
     The term reads M only through its down set D, and every down set is
-    the down set of itself, so fast mode loops over the down sets, the
+    the down set of itself, so the shortcut loops over the down sets, the
     complements of the cached upper sets U: x is outside D exactly when x
     lies in U, and the complement of D is U.  That is the sup-inf form of
     continuity, the Scott opens of a finite poset being its upper sets, so
-    fast mode is ``supinf_continuous_rhs``.  The oracle tries all 2^n
+    the shortcut is ``supinf_continuous_rhs``.  The oracle tries all 2^n
     subsets M."""
     P = L.base
-    if mode == "fast":
+    if not oracle:
         return supinf_continuous_rhs(L, x)
-    if mode != "oracle":
-        raise ValueError(f"unknown mode {mode!r}")
     limits.check_subset_cap(L.n, "subset enumeration for the finite-set form")
     downs = (P.down_closure_mask(m) for m in range(1 << L.n))
     return L.join_mask(mask_of(L.meet_mask(P.full_mask ^ d) for d in downs if not d >> x & 1))

@@ -1,9 +1,9 @@
 """Auxiliary order relations, each with a definitional brute-force oracle.
 
 Every relation here quantifies over some family of subsets (directed sets,
-arbitrary subsets, upper sets).  The oracle modes execute those definitions
-literally; the fast/closed modes use finite-carrier collapses, and the two
-must agree everywhere (enforced by the test suite on whole enumeration
+arbitrary subsets, upper sets).  With ``oracle=True`` each executes that
+definition literally; by default it uses a finite-carrier collapse, and the
+two must agree everywhere (enforced by the test suite on whole enumeration
 universes).
 
 A relation R is returned as a tuple of n column masks laid out like
@@ -17,18 +17,16 @@ from . import limits
 from .poset import FiniteLattice, FinitePoset, iter_bits, mask_of, set_order
 
 
-def way_below(P: FinitePoset, mode="fast") -> tuple:
+def way_below(P: FinitePoset, *, oracle=False) -> tuple:
     """x way-below y: every directed set with an existing supremum >= y
     meets the up set of x.
 
     The oracle enumerates all directed subsets.  On a finite carrier every
     directed set contains its supremum, which collapses the relation to the
-    order itself; fast mode returns that.
+    order itself; the shortcut returns that.
     """
-    if mode == "fast":
+    if not oracle:
         return P.down
-    if mode != "oracle":
-        raise ValueError(f"unknown mode {mode!r}")
     cols = [P.full_mask] * P.n
     for dmask, s in P.directed_sets():
         # x meets D upward exactly when x lies in the down closure of D
@@ -53,12 +51,12 @@ def way_below_sets(P: FinitePoset, fmask: int, gmask: int) -> bool:
     return True
 
 
-def fin_family(P: FinitePoset, x: int, mode="fast") -> tuple:
+def fin_family(P: FinitePoset, x: int, *, oracle=False) -> tuple:
     """The distinct up sets, as masks in ``set_order``, of all nonempty
     finite subsets F with F approximating {x} (set way-below, singleton on
     the right).
 
-    The oracle tries every nonempty F.  Fast mode lists upper sets instead:
+    The oracle tries every nonempty F.  The shortcut lists upper sets instead:
     approximation reads F only through its up set, and every nonempty upper
     set is the up set of its minimal elements.  A directed set meets an
     upper set U exactly when its supremum, which it contains, lies in U,
@@ -66,10 +64,8 @@ def fin_family(P: FinitePoset, x: int, mode="fast") -> tuple:
     sets containing the up set of x, the least of them.
     """
     limits.check_subset_cap(P.n, "approximating-family enumeration")
-    if mode == "fast":
+    if not oracle:
         return tuple(u for u in P.upper_masks() if u >> x & 1)
-    if mode != "oracle":
-        raise ValueError(f"unknown mode {mode!r}")
     seen = set()
     for fmask in range(1, 1 << P.n):
         if way_below_sets(P, fmask, 1 << x):
@@ -77,11 +73,11 @@ def fin_family(P: FinitePoset, x: int, mode="fast") -> tuple:
     return tuple(sorted(seen, key=set_order))
 
 
-def way_way_below(L: FiniteLattice, mode="closed") -> tuple:
+def way_way_below(L: FiniteLattice, *, oracle=False) -> tuple:
     """u way-way-below v: every subset S with join >= v has a member above u.
 
-    Oracle mode quantifies over all 2^n subsets including the empty one.
-    Closed mode uses the worst-case witness S = complement of the up set of
+    The oracle quantifies over all 2^n subsets including the empty one.
+    The shortcut uses the worst-case witness S = complement of the up set of
     u, whose join decides the relation: u is way-way-below v exactly when
     that join is not >= v.  The join-irreducibles not above u have the
     same join, since each x not above u is the join of the
@@ -91,7 +87,7 @@ def way_way_below(L: FiniteLattice, mode="closed") -> tuple:
     """
     P = L.base
     n = L.n
-    if mode == "closed":
+    if not oracle:
         irreducible = [(j, P.up[j]) for j in iter_bits(L.join_irreducibles)]
         by_join = {}  # join -> mask of the u with that join
         for u, above in enumerate(P.up):
@@ -103,8 +99,6 @@ def way_way_below(L: FiniteLattice, mode="closed") -> tuple:
             by_join[w] = by_join.get(w, 0) | 1 << u
         # the masks are disjoint, so their sum is their union
         return tuple(sum(us for w, us in by_join.items() if not row >> w & 1) for row in P.up)
-    if mode != "oracle":
-        raise ValueError(f"unknown mode {mode!r}")
     limits.check_subset_cap(n, "subset enumeration for way-way-below")
     cols = [P.full_mask] * n
     for smask in range(1 << n):
@@ -115,21 +109,19 @@ def way_way_below(L: FiniteLattice, mode="closed") -> tuple:
     return tuple(cols)
 
 
-def prec(L: FiniteLattice, mode="fast") -> tuple:
+def prec(L: FiniteLattice, *, oracle=False) -> tuple:
     """x below y in the upper-set interpolation order: every upper set
     inside the up set of y is already inside the up set of x.
 
     Single upper sets suffice on a finite carrier: any intersection of a
     nonempty collection of upper sets is itself an upper set and the whole
-    finite collection can serve as the finitely-many subcollection.  Fast
-    mode returns the order itself, the finite collapse of the definition.
+    finite collection can serve as the finitely-many subcollection.  The
+    shortcut returns the order itself, the finite collapse of the definition.
     """
     P = L.base
     n = L.n
-    if mode == "fast":
+    if not oracle:
         return P.down
-    if mode != "oracle":
-        raise ValueError(f"unknown mode {mode!r}")
     limits.check_subset_cap(n, "upper-set enumeration for interpolation order")
     cols = [P.full_mask] * n
     for v in P.upper_masks():

@@ -14,36 +14,30 @@ from .errors import InputError
 from .poset import FiniteLattice, FinitePoset, iter_bits
 
 
-def is_scott_open(P: FinitePoset, mask: int, mode="definitional") -> bool:
+def is_scott_open(P: FinitePoset, mask: int, *, oracle=False) -> bool:
     """Upper, and every directed set with an existing supremum inside the
-    set already meets it.  The ``upper`` mode checks upperness only, the
-    finite-carrier equivalent."""
+    set already meets it.  The shortcut checks upperness only, the
+    finite-carrier equivalent; the oracle also tests every directed set."""
     P.check_mask(mask)
     upper = P.up_closure_mask(mask) == mask
-    if mode == "upper":
+    if not oracle or not upper:
         return upper
-    if mode != "definitional":
-        raise ValueError(f"unknown mode {mode!r}")
-    if not upper:
-        return False
     for dmask, s in P.directed_sets():
         if mask >> s & 1 and not dmask & mask:
             return False
     return True
 
 
-def scott_closure(P: FinitePoset, mask: int, mode="fast") -> int:
+def scott_closure(P: FinitePoset, mask: int, *, oracle=False) -> int:
     """Mask of the smallest Scott-closed superset; the down closure on
     finite carriers.
 
-    Definitional mode intersects all Scott-closed supersets instead and is
-    kept for cross-checking.
+    The oracle intersects all Scott-closed supersets instead and is kept
+    for cross-checking.
     """
     P.check_mask(mask)
-    if mode == "fast":
+    if not oracle:
         return P.down_closure_mask(mask)
-    if mode != "definitional":
-        raise ValueError(f"unknown mode {mode!r}")
     acc = P.full_mask
     for u in P.upper_masks():
         closed = P.full_mask ^ u
@@ -118,21 +112,3 @@ def scott_closed_lattice(P: FinitePoset) -> OpenSetLattice:
     # symmetric difference lies in A, that is, not in A's complement
     masks = [P.full_mask ^ m for m in reversed(P.upper_masks())]
     return _lattice_of_set_family(P, masks, name=f"gamma({P.name or 'P'})")
-
-
-def complement_isomorphism(opens: OpenSetLattice, closeds: OpenSetLattice):
-    """Explicit order anti-isomorphism between the two set lattices: the
-    index map sending each open to its complement.  Raises if the map is
-    not a bijection reversing the order, returns it otherwise."""
-    P = opens.base_poset
-    index = {m: i for i, m in enumerate(closeds.opens)}
-    # a missing complement maps to -1, which no bijection onto the indices has
-    mapping = [index.get(P.full_mask ^ m, -1) for m in opens.opens]
-    if sorted(mapping) != list(range(len(closeds.opens))):
-        raise AssertionError("complementation is not a bijection between the families")
-    a, b = opens.lattice.base, closeds.lattice.base
-    for i in range(a.n):
-        for j in range(a.n):
-            if a.leq(i, j) != b.leq(mapping[j], mapping[i]):
-                raise AssertionError("complementation does not reverse inclusion")
-    return tuple(mapping)

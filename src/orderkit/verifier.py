@@ -34,83 +34,76 @@ from .poset import FiniteLattice, Verdict, Witness, iter_bits, mask_of
 from .scott import scott_closed_lattice, scott_opens
 
 
-def lemma31_check(L: FiniteLattice, mode="fast") -> Verdict:
+def lemma31_check(L: FiniteLattice, *, oracle=False) -> Verdict:
     """For every finite subset M: the meet of the complement of (down M)
     equals the join over m in M of the meets of the single complements.
     Both sides reduce to the bottom element for empty M.
 
-    Asserts first, for every M, the set identity behind it: the complement
-    of (down M) is the intersection of the single-element complements.
+    Asserts at each M, before the equation, the set identity behind it:
+    the complement of (down M) is the intersection of the single-element
+    complements.  The first M that fails either is the witness.
 
     Both sides read M only through its down set D: the left side is the
     meet of P minus D, and the meet of P minus (down m) falls as m rises,
     so the right side is the join over the maximal elements of M, which
-    are those of D.  Fast mode therefore tests M = max(D) for each down set
-    D, walking the cached upper sets once for both the set identity and the
-    equation, and reads the left sides, their meets, from
-    ``L.upper_meets``.  The witness is the failing max(D) of
-    least mask, which is the first failing M in mask order, since every M
-    with down set D contains max(D).  The oracle tries all 2^n subsets.
+    are those of D.  The shortcut therefore tests M = max(D) for each down
+    set D, in ascending mask order, and reads the left sides, their meets,
+    from ``L.upper_meets``.  Its first failing max(D) is the first failing
+    M in mask order, since every M with down set D contains max(D).  The
+    oracle tries all 2^n subsets.
     """
     P = L.base
-    if mode == "fast":
-        tops = tuple(_maximal_of_downsets(P))
-        identity = _set_identity(P, sorted(tops))
+    if oracle:
+        limits.check_subset_cap(L.n, "subset enumeration for lemma 3.1")
+        cases = ((mmask, None) for mmask in range(1 << L.n))
     else:
-        identity = downset_complement_identity(L, mode)
-    if not identity.holds:
-        return identity
+        cases = sorted(zip(_maximal_of_downsets(P), L.upper_meets))
     full = P.full_mask
-    first = None  # (mask of M, lhs, rhs) of the first failing M
-    if mode == "fast":
-        singles = [L.meet_mask(full ^ d) for d in P.down]
-        for top, lhs in zip(tops, L.upper_meets):
-            if first is not None and top > first[0]:
-                continue
-            rhs = L.join_mask(mask_of(singles[m] for m in iter_bits(top)))
-            if lhs != rhs:
-                first = (top, lhs, rhs)
-    else:
-        for mmask in range(1 << L.n):
-            lhs = L.meet_mask(full ^ P.down_closure_mask(mmask))
-            rhs = L.join_mask(mask_of(L.meet_mask(full ^ P.down[m]) for m in iter_bits(mmask)))
-            if lhs != rhs:
-                first = (mmask, lhs, rhs)
-                break
-    if first is None:
-        return Verdict(True)
-    mmask, lhs, rhs = first
-    w = Witness(subsets=(P.labels_of(mmask),), lhs=P.labels[lhs], rhs=P.labels[rhs])
-    return Verdict(False, w)
+    singles = [L.meet_mask(full ^ d) for d in P.down]
+    for mmask, lhs in cases:  # lhs is None when not cached
+        rest = full ^ P.down_closure_mask(mmask)
+        failure = _identity_failure(P, mmask, rest)
+        if failure is not None:
+            return failure
+        if lhs is None:
+            lhs = L.meet_mask(rest)
+        rhs = L.join_mask(mask_of(singles[m] for m in iter_bits(mmask)))
+        if lhs != rhs:
+            w = Witness(subsets=(P.labels_of(mmask),), lhs=P.labels[lhs], rhs=P.labels[rhs])
+            return Verdict(False, w)
+    return Verdict(True)
 
 
-def downset_complement_identity(L: FiniteLattice, mode="fast") -> Verdict:
+def downset_complement_identity(L: FiniteLattice, *, oracle=False) -> Verdict:
     """Just the set identity part of lemma31_check.  The oracle tests every
-    subset M.  Fast mode tests the antichains, each the maximal elements of
-    one down set: in a transitive order a subset's non-maximal members
+    subset M.  The shortcut tests the antichains, each the maximal elements
+    of one down set: in a transitive order a subset's non-maximal members
     change neither side, so the identity fails at M exactly when it fails
     at max(M), whose mask is no larger, and the failing antichain of least
     mask is the oracle's first witness."""
-    if mode == "fast":
-        return _set_identity(L.base, sorted(_maximal_of_downsets(L.base)))
-    if mode == "oracle":
+    P = L.base
+    if oracle:
         limits.check_subset_cap(L.n, "subset enumeration for the set identity")
-        return _set_identity(L.base, range(1 << L.n))
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def _set_identity(P, subsets):
-    """The set identity on each mask of ``subsets``, in their order; the
-    first failing one is the witness."""
-    full = P.full_mask
+        subsets = range(1 << L.n)
+    else:
+        subsets = sorted(_maximal_of_downsets(P))
     for mmask in subsets:
-        inter = full
-        for m in iter_bits(mmask):
-            inter &= full ^ P.down[m]
-        if inter != full ^ P.down_closure_mask(mmask):
-            w = Witness(subsets=(P.labels_of(mmask),), note="set identity mismatch")
-            return Verdict(False, w)
+        failure = _identity_failure(P, mmask, P.full_mask ^ P.down_closure_mask(mmask))
+        if failure is not None:
+            return failure
     return Verdict(True)
+
+
+def _identity_failure(P, mmask, rest):
+    """The failing verdict of the set identity at M, or None when the
+    intersection of the complements of (down m), m in M, is ``rest``."""
+    full = P.full_mask
+    inter = full
+    for m in iter_bits(mmask):
+        inter &= full ^ P.down[m]
+    if inter == rest:
+        return None
+    return Verdict(False, Witness(subsets=(P.labels_of(mmask),), note="set identity mismatch"))
 
 
 def _maximal_of_downsets(P):
@@ -528,7 +521,9 @@ class InstanceProfile:
 
 def search(expression: str, max_n: int, kind: str = "posets"):
     """Smallest enumerated instance satisfying the expression (by element
-    count, then canonical order), or None."""
+    count, then canonical order), or None.  ``kind`` is posets or lattices."""
+    if kind not in ("posets", "lattices"):
+        raise ValueError(f"unknown kind {kind!r}")
     evaluate = compile_expression(expression)
     for obj in _stream(kind, max_n):
         if evaluate(InstanceProfile(obj)):

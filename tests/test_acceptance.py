@@ -8,6 +8,8 @@ import json
 import subprocess
 import sys
 
+from helpers import complement_isomorphism
+
 from orderkit.files import emit, parse
 from orderkit.generators import (
     NAMED_LATTICE_EXAMPLES,
@@ -27,7 +29,7 @@ from orderkit.properties import (
     supinf_prime_rhs,
 )
 from orderkit.relations import prec, way_below, way_way_below
-from orderkit.scott import complement_isomorphism, scott_closed_lattice, scott_opens
+from orderkit.scott import scott_closed_lattice, scott_opens
 from orderkit.verifier import (
     characterization_check,
     downset_complement_identity,
@@ -112,11 +114,11 @@ def test_criterion_5_oracle_equivalence(lattices_upto_6):
     lattice_pool = [L for n in range(1, 7) for L in lattices_upto_6[n]]
     lattice_pool += [named(name).as_lattice() for name in NAMED_LATTICE_EXAMPLES]
     for L in lattice_pool:
-        assert way_way_below(L, "closed") == way_way_below(L, "oracle"), L.name
-        assert prec(L, "oracle") == L.base.down, L.name
+        assert way_way_below(L) == way_way_below(L, oracle=True), L.name
+        assert prec(L, oracle=True) == L.base.down, L.name
     poset_pool = [L.base for L in lattice_pool] + [named(n) for n in NAMED_POSET_EXAMPLES]
     for P in poset_pool:
-        assert way_below(P, "oracle") == P.down, P.name
+        assert way_below(P, oracle=True) == P.down, P.name
     _report(5, f"closed/oracle agreement on {len(lattice_pool)} lattices and "
                f"{len(poset_pool)} posets")
 

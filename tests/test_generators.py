@@ -4,6 +4,8 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import is_canonical
+
 from orderkit import (
     NotALatticeError,
     SizeLimitError,
@@ -20,7 +22,6 @@ from orderkit import (
     way_way_below,
 )
 from orderkit.generators import (
-    GenSpec,
     default_labels,
     enumerate_lattices,
     enumerate_posets,
@@ -277,7 +278,7 @@ def test_enumeration_deterministic():
 def test_enumeration_emits_valid_canonical(posets_upto_5):
     for P in posets_upto_5[4]:
         assert P.validate()
-        assert P.is_canonical()
+        assert is_canonical(P)
 
 
 def _assert_valid(P):
@@ -318,37 +319,26 @@ def test_enumeration_cap(monkeypatch):
     assert len(list(enumerate_lattices(3))) == 1
 
 
-def test_genspec_validation():
-    with pytest.raises(ValueError):
-        GenSpec(n=0, kind="lattices")
-    with pytest.raises(ValueError):
-        GenSpec(n=3, kind="posets", density=0.5)
-    with pytest.raises(ValueError):
-        GenSpec(n=3, kind="weird")
-    with pytest.raises(ValueError):
-        random_poset(GenSpec(n=3, kind="posets"))
-
-
 def test_random_poset_extremes():
-    anti = random_poset(GenSpec(n=5, kind="random", seed=1, density=0.0))
+    anti = random_poset(5, seed=1, density=0.0)
     assert anti.is_isomorphic(named("antichain(5)"))
-    chain = random_poset(GenSpec(n=5, kind="random", seed=1, density=1.0))
+    chain = random_poset(5, seed=1, density=1.0)
     assert chain.is_isomorphic(named("chain(5)"))
 
 
 def test_random_poset_deterministic():
-    a = random_poset(GenSpec(n=6, kind="random", seed=42, density=0.3))
-    b = random_poset(GenSpec(n=6, kind="random", seed=42, density=0.3))
+    a = random_poset(6, seed=42, density=0.3)
+    b = random_poset(6, seed=42, density=0.3)
     assert a == b
     assert a.validate()
-    c = random_poset(GenSpec(n=6, kind="random", seed=43, density=0.3))
+    c = random_poset(6, seed=43, density=0.3)
     assert c.validate()
 
 
 @given(st.integers(1, 7), st.integers(0, 2**20), st.floats(0, 1))
 @settings(max_examples=50, deadline=None)
 def test_random_poset_always_valid(n, seed, density):
-    P = random_poset(GenSpec(n=n, kind="random", seed=seed, density=density))
+    P = random_poset(n, seed=seed, density=density)
     assert P.validate()
     try:
         P.as_lattice()
@@ -356,15 +346,14 @@ def test_random_poset_always_valid(n, seed, density):
         pass
 
 
-def test_genspec_rejects_bad_sizes():
-    with pytest.raises(ValueError):
-        GenSpec(n=-2, kind="random")
-    with pytest.raises(ValueError):
-        GenSpec(n=-1)
+def test_random_poset_rejects_bad_sizes():
+    for n in (-2, -1):
+        with pytest.raises(ValueError):
+            random_poset(n)
     for density in (-0.1, 1.5, 7.0, float("nan")):
         with pytest.raises(ValueError):
-            GenSpec(n=3, kind="random", density=density)
-    GenSpec(n=0, kind="random", density=1.0)
+            random_poset(3, density=density)
+    assert random_poset(0, density=1.0).n == 0
 
 
 @given(st.integers(0, 6), st.integers(0, 2**20), st.floats(0, 1))
@@ -372,17 +361,17 @@ def test_genspec_rejects_bad_sizes():
 def test_random_poset_routes_agree(n, seed, density):
     """Round trip through a poset file, and every relation or predicate with
     a shortcut agrees with its definitional route on a random draw."""
-    P = random_poset(GenSpec(n=n, kind="random", seed=seed, density=density))
+    P = random_poset(n, seed=seed, density=density)
     assert parse(emit(P)).is_isomorphic(P)
-    assert way_below(P, "fast") == way_below(P, "oracle")
+    assert way_below(P) == way_below(P, oracle=True)
     for mask in range(1 << n):
-        assert scott_closure(P, mask) == scott_closure(P, mask, "definitional")
-        assert is_scott_open(P, mask, "upper") == is_scott_open(P, mask, "definitional")
+        assert scott_closure(P, mask) == scott_closure(P, mask, oracle=True)
+        assert is_scott_open(P, mask) == is_scott_open(P, mask, oracle=True)
     try:
         L = P.as_lattice()
     except NotALatticeError:
         return
-    assert prec(L, "fast") == prec(L, "oracle")
-    assert way_way_below(L, "closed") == way_way_below(L, "oracle")
-    assert (is_join_continuous(L, "reduced").holds
-            == is_join_continuous(L, "definitional").holds)
+    assert prec(L) == prec(L, oracle=True)
+    assert way_way_below(L) == way_way_below(L, oracle=True)
+    assert (is_join_continuous(L).holds
+            == is_join_continuous(L, oracle=True).holds)

@@ -55,8 +55,8 @@ def _record(L):
     }
     if L.n <= 12:
         out["supinf_hyper"] = [L.labels[supinf_hyper_rhs(L, x)] for x in range(L.n)]
-        out["join_continuous_definitional"] = _verdict(is_join_continuous(L, "definitional"))
-        out["frame_definitional"] = _verdict(is_frame(L, "definitional"))
+        out["join_continuous_definitional"] = _verdict(is_join_continuous(L, oracle=True))
+        out["frame_definitional"] = _verdict(is_frame(L, oracle=True))
     if L.n <= 5:
         out["completely_distributive_2"] = _verdict(is_completely_distributive_oracle(L, 2))
     return out

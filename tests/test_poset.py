@@ -5,6 +5,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import is_canonical
+
 from orderkit import (
     CycleError,
     NotALatticeError,
@@ -14,7 +16,7 @@ from orderkit import (
     generators,
     limits,
 )
-from orderkit.generators import GenSpec, default_labels, enumerate_posets, named, random_poset
+from orderkit.generators import default_labels, enumerate_posets, named, random_poset
 from orderkit.poset import FinitePoset, _closure_rows, iter_bits, mask_of, set_order
 from orderkit.scott import scott_closed_lattice, scott_opens
 
@@ -111,7 +113,7 @@ def test_validate_matches_pair_scan():
         elif kind == 1:
             rows = [(rng.getrandbits(n) & full) | (1 << i) for i in range(n)]
         else:
-            rows = random_poset(GenSpec(n=n, kind="random", seed=trial, density=0.5)).up
+            rows = random_poset(n, seed=trial, density=0.5).up
             strict = [(i, j) for i in range(n) for j in iter_bits(rows[i]) if j != i]
             if strict:
                 i, j = rng.choice(strict)
@@ -348,7 +350,7 @@ def test_canonical_idempotent(posets_upto_5):
     for P in posets_upto_5[5][::7]:
         C = P.canonical_form()
         assert C.canonical_form() == C
-        assert C.is_canonical()
+        assert is_canonical(C)
 
 
 def test_canonical_labelling_limit(monkeypatch):
@@ -360,7 +362,7 @@ def test_canonical_labelling_limit(monkeypatch):
         sigma.canonical_key()
     assert err.value.cap == 2300 - 1
     monkeypatch.setattr(limits, "CANON_LIMIT", 2300)
-    assert sigma.canonical_form().is_canonical()
+    assert is_canonical(sigma.canonical_form())
 
 
 def test_canonical_labelling_limit_when_ranks_are_distinct(monkeypatch):
@@ -433,11 +435,11 @@ def test_canonical_key_of_symmetric_level8_poset():
 
 def test_keys_are_canonical(posets_upto_5):
     for key in generators._poset_level(7):
-        assert FinitePoset(default_labels(7), key).is_canonical()
+        assert is_canonical(FinitePoset(default_labels(7), key))
     # two sigma(P) at n = 5 once got a key that was not its own
     for P in posets_upto_5[5]:
         for L in (scott_opens(P).lattice.base, scott_closed_lattice(P).lattice.base):
-            assert L.canonical_form().is_canonical()
+            assert is_canonical(L.canonical_form())
 
 
 # sha256 of repr() of the canonical orders below, recorded once
@@ -507,7 +509,7 @@ def test_up_closure_monotone(posets_upto_5):
 @given(st.integers(1, 7), st.integers(0, 2**32 - 1), st.floats(0, 1))
 @settings(max_examples=60, deadline=None)
 def test_random_poset_axioms(n, seed, density):
-    P = random_poset(GenSpec(n=n, kind="random", seed=seed, density=density))
+    P = random_poset(n, seed=seed, density=density)
     assert P.validate()
     # closure laws
     full = P.full_mask
@@ -522,7 +524,7 @@ def test_random_poset_axioms(n, seed, density):
 def test_relabeling_keeps_canonical_key(n, seed):
     import random as _random
 
-    P = random_poset(GenSpec(n=n, kind="random", seed=seed, density=0.4))
+    P = random_poset(n, seed=seed, density=0.4)
     rng = _random.Random(seed)
     perm = list(range(n))
     rng.shuffle(perm)

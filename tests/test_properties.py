@@ -104,8 +104,8 @@ def test_join_continuous_modes_agree(lattices_upto_6):
     for n in (4, 5, 6):
         for L in lattices_upto_6[n]:
             assert (
-                is_join_continuous(L, "reduced").holds
-                == is_join_continuous(L, "definitional").holds
+                is_join_continuous(L).holds
+                == is_join_continuous(L, oracle=True).holds
             )
 
 
@@ -121,11 +121,11 @@ def test_frame_is_join_continuity_of_the_dual(lattices_upto_6):
     for batch in lattices_upto_6.values():
         for L in batch:
             dual = L.base.dual().as_lattice()
-            for mode in ("reduced", "definitional"):
-                v, d = is_frame(L, mode), is_join_continuous(dual, mode)
-                assert v.holds == d.holds, (L.name, mode)
+            for oracle in (False, True):
+                v, d = is_frame(L, oracle=oracle), is_join_continuous(dual, oracle=oracle)
+                assert v.holds == d.holds, (L.name, oracle)
                 if not v.holds:
-                    assert v.witness.as_dict() == d.witness.as_dict(), (L.name, mode)
+                    assert v.witness.as_dict() == d.witness.as_dict(), (L.name, oracle)
                     assert v.witness.note == "evaluated in the order dual"
 
 
@@ -135,9 +135,9 @@ def test_frame_builds_no_dual(monkeypatch, m3):
 
     b2, m3 = named("boolean(2)").as_lattice(), m3.as_lattice()
     monkeypatch.setattr(FinitePoset, "dual", refuse)
-    for mode in ("reduced", "definitional"):
-        assert is_frame(b2, mode).holds
-        assert not is_frame(m3, mode).holds
+    for oracle in (False, True):
+        assert is_frame(b2, oracle=oracle).holds
+        assert not is_frame(m3, oracle=oracle).holds
 
 
 def test_hypercontinuous_examples(m3, n5):

@@ -1,6 +1,8 @@
+import inspect
+
 import pytest
 
-from orderkit import SizeLimitError, limits
+from orderkit import SizeLimitError, limits, properties, relations, scott, verifier
 from orderkit.generators import named
 from orderkit.poset import iter_bits
 from orderkit.scott import scott_closed_lattice, scott_opens
@@ -22,29 +24,29 @@ def pairs(rel):
 
 def test_way_below_oracle_collapses_to_order():
     c3 = named("chain(3)")
-    assert way_below(c3, "oracle") == c3.down
+    assert way_below(c3, oracle=True) == c3.down
     one = named("chain(1)")
-    assert list(pairs(way_below(one, "oracle"))) == [(0, 0)]
+    assert list(pairs(way_below(one, oracle=True))) == [(0, 0)]
     m3 = named("M3")
-    assert way_below(m3, "fast") == m3.down
-    assert way_below(m3, "oracle") == m3.down
+    assert way_below(m3) == m3.down
+    assert way_below(m3, oracle=True) == m3.down
 
 
 def test_way_below_cap(monkeypatch):
     P = named("chain(4)")
     monkeypatch.setattr(limits, "SUBSET_CAP", 3)
     with pytest.raises(SizeLimitError):
-        way_below(P, "oracle")
+        way_below(P, oracle=True)
 
 
 def test_approximants():
-    for mode in ("fast", "oracle"):
+    for oracle in (False, True):
         c3 = named("chain(3)")
-        assert tuple(iter_bits(way_below(c3, mode)[2])) == (0, 1, 2)
+        assert tuple(iter_bits(way_below(c3, oracle=oracle)[2])) == (0, 1, 2)
         a2 = named("antichain(2)")
-        assert tuple(iter_bits(way_below(a2, mode)[0])) == (0,)
+        assert tuple(iter_bits(way_below(a2, oracle=oracle)[0])) == (0,)
         m3 = named("M3")
-        assert way_below(m3, mode)[m3.index_of("1")] == m3.full_mask
+        assert way_below(m3, oracle=oracle)[m3.index_of("1")] == m3.full_mask
 
 
 def test_way_below_sets():
@@ -62,7 +64,7 @@ def test_way_below_sets():
 
 def test_way_below_sets_matches_pointwise(posets_upto_5):
     for P in posets_upto_5[4]:
-        rel = way_below(P, "oracle")
+        rel = way_below(P, oracle=True)
         for x in range(P.n):
             for y in range(P.n):
                 assert way_below_sets(P, 1 << x, 1 << y) == rel[y] >> x & 1
@@ -98,8 +100,8 @@ def test_fin_family_routes_agree(posets_upto_6):
     for n in range(1, 7):
         for P in posets_upto_6[n]:
             for x in range(n):
-                fast = fin_family(P, x, mode="fast")
-                oracle = fin_family(P, x, mode="oracle")
+                fast = fin_family(P, x)
+                oracle = fin_family(P, x, oracle=True)
                 assert fast == oracle
 
 
@@ -110,25 +112,20 @@ def test_fin_family_upper_set_limit(monkeypatch):
     with pytest.raises(SizeLimitError) as err:
         fin_family(P, 0)
     assert err.value.needed == 32
-    assert len(fin_family(P, 0, mode="oracle")) == 16
-
-
-def test_fin_family_bad_mode():
-    with pytest.raises(ValueError):
-        fin_family(named("chain(2)"), 0, mode="turbo")
+    assert len(fin_family(P, 0, oracle=True)) == 16
 
 
 def test_way_way_below_chain3():
     L = named("chain(3)").as_lattice()
     expected = {(0, 1), (0, 2), (1, 1), (1, 2), (2, 2)}
-    assert set(pairs(way_way_below(L, "closed"))) == expected
-    assert set(pairs(way_way_below(L, "oracle"))) == expected
+    assert set(pairs(way_way_below(L))) == expected
+    assert set(pairs(way_way_below(L, oracle=True))) == expected
 
 
 def test_way_way_below_m3():
     m3 = named("M3")
     L = m3.as_lattice()
-    rel = way_way_below(L, "closed")
+    rel = way_way_below(L)
     a, bot = m3.index_of("a"), m3.index_of("0")
     assert not any(col >> a & 1 for col in rel)
     assert {y for y in range(5) if rel[y] >> bot & 1} == {i for i in range(5) if i != bot}
@@ -136,14 +133,14 @@ def test_way_way_below_m3():
 
 def test_way_way_below_one_point_is_empty():
     L = named("chain(1)").as_lattice()
-    assert list(pairs(way_way_below(L, "oracle"))) == []
-    assert list(pairs(way_way_below(L, "closed"))) == []
+    assert list(pairs(way_way_below(L, oracle=True))) == []
+    assert list(pairs(way_way_below(L))) == []
 
 
 def test_way_way_below_laws(lattices_upto_6):
     for L in lattices_upto_6[5]:
         P = L.base
-        rel = way_way_below(L, "closed")
+        rel = way_way_below(L)
         for u, v in pairs(rel):
             assert P.leq(u, v)
             for u2 in range(L.n):
@@ -157,18 +154,18 @@ def test_way_way_below_laws(lattices_upto_6):
 def test_mode_agreement(lattices_upto_6):
     for n in (3, 4, 5):
         for L in lattices_upto_6[n]:
-            assert way_way_below(L, "oracle") == way_way_below(L, "closed")
-            assert prec(L, "oracle") == L.base.down
-            assert way_below(L.base, "oracle") == L.base.down
+            assert way_way_below(L, oracle=True) == way_way_below(L)
+            assert prec(L, oracle=True) == L.base.down
+            assert way_below(L.base, oracle=True) == L.base.down
 
 
 def test_way_way_below_modes_agree_on_set_lattices(posets_upto_5):
-    # closed mode joins only the join-irreducibles, n of them on σ(P)
+    # the shortcut joins only the join-irreducibles, n of them on σ(P)
     for n in range(1, 4):
         for P in posets_upto_5[n]:
             for family in (scott_opens, scott_closed_lattice):
                 L = family(P).lattice
-                assert way_way_below(L, "closed") == way_way_below(L, "oracle"), L.name
+                assert way_way_below(L) == way_way_below(L, oracle=True), L.name
 
 
 def test_predecessor_columns_are_down_closed(lattices_upto_6, posets_upto_5):
@@ -178,17 +175,36 @@ def test_predecessor_columns_are_down_closed(lattices_upto_6, posets_upto_5):
     pool += [family(P).lattice for n in range(1, 5) for P in posets_upto_5[n]
              for family in (scott_opens, scott_closed_lattice)]
     for L in pool:
-        for rel in (prec(L, "fast"), prec(L, "oracle"),
-                    way_way_below(L, "closed"), way_way_below(L, "oracle")):
+        for rel in (prec(L), prec(L, oracle=True),
+                    way_way_below(L), way_way_below(L, oracle=True)):
             assert all(L.base.down_closure_mask(col) == col for col in rel), L.name
 
 
 def test_prec_examples():
     for name in ("chain(2)", "boolean(2)", "chain(1)"):
         L = named(name).as_lattice()
-        assert prec(L, "oracle") == L.base.down
+        assert prec(L, oracle=True) == L.base.down
 
 
-def test_bad_mode():
-    with pytest.raises(ValueError):
-        way_below(named("chain(2)"), "turbo")
+ROUTED = (
+    relations.way_below, relations.fin_family, relations.way_way_below, relations.prec,
+    scott.is_scott_open, scott.scott_closure,
+    properties.is_continuous, properties.is_join_continuous, properties.is_frame,
+    properties.is_hypercontinuous, properties.is_prime_continuous,
+    properties.supinf_hyper_rhs, properties._distributes,
+    verifier.lemma31_check, verifier.downset_complement_identity,
+)
+
+
+def test_routes_switch_on_keyword_only_oracle():
+    # one switch for every relation and predicate with two routes: the
+    # shortcut by default, the definition with oracle=True
+    for fn in ROUTED:
+        params = inspect.signature(fn).parameters
+        assert "mode" not in params, fn.__name__
+        oracle = params["oracle"]
+        assert oracle.kind is inspect.Parameter.KEYWORD_ONLY, fn.__name__
+        assert oracle.default is False, fn.__name__
+    # a stale positional route name is refused, not read as true
+    with pytest.raises(TypeError):
+        way_below(named("chain(2)"), "oracle")

@@ -1,5 +1,7 @@
 import pytest
 
+from helpers import complement_isomorphism
+
 from orderkit import SizeLimitError, limits
 from orderkit.cli import main
 from orderkit.generators import named
@@ -12,7 +14,6 @@ from orderkit.properties import (
     is_prime_continuous,
 )
 from orderkit.scott import (
-    complement_isomorphism,
     is_scott_open,
     scott_closed_lattice,
     scott_closure,
@@ -28,14 +29,14 @@ def test_is_scott_open_examples():
     m3 = named("M3")
     assert is_scott_open(m3, m3.mask_of_labels(["a", "b", "1"]))
     with pytest.raises(ValueError):
-        is_scott_open(c2, 1 << 2, "upper")
+        is_scott_open(c2, 1 << 2)
 
 
 def test_scott_open_modes_agree(posets_upto_5):
     for n in range(1, 5):
         for P in posets_upto_5[n]:
             for mask in range(1 << n):
-                assert is_scott_open(P, mask, "definitional") == is_scott_open(P, mask, "upper")
+                assert is_scott_open(P, mask, oracle=True) == is_scott_open(P, mask)
 
 
 def test_scott_opens_examples():
@@ -180,4 +181,4 @@ def test_scott_closure_examples():
 def test_scott_closure_modes_agree(posets_upto_5):
     for P in posets_upto_5[4]:
         for mask in range(1 << P.n):
-            assert scott_closure(P, mask, "fast") == scott_closure(P, mask, "definitional")
+            assert scott_closure(P, mask) == scott_closure(P, mask, oracle=True)

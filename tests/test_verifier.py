@@ -73,13 +73,13 @@ def test_downset_routes_match_subset_oracles(monkeypatch):
     for n in range(1, 9):
         for L in enumerate_lattices(n):
             v = lemma31_check(L)
-            assert v == lemma31_check(L, "oracle"), L.name
+            assert v == lemma31_check(L, oracle=True), L.name
             if not v.holds:
                 sizes[len(v.witness.subsets[0])] += 1
-            assert downset_complement_identity(L) == downset_complement_identity(L, "oracle")
+            assert downset_complement_identity(L) == downset_complement_identity(L, oracle=True)
             for x in range(n):
                 assert (properties.supinf_hyper_rhs(L, x)
-                        == properties.supinf_hyper_rhs(L, x, "oracle")), L.name
+                        == properties.supinf_hyper_rhs(L, x, oracle=True)), L.name
     # the first failing M is not always one element or a pair
     assert sizes.keys() == {2, 3, 4, 5}
 
@@ -94,16 +94,17 @@ def test_set_identity_routes_report_a_fault_alike(monkeypatch, lattices_upto_7):
     for batch in lattices_upto_7.values():
         for L in batch:
             v = downset_complement_identity(L)
-            assert v == downset_complement_identity(L, "oracle"), L.name
+            assert v == downset_complement_identity(L, oracle=True), L.name
             if not v.holds:
-                assert lemma31_check(L) == v  # reported before the equation
+                # reported before the equation, on both routes
+                assert lemma31_check(L) == lemma31_check(L, oracle=True) == v
                 failing += 1
     assert failing == 71
 
 
 def test_lemma31_walks_down_sets_once(monkeypatch, lattices_upto_6):
-    # fast mode finds max(D) for every down set D in one walk, which the set
-    # identity and the equation share
+    # the shortcut finds max(D) for every down set D in one walk, which the
+    # set identity and the equation share
     calls = []
     walk = verifier._maximal_of_downsets
     monkeypatch.setattr(verifier, "_maximal_of_downsets",
@@ -114,15 +115,6 @@ def test_lemma31_walks_down_sets_once(monkeypatch, lattices_upto_6):
             lemma31_check(L)
             checks += 1
     assert len(calls) == checks
-
-
-def test_downset_routes_reject_unknown_mode(m3):
-    L = m3.as_lattice()
-    for check in (lemma31_check, downset_complement_identity):
-        with pytest.raises(ValueError, match="unknown mode"):
-            check(L, "literal")
-    with pytest.raises(ValueError, match="unknown mode"):
-        properties.supinf_hyper_rhs(L, 0, "literal")
 
 
 def test_thm32_examples(m3):
@@ -257,6 +249,8 @@ def test_search_stable():
 def test_search_lattice_kind():
     hit = search("!distributive", 5, kind="lattices")
     assert hit.base.is_isomorphic(named("M3")) or hit.base.is_isomorphic(named("N5"))
+    with pytest.raises(ValueError, match="unknown kind 'bogus'"):
+        search("lattice", 3, kind="bogus")
 
 
 def test_expression_parser():

@@ -18,14 +18,12 @@ from .poset import FiniteLattice, FinitePoset, Verdict, Witness, build_poset
 from .relations import fin_family, prec, way_below, way_below_sets, way_way_below
 from .scott import OpenSetLattice, is_scott_open, scott_closed_lattice, scott_closure, scott_opens
 from .properties import (
-    is_completely_distributive_oracle,
     is_continuous,
     is_distributive,
     is_frame,
     is_hypercontinuous,
     is_join_continuous,
     is_meet_continuous,
-    is_meet_continuous_algebraic,
     is_prime_continuous,
     is_quasicontinuous,
     supinf_continuous_rhs,
@@ -59,9 +57,8 @@ __all__ = [
     "OpenSetLattice", "is_scott_open", "scott_opens", "scott_closed_lattice",
     "scott_closure",
     "is_continuous", "is_quasicontinuous", "is_meet_continuous",
-    "is_meet_continuous_algebraic", "is_join_continuous", "is_frame",
+    "is_join_continuous", "is_frame",
     "is_hypercontinuous", "is_prime_continuous", "is_distributive",
-    "is_completely_distributive_oracle",
     "supinf_continuous_rhs", "supinf_hyper_rhs", "supinf_prime_rhs",
     "named", "enumerate_posets", "enumerate_lattices", "random_poset",
     "SuiteReport", "lemma31_check", "thm32_check", "thm34_check", "thm21_check",

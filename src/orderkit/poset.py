@@ -12,7 +12,6 @@ share between concurrent tasks.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cached_property
 from itertools import compress
 
 from .errors import CycleError, NotALatticeError, SizeLimitError, UnknownLabelError
@@ -39,6 +38,26 @@ def iter_bits(mask):
         return _BYTE_BITS[mask & 255] + _HIGH_BYTE_BITS[mask >> 8]
     digits = format(mask, "b")[::-1].encode().translate(_DIGIT_VALUES)
     return list(compress(range(len(digits)), digits))
+
+
+class cached_view:
+    """A view computed from an immutable instance on its first read and
+    stored in the instance's ``__dict__``, where later reads find it
+    before the class.  ``functools.cached_property`` takes a lock on every
+    first read on Python 3.10 and 3.11; this takes none.  The values are
+    immutable, so two threads that race compute equal values, and either
+    may stay."""
+
+    def __init__(self, compute):
+        self.compute = compute
+        self.name = compute.__name__
+        self.__doc__ = compute.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.compute(instance)
+        return value
 
 
 def mask_of(indices):
@@ -89,7 +108,7 @@ class FinitePoset:
     @classmethod
     def _trusted(cls, labels, up, name="", **cached):
         """A poset over rows that are a partial order with distinct labels
-        by construction, not validated; ``cached`` seeds cached properties
+        by construction, not validated; ``cached`` seeds cached views
         already known, such as ``down`` and ``cover_rows``.  Tests pass
         every builder's output through the validating constructor."""
         self = cls.__new__(cls)
@@ -140,7 +159,7 @@ class FinitePoset:
 
     # -- basic views ---------------------------------------------------
 
-    @cached_property
+    @cached_view
     def down(self):
         """Column masks: ``down[j]`` = mask of {i | i <= j}."""
         n, up = self.n, self.up
@@ -151,11 +170,11 @@ class FinitePoset:
                 cols[j] |= bit
         return tuple(cols)
 
-    @cached_property
+    @cached_view
     def full_mask(self):
         return (1 << self.n) - 1
 
-    @cached_property
+    @cached_view
     def _label_index(self):
         return {lab: i for i, lab in enumerate(self.labels)}
 
@@ -245,20 +264,23 @@ class FinitePoset:
 
     def directed_sets(self):
         """(mask, sup) of every directed subset, in ascending mask order;
-        built once per poset."""
-        limits.check_subset_cap(self.n, "directed-subset enumeration")
+        built once per poset, after ``bound_directed_sets``."""
+        self.bound_directed_sets()
         return self._directed_table
 
-    @cached_property
-    def _directed_table(self):
-        # On a finite carrier a set is directed exactly when it has a
-        # greatest element d, which is then its supremum: the directed sets
-        # are d together with any subset of the elements strictly below d.
-        # Their number, the sum over d of 2^(|down d| - 1), is bounded
-        # before any is built.
-        below = [self.down[d] & ~(1 << d) for d in range(self.n)]
-        count = sum(1 << b.bit_count() for b in below)
+    def bound_directed_sets(self):
+        """Refuse a carrier whose directed subsets are too many to list,
+        counted without listing them.  On a finite carrier a set is
+        directed exactly when it has a greatest element d, which is then
+        its supremum: the directed sets are d together with any subset of
+        the elements strictly below d, 2^(|down d| - 1) of them."""
+        limits.check_subset_cap(self.n, "directed-subset enumeration")
+        count = sum(1 << (col.bit_count() - 1) for col in self.down)
         limits.check_limit(count, "directed-subset table", limits.DIRECTED_LIMIT)
+
+    @cached_view
+    def _directed_table(self):
+        below = [self.down[d] & ~(1 << d) for d in range(self.n)]
         out = []
         for d in range(self.n):
             top, sub = 1 << d, below[d]
@@ -275,7 +297,7 @@ class FinitePoset:
         for mask, _ in self.directed_sets():
             yield mask
 
-    @cached_property
+    @cached_view
     def _reverse_linear_extension(self):
         # strictly larger elements first; |up set| ascending is a valid order
         return tuple(sorted(range(self.n), key=lambda i: (self.up[i].bit_count(), i)))
@@ -308,7 +330,7 @@ class FinitePoset:
         limits.check_limit(len(table), "upper-set enumeration", limits.OPENS_LIMIT)
         return table
 
-    @cached_property
+    @cached_view
     def _upper_table(self):
         out = []
         for m in self.iter_upper_masks():
@@ -317,17 +339,34 @@ class FinitePoset:
         out.sort(key=set_order)
         return tuple(out)
 
+    def upper_masks_containing(self):
+        """For each element x, the upper sets containing x, in
+        ``set_order``: one table per poset, built in one pass over
+        ``upper_masks()`` and refused, as that is, on every read once
+        ``limits.OPENS_LIMIT`` is passed."""
+        self.upper_masks()
+        return self._containing_table
+
+    @cached_view
+    def _containing_table(self):
+        rows = [[] for _ in range(self.n)]
+        add = [row.append for row in rows]
+        for u in self.upper_masks():
+            for e in iter_bits(u):
+                add[e](u)
+        return tuple(map(tuple, rows))
+
     # -- structure ------------------------------------------------------
 
     def hasse(self):
         """Cover pairs (i, j): i < j with nothing strictly between."""
         return [(i, j) for i, row in enumerate(self.cover_rows) for j in iter_bits(row)]
 
-    @cached_property
+    @cached_view
     def _strict_up(self):
         return tuple(row & ~(1 << i) for i, row in enumerate(self.up))
 
-    @cached_property
+    @cached_view
     def cover_rows(self):
         """``cover_rows[i]`` masks the elements covering i: those strictly
         above i and not strictly above anything strictly above i."""
@@ -364,7 +403,7 @@ class FinitePoset:
 
     # -- canonical forms and isomorphism ---------------------------------
 
-    @cached_property
+    @cached_view
     def _degree_signatures(self):
         """Each element's ``degree_signature``: the first colors of
         ``_refined_ranks``."""
@@ -376,7 +415,7 @@ class FinitePoset:
                 covers_down[j] |= 1 << i
         return tuple(map(degree_signature, strict_down, strict_up, covers_down, covers_up))
 
-    @cached_property
+    @cached_view
     def _refined_ranks(self):
         """Iso-invariant element colors: degree invariants refined by the
         colors of the elements below and above, until stable.  Refinement
@@ -411,7 +450,7 @@ class FinitePoset:
         """Old indices in canonical position order; see ``_canonical_search``."""
         return self._canonical_search[0]
 
-    @cached_property
+    @cached_view
     def _canonical_search(self):
         """The canonical order, old indices in canonical position order, and
         the automorphisms the search met on the way.
@@ -633,15 +672,15 @@ class FiniteLattice:
     def name(self):
         return self.base.name
 
-    @cached_property
+    @cached_view
     def _up_index(self):
         return {row: i for i, row in enumerate(self.base.up)}
 
-    @cached_property
+    @cached_view
     def _down_index(self):
         return {col: i for i, col in enumerate(self.base.down)}
 
-    @cached_property
+    @cached_view
     def join_irreducibles(self):
         """Mask of the join-irreducibles: the elements with exactly one
         lower cover, that is, in exactly one cover row."""
@@ -651,7 +690,7 @@ class FiniteLattice:
             once |= row
         return once & ~twice
 
-    @cached_property
+    @cached_view
     def birkhoff_distributive(self):
         """Birkhoff's test of distributivity, which reads no join or meet
         table.  Let J be the join-irreducibles.  In a finite lattice
@@ -666,7 +705,7 @@ class FiniteLattice:
         generators = [images[j] for j in iter_bits(irreducible)]
         return all(a | g in closed for a in images for g in generators)
 
-    @cached_property
+    @cached_view
     def upper_meets(self):
         """The meet of every upper set, aligned with ``base.upper_masks()``."""
         return tuple(self.meet_mask(u) for u in self.base.upper_masks())

@@ -61,11 +61,12 @@ def fin_family(P: FinitePoset, x: int, *, oracle=False) -> tuple:
     set is the up set of its minimal elements.  A directed set meets an
     upper set U exactly when its supremum, which it contains, lies in U,
     and every s >= x is the supremum of {s}; so the members are the upper
-    sets containing the up set of x, the least of them.
+    sets containing the up set of x, the least of them, which
+    ``P.upper_masks_containing()`` lists for every x at once.
     """
     limits.check_subset_cap(P.n, "approximating-family enumeration")
     if not oracle:
-        return tuple(u for u in P.upper_masks() if u >> x & 1)
+        return P.upper_masks_containing()[x]
     seen = set()
     for fmask in range(1, 1 << P.n):
         if way_below_sets(P, fmask, 1 << x):
@@ -81,24 +82,29 @@ def way_way_below(L: FiniteLattice, *, oracle=False) -> tuple:
     u, whose join decides the relation: u is way-way-below v exactly when
     that join is not >= v.  The join-irreducibles not above u have the
     same join, since each x not above u is the join of the
-    join-irreducibles below it, none of them above u; so each u costs one
-    AND per join-irreducible, and the column of v collects the u whose
-    join is not above v.
+    join-irreducibles below it, none of them above u.  So the u are
+    grouped by the set of join-irreducibles not above them, and each
+    group's join, one AND per member of that set, is computed once.  The
+    group is OR-ed into a row kept for every v below its join, so the row
+    of v collects the u whose join is above v, and the column of v is the
+    complement of that row.
     """
     P = L.base
     n = L.n
     if not oracle:
-        irreducible = [(j, P.up[j]) for j in iter_bits(L.join_irreducibles)]
-        by_join = {}  # join -> mask of the u with that join
-        for u, above in enumerate(P.up):
-            ub = P.full_mask
-            for j, row in irreducible:
-                if not above >> j & 1:
-                    ub &= row
-            w = L._up_index[ub]
-            by_join[w] = by_join.get(w, 0) | 1 << u
-        # the masks are disjoint, so their sum is their union
-        return tuple(sum(us for w, us in by_join.items() if not row >> w & 1) for row in P.up)
+        up, full, irreducible = P.up, P.full_mask, L.join_irreducibles
+        groups = {}  # join-irreducibles not above u -> mask of those u
+        for u, row in enumerate(up):
+            rest = irreducible & ~row
+            groups[rest] = groups.get(rest, 0) | 1 << u
+        above = [0] * n  # above[v]: the u whose join is above v
+        for rest, us in groups.items():
+            ub = full
+            for j in iter_bits(rest):
+                ub &= up[j]
+            for v in iter_bits(P.down[L._up_index[ub]]):
+                above[v] |= us
+        return tuple(full ^ us for us in above)
     limits.check_subset_cap(n, "subset enumeration for way-way-below")
     cols = [P.full_mask] * n
     for smask in range(1 << n):

@@ -11,7 +11,7 @@ from collections import namedtuple
 
 from . import limits
 from .errors import InputError
-from .poset import FiniteLattice, FinitePoset, iter_bits
+from .poset import FiniteLattice, FinitePoset, cached_view, iter_bits
 
 
 def is_scott_open(P: FinitePoset, mask: int, *, oracle=False) -> bool:
@@ -57,16 +57,11 @@ def _lattice_of_set_family(P, masks, name):
     members containing each element e, three rows of each member m follow:
     its up row is the AND of those masks over e in m, its down row the
     members disjoint from every e not in m, and its cover row the members
-    m | {e} over e not in m.  Two members whose labels print alike, such as
-    the pair of elements a and b and the singleton of an element labelled
-    "a,b", raise InputError.
+    m | {e} over e not in m.  The member labels wait for their first read;
+    see ``SetFamilyPoset``.
     """
     k = len(masks)
     limits.check_limit(k * k, "set-lattice table", limits.OPENS_LIMIT)
-    labels = tuple("{" + ",".join([P.labels[e] for e in iter_bits(m)]) + "}" for m in masks)
-    if len(set(labels)) != k:
-        clash = next(lab for i, lab in enumerate(labels) if lab in labels[:i])
-        raise InputError(f"{name} has two members labelled {clash}")
     index = {m: i for i, m in enumerate(masks)}
     containing = [0] * P.n
     for i, m in enumerate(masks):
@@ -87,8 +82,38 @@ def _lattice_of_set_family(P, masks, name):
         up.append(row)
         down.append(full & ~outside)
         covers.append(cover)
-    base = FinitePoset._trusted(labels, up, name, down=tuple(down), cover_rows=tuple(covers))
-    return OpenSetLattice(P, tuple(masks), FiniteLattice(base))
+    base = SetFamilyPoset(P, tuple(masks), up, name, down=tuple(down), cover_rows=tuple(covers))
+    return OpenSetLattice(P, base.members, FiniteLattice(base))
+
+
+def _member_labels(P, masks, name):
+    """Each member's label, its elements' labels in braces: ``{a,b}``.  Two
+    members whose labels print alike, such as the pair of elements a and b
+    and the singleton of an element labelled "a,b", raise InputError."""
+    labels = tuple("{" + ",".join([P.labels[e] for e in iter_bits(m)]) + "}" for m in masks)
+    if len(set(labels)) != len(labels):
+        clash = next(lab for i, lab in enumerate(labels) if lab in labels[:i])
+        raise InputError(f"{name} has two members labelled {clash}")
+    return labels
+
+
+class SetFamilyPoset(FinitePoset):
+    """The poset of a family of subsets of ``family_of`` under inclusion,
+    element i standing for the mask ``members[i]``.  Its labels are built
+    from the members on their first read, by ``emit``, ``dual`` or a
+    witness; a check that passes reads none."""
+
+    def __init__(self, family_of, members, up, name, **cached):
+        self.family_of = family_of
+        self.members = members
+        self.name = name
+        self.n = len(members)
+        self.up = tuple(up)
+        self.__dict__.update(cached)
+
+    @cached_view
+    def labels(self):
+        return _member_labels(self.family_of, self.members, self.name)
 
 
 class OpenSetLattice(namedtuple("OpenSetLattice", "base_poset opens lattice")):

@@ -23,14 +23,14 @@ import re
 import time
 from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
-from functools import cached_property, partial
+from functools import partial
 from itertools import islice
 
 from . import limits, properties
 from .errors import NotALatticeError, ParseError
 from .files import emit
 from .generators import check_ceiling, enumerate_lattices, enumerate_posets
-from .poset import FiniteLattice, Verdict, Witness, iter_bits, mask_of
+from .poset import FiniteLattice, Verdict, Witness, cached_view, iter_bits, mask_of
 from .scott import scott_closed_lattice, scott_opens
 
 
@@ -473,12 +473,12 @@ class InstanceProfile:
 
     def __init__(self, instance):
         if isinstance(instance, FiniteLattice):
-            self.lattice = instance  # known already: shadows the cached_property
+            self.lattice = instance  # known already: shadows the cached view
             instance = instance.base
         self.poset = instance
         self._verdicts = {}
 
-    @cached_property
+    @cached_view
     def lattice(self):
         """The poset as a lattice, or None when it is not one."""
         try:
@@ -486,12 +486,12 @@ class InstanceProfile:
         except NotALatticeError:
             return None
 
-    @cached_property
+    @cached_view
     def sigma(self):
         """Profile of the lattice of Scott opens."""
         return InstanceProfile(scott_opens(self.poset).lattice)
 
-    @cached_property
+    @cached_view
     def gamma(self):
         """Profile of the lattice of Scott-closed sets."""
         return InstanceProfile(scott_closed_lattice(self.poset).lattice)

@@ -1,5 +1,13 @@
 """Checks that only the tests use."""
 
+from itertools import combinations_with_replacement, islice, product
+
+from orderkit import limits
+from orderkit.generators import enumerate_lattices, enumerate_posets
+from orderkit.poset import Verdict, Witness, iter_bits, mask_of
+from orderkit.properties import _first_violation, _verdict
+from orderkit.scott import scott_opens
+
 
 def is_canonical(P):
     """P's elements are already in its canonical order."""
@@ -23,3 +31,46 @@ def complement_isomorphism(opens, closeds):
             if a.leq(i, j) != b.leq(mapping[j], mapping[i]):
                 raise AssertionError("complementation does not reverse inclusion")
     return tuple(mapping)
+
+
+def is_meet_continuous_algebraic(L):
+    """Algebraic form of meet continuity: meets distribute over directed
+    joins, scanned as the order dual of join continuity over the directed
+    sets."""
+    return _verdict(L, _first_violation(L, [d for d, _ in L.base.directed_sets()], dual=True))
+
+
+def is_completely_distributive_oracle(L, family_bound=3):
+    """Cross-validates the binary shortcut: checks the complete distributive
+    law for every family of at most ``family_bound`` nonempty subsets,
+    enumerating all choice functions."""
+    P = L.base
+    n = L.n
+    limits.check_subset_cap(n, "family enumeration for complete distributivity")
+    subsets = [iter_bits(m) for m in range(1, 1 << n)]
+    for k in range(1, family_bound + 1):
+        for family in combinations_with_replacement(subsets, k):
+            lhs = L.meet_mask(mask_of(L.join_mask(mask_of(js)) for js in family))
+            rhs = L.join_mask(mask_of(L.meet_mask(mask_of(c)) for c in product(*family)))
+            if lhs != rhs:
+                w = Witness(subsets=tuple(tuple(P.labels[u] for u in js) for js in family),
+                            lhs=P.labels[lhs], rhs=P.labels[rhs])
+                return Verdict(False, w)
+    return Verdict(True)
+
+
+def birkhoff_bridge(k):
+    """The canonical keys of σ(P) over the posets P with exactly k upper
+    sets, and those of the distributive lattices with k elements, each a
+    sorted list.  By Birkhoff's representation theorem the two lists are
+    equal and free of repeats.  A poset with n elements has at least n + 1
+    upper sets, so the posets come from levels 0 to k - 1, and the lattices
+    from poset level k - 2."""
+    sigma = []
+    for n in range(k):
+        for P in enumerate_posets(n):
+            if sum(1 for _ in islice(P.iter_upper_masks(), k + 1)) == k:
+                sigma.append(scott_opens(P).lattice.base.canonical_key())
+    lattices = [L.base.canonical_key() for L in enumerate_lattices(k)
+                if L.birkhoff_distributive]
+    return sorted(sigma), sorted(lattices)

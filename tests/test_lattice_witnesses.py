@@ -13,12 +13,12 @@ import json
 from pathlib import Path
 
 from orderkit.generators import enumerate_lattices, enumerate_posets
+from helpers import is_completely_distributive_oracle, is_meet_continuous_algebraic
+
 from orderkit.properties import (
-    is_completely_distributive_oracle,
     is_distributive,
     is_frame,
     is_join_continuous,
-    is_meet_continuous_algebraic,
     supinf_continuous_rhs,
     supinf_hyper_rhs,
     supinf_prime_rhs,

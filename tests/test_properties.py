@@ -1,23 +1,24 @@
 import pytest
 
+from helpers import is_completely_distributive_oracle, is_meet_continuous_algebraic
+
 from orderkit.generators import enumerate_lattices, named
 from orderkit import properties
 from orderkit.poset import FiniteLattice, FinitePoset, iter_bits
 from orderkit.properties import (
-    is_completely_distributive_oracle,
     is_continuous,
     is_distributive,
     is_frame,
     is_hypercontinuous,
     is_join_continuous,
     is_meet_continuous,
-    is_meet_continuous_algebraic,
     is_prime_continuous,
     is_quasicontinuous,
     supinf_continuous_rhs,
     supinf_hyper_rhs,
     supinf_prime_rhs,
 )
+from orderkit.relations import fin_family
 from orderkit.scott import scott_closed_lattice, scott_opens
 from test_poset import _literal_join, _literal_meet
 
@@ -78,6 +79,60 @@ def test_meet_continuity_closes_each_trace_once(monkeypatch, posets_upto_5):
             assert not v.holds
             assert v.witness.elements == (P.labels[t],)
             assert v.witness.subsets == (P.labels_of(first),)
+
+
+def _closure_dropping_on_call(k):
+    # the down closure, with the greatest element of the traced mask taken
+    # out on the k-th call only; the trace of a pair (x, s) is down x
+    calls = []
+
+    def closure(P, mask):
+        calls.append(mask)
+        out = P.down_closure_mask(mask)
+        if len(calls) == k + 1:
+            out &= ~(1 << P.greatest_of_mask(mask))
+        return out
+    return closure
+
+
+def _literal_meet_continuity_witness(P, fails):
+    # the definition's scan: x ascending, then the directed sets in
+    # ascending mask order, the first whose supremum s fails for x
+    for x in range(P.n):
+        for d, s in P.directed_sets():
+            if P.leq(x, s) and fails(x, s):
+                return (P.labels[x],), (P.labels_of(d),)
+    return None
+
+
+def test_meet_continuity_fault_in_one_pair(monkeypatch, posets_upto_5):
+    # a closure that drops x for one pair (x, s) alone: the pair test,
+    # which closes the pairs x ascending and then s ascending, fails with
+    # the witness the literal directed-set scan names
+    for P in [*posets_upto_5[4], *posets_upto_5[5][::9]]:
+        tested = [(x, s) for x in range(P.n) for s in iter_bits(P.up[x])]
+        for k, pair in enumerate(tested):
+            monkeypatch.setattr(properties, "scott_closure", _closure_dropping_on_call(k))
+            v = is_meet_continuous(P)
+            assert not v.holds
+            literal = _literal_meet_continuity_witness(P, lambda x, s: (x, s) == pair)
+            assert (v.witness.elements, v.witness.subsets) == literal
+
+
+def test_quasicontinuity_fault_in_fin_family_table(posets_upto_5):
+    # one upper set missing from one element's family table.  The route
+    # check of fin_family catches every such fault; is_quasicontinuous
+    # reads only the least member and the intersection, so it fails
+    # exactly when the missing set is the element's up set
+    for P in [Q for n in range(1, 5) for Q in posets_upto_5[n]]:
+        table = P.upper_masks_containing()
+        for x in range(P.n):
+            for u in table[x]:
+                rows = list(table)
+                rows[x] = tuple(m for m in rows[x] if m != u)
+                Q = FinitePoset._trusted(P.labels, P.up, P.name, _containing_table=tuple(rows))
+                assert fin_family(Q, x) != fin_family(Q, x, oracle=True)
+                assert is_quasicontinuous(Q).holds == (u != P.up[x]), (P.name, x, u)
 
 
 def test_meet_continuity_agreement(lattices_upto_6):

@@ -159,13 +159,40 @@ def test_mode_agreement(lattices_upto_6):
             assert way_below(L.base, oracle=True) == L.base.down
 
 
+def _set_lattices(posets_upto_5):
+    return [family(P).lattice for n in range(1, 4) for P in posets_upto_5[n]
+            for family in (scott_opens, scott_closed_lattice)]
+
+
+def _way_way_below_disagreements(pool):
+    # names of the lattices on which the two routes differ, each route
+    # looked up on the module, so that a patched route is the one checked
+    return [L.name for L in pool
+            if relations.way_way_below(L) != relations.way_way_below(L, oracle=True)]
+
+
 def test_way_way_below_modes_agree_on_set_lattices(posets_upto_5):
     # the shortcut joins only the join-irreducibles, n of them on σ(P)
-    for n in range(1, 4):
-        for P in posets_upto_5[n]:
-            for family in (scott_opens, scott_closed_lattice):
-                L = family(P).lattice
-                assert way_way_below(L) == way_way_below(L, oracle=True), L.name
+    assert _way_way_below_disagreements(_set_lattices(posets_upto_5)) == []
+
+
+def test_way_way_below_route_check_catches_a_flipped_bit(monkeypatch, posets_upto_5):
+    # one bit of one column of the shortcut flipped, on one lattice at a
+    # time: the route check names that lattice and no other
+    pool = _set_lattices(posets_upto_5)
+    shortcut = relations.way_way_below
+    for i, victim in enumerate(pool):
+        v = i % victim.n
+        u = (i // victim.n) % victim.n
+
+        def flipped(L, *, oracle=False):
+            cols = shortcut(L, oracle=oracle)
+            if oracle or L is not victim:
+                return cols
+            return cols[:v] + (cols[v] ^ 1 << u,) + cols[v + 1:]
+
+        monkeypatch.setattr(relations, "way_way_below", flipped)
+        assert _way_way_below_disagreements(pool) == [victim.name]
 
 
 def test_predecessor_columns_are_down_closed(lattices_upto_6, posets_upto_5):

@@ -1,8 +1,9 @@
 import pytest
 
-from helpers import complement_isomorphism
+from helpers import birkhoff_bridge, complement_isomorphism
 
-from orderkit import SizeLimitError, limits
+from orderkit import SizeLimitError, limits, scott
+from orderkit.errors import InputError
 from orderkit.cli import main
 from orderkit.generators import named
 from orderkit.poset import FinitePoset, iter_bits, mask_of, set_order
@@ -19,7 +20,7 @@ from orderkit.scott import (
     scott_closure,
     scott_opens,
 )
-from orderkit.verifier import characterization_check
+from orderkit.verifier import SUITE_ORDER, characterization_check, run_suites
 
 
 def test_is_scott_open_examples():
@@ -182,3 +183,41 @@ def test_scott_closure_modes_agree(posets_upto_5):
     for P in posets_upto_5[4]:
         for mask in range(1 << P.n):
             assert scott_closure(P, mask) == scott_closure(P, mask, oracle=True)
+
+
+def test_birkhoff_bridge(monkeypatch):
+    # the σ(P) of the posets with k upper sets are the distributive
+    # lattices with k elements, one class for one class (OEIS A006982);
+    # this ties σ(P), built without labels, to the lattice route
+    monkeypatch.setenv("ORDERKIT_MAX_N", "8")
+    counts = []
+    for k in range(1, 9):
+        sigma, lattices = birkhoff_bridge(k)
+        assert sigma == lattices, k
+        assert len(set(sigma)) == len(sigma), k
+        counts.append(len(sigma))
+    assert counts == [1, 1, 1, 2, 3, 5, 8, 15]
+
+
+def test_member_labels_built_on_demand(monkeypatch):
+    # the suites read no member label of σ(P) or Γ(P); emit, dual and
+    # witnesses build them on first read, with their clash check
+    built = []
+    labels_of_members = scott._member_labels
+
+    def counted(P, masks, name):
+        built.append(name)
+        return labels_of_members(P, masks, name)
+
+    monkeypatch.setattr(scott, "_member_labels", counted)
+    assert all(r.passed for r in run_suites(SUITE_ORDER, 5))
+    assert built == []
+    L = scott_opens(named("antichain(2)")).lattice
+    assert L.labels == ("{}", "{a}", "{b}", "{a,b}")
+    assert L.labels is L.labels
+    assert built == ["sigma(antichain(2))"]
+    clash = FinitePoset(("a", "b", "a,b"), (1, 2, 4))
+    for family in (scott_opens, scott_closed_lattice):
+        L = family(clash).lattice
+        with pytest.raises(InputError, match="two members labelled {a,b}"):
+            L.labels

@@ -12,6 +12,7 @@ share between concurrent tasks.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import partial
 from itertools import compress
 
 from .errors import CycleError, NotALatticeError, SizeLimitError, UnknownLabelError
@@ -70,6 +71,29 @@ def mask_of(indices):
 def set_order(mask):
     """Sort key of a subset: its size, then its indices."""
     return (mask.bit_count(), tuple(iter_bits(mask)))
+
+
+def _wide_set_order_key(width, mask):
+    # the size, then the complement of the mask's bits reversed over width
+    reversed_bits = int(format(mask, f"0{width}b")[::-1], 2)
+    return mask.bit_count() << width | ((1 << width) - 1) ^ reversed_bits
+
+
+# the key of every mask below 256 over width 8, which orders them as it
+# orders them over any smaller width
+_NARROW_SET_ORDER_KEYS = tuple(_wide_set_order_key(8, m) for m in range(256))
+
+
+def set_order_key(n):
+    """An integer sort key of the subsets of n elements that orders them
+    exactly as ``set_order``: the size, then the complemented mask with its
+    n bits reversed.  Of two sets of one size, set_order puts A first when
+    the least element of their difference lies in A; reversed, that element
+    is the highest differing bit, set in A, so complemented it is clear in
+    A and A's key is the smaller.  Masks below 256 read a table."""
+    if n <= 8:
+        return _NARROW_SET_ORDER_KEYS.__getitem__
+    return partial(_wide_set_order_key, n)
 
 
 def degree_signature(strict_down, strict_up, covers_down, covers_up):
@@ -336,7 +360,7 @@ class FinitePoset:
         for m in self.iter_upper_masks():
             out.append(m)
             limits.check_limit(len(out), "upper-set enumeration", limits.OPENS_LIMIT)
-        out.sort(key=set_order)
+        out.sort(key=set_order_key(self.n))
         return tuple(out)
 
     def upper_masks_containing(self):
@@ -638,10 +662,12 @@ class FiniteLattice:
     is the AND of the up rows of S, and the meet is the dual.  No join or
     meet table is built.  Equal bases make equal lattices; the cached views
     are written to the instance dictionary, and nothing else is assigned.
+    ``cached`` seeds views already known, such as ``join_irreducibles``.
     """
 
-    def __init__(self, base: FinitePoset):
+    def __init__(self, base: FinitePoset, **cached):
         object.__setattr__(self, "base", base)
+        self.__dict__.update(cached)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -191,12 +191,17 @@ def _joins_predecessors(L, below):
     ``way_way_below`` are on both routes: then it has the join of its
     join-irreducibles, since each member is the join of the
     join-irreducibles below it, which the column holds too.  So only those
-    are joined; the witness still names the whole column."""
+    are joined; the witness still names the whole column.  The join is y
+    exactly when the AND of their up rows is y's up row; it is looked up
+    only to name the witness."""
     P = L.base
-    irreducible = L.join_irreducibles
+    up, full, irreducible = P.up, P.full_mask, L.join_irreducibles
     for y, preds in enumerate(below):
-        j = L.join_mask(preds & irreducible)
-        if j != y:
+        ub = full
+        for i in iter_bits(preds & irreducible):
+            ub &= up[i]
+        if ub != up[y]:
+            j = L._up_index[ub]
             w = Witness(elements=(P.labels[y],), subsets=(P.labels_of(preds),),
                         lhs=P.labels[y], rhs=P.labels[j])
             return Verdict(False, w)

@@ -53,37 +53,40 @@ def _lattice_of_set_family(P, masks, name):
     The family must be all the upper sets, or all the down sets, of P.  It
     is then closed under union and intersection, and a member m' covers m
     exactly when m' adds one element to m: of the elements of m' not in m,
-    a maximal one (minimal, for down sets) can be added alone.  From the
-    members containing each element e, three rows of each member m follow:
-    its up row is the AND of those masks over e in m, its down row the
-    members disjoint from every e not in m, and its cover row the members
-    m | {e} over e not in m.  The member labels wait for their first read;
+    a maximal one (minimal, for down sets) can be added alone.  set_order
+    puts the members of each size s in one run of indices, so the lower
+    covers of a member of size s are its down row within the run of size
+    s - 1, and the join-irreducibles, the members with exactly one lower
+    cover, are known here.  From the members containing each element e,
+    a member m's down row is the members disjoint from every e not in m;
+    its up row, the AND of those over e in m, and its cover row, its up
+    row within the next run, wait for their first read, as its label does;
     see ``SetFamilyPoset``.
     """
     k = len(masks)
     limits.check_limit(k * k, "set-lattice table", limits.OPENS_LIMIT)
-    index = {m: i for i, m in enumerate(masks)}
     containing = [0] * P.n
+    # runs[s]: the members of size s; runs[n + 1], also read as runs[-1],
+    # stays empty, the run above size n and below size 0
+    runs = [0] * (P.n + 2)
     for i, m in enumerate(masks):
+        bit = 1 << i
+        runs[m.bit_count()] |= bit
         for e in iter_bits(m):
-            containing[e] |= 1 << i
+            containing[e] |= bit
     full = (1 << k) - 1
-    up, down, covers = [], [], []
-    for m in masks:
-        row = full
-        for e in iter_bits(m):
-            row &= containing[e]
-        outside = cover = 0
+    down, irreducible = [], 0
+    for i, m in enumerate(masks):
+        outside = 0
         for e in iter_bits(P.full_mask ^ m):
             outside |= containing[e]
-            j = index.get(m | 1 << e)
-            if j is not None:
-                cover |= 1 << j
-        up.append(row)
-        down.append(full & ~outside)
-        covers.append(cover)
-    base = SetFamilyPoset(P, tuple(masks), up, name, down=tuple(down), cover_rows=tuple(covers))
-    return OpenSetLattice(P, base.members, FiniteLattice(base))
+        row = full & ~outside
+        lower = row & runs[m.bit_count() - 1]
+        if lower and not lower & (lower - 1):
+            irreducible |= 1 << i
+        down.append(row)
+    base = SetFamilyPoset(P, tuple(masks), name, containing, runs, tuple(down))
+    return OpenSetLattice(P, base.members, FiniteLattice(base, join_irreducibles=irreducible))
 
 
 def _member_labels(P, masks, name):
@@ -99,17 +102,37 @@ def _member_labels(P, masks, name):
 
 class SetFamilyPoset(FinitePoset):
     """The poset of a family of subsets of ``family_of`` under inclusion,
-    element i standing for the mask ``members[i]``.  Its labels are built
-    from the members on their first read, by ``emit``, ``dual`` or a
-    witness; a check that passes reads none."""
+    element i standing for the mask ``members[i]``, built by
+    ``_lattice_of_set_family`` with its down rows.  ``containing[e]``
+    masks the members holding element e and ``runs[s]`` those of size s.
+    The up rows, the cover rows and the labels are built on their first
+    read: the suites read no cover row, and no up row of Γ(P); ``emit``,
+    ``dual`` and witnesses read the labels."""
 
-    def __init__(self, family_of, members, up, name, **cached):
+    def __init__(self, family_of, members, name, containing, runs, down):
         self.family_of = family_of
         self.members = members
         self.name = name
         self.n = len(members)
-        self.up = tuple(up)
-        self.__dict__.update(cached)
+        self.containing = containing
+        self.runs = runs
+        self.down = down  # shadows the cached view
+
+    @cached_view
+    def up(self):
+        full, containing = self.full_mask, self.containing
+        rows = []
+        for m in self.members:
+            row = full
+            for e in iter_bits(m):
+                row &= containing[e]
+            rows.append(row)
+        return tuple(rows)
+
+    @cached_view
+    def cover_rows(self):
+        runs = self.runs
+        return tuple(row & runs[m.bit_count() + 1] for m, row in zip(self.members, self.up))
 
     @cached_view
     def labels(self):

@@ -3,8 +3,8 @@
 from itertools import combinations_with_replacement, islice, product
 
 from orderkit import limits
-from orderkit.generators import enumerate_lattices, enumerate_posets
-from orderkit.poset import Verdict, Witness, iter_bits, mask_of
+from orderkit.generators import _poset_level, default_labels, enumerate_lattices, named
+from orderkit.poset import FinitePoset, Verdict, Witness, iter_bits, mask_of
 from orderkit.properties import _first_violation, _verdict
 from orderkit.scott import scott_opens
 
@@ -64,11 +64,13 @@ def birkhoff_bridge(k):
     sets, and those of the distributive lattices with k elements, each a
     sorted list.  By Birkhoff's representation theorem the two lists are
     equal and free of repeats.  A poset with n elements has at least n + 1
-    upper sets, so the posets come from levels 0 to k - 1, and the lattices
-    from poset level k - 2."""
-    sigma = []
-    for n in range(k):
-        for P in enumerate_posets(n):
+    upper sets, and exactly n + 1 only when it is a chain, so the posets
+    are the (k - 1)-chain and some of levels 0 to k - 2, read past the
+    poset ceiling; the lattices come from poset level k - 2."""
+    sigma = [scott_opens(named(f"chain({k - 1})")).lattice.base.canonical_key()]
+    for n in range(k - 1):
+        for key in _poset_level(n):
+            P = FinitePoset._trusted(default_labels(n), key)
             if sum(1 for _ in islice(P.iter_upper_masks(), k + 1)) == k:
                 sigma.append(scott_opens(P).lattice.base.canonical_key())
     lattices = [L.base.canonical_key() for L in enumerate_lattices(k)

@@ -17,7 +17,14 @@ from orderkit import (
     limits,
 )
 from orderkit.generators import default_labels, enumerate_posets, named, random_poset
-from orderkit.poset import FinitePoset, _closure_rows, iter_bits, mask_of, set_order
+from orderkit.poset import (
+    FinitePoset,
+    _closure_rows,
+    iter_bits,
+    mask_of,
+    set_order,
+    set_order_key,
+)
 from orderkit.scott import scott_closed_lattice, scott_opens
 
 
@@ -496,6 +503,15 @@ def test_upper_masks_are_upper(posets_upto_6):
         for P in batch:
             literal = [m for m in range(1 << P.n) if P.up_closure_mask(m) == m]
             assert P.upper_masks() == tuple(sorted(literal, key=set_order))
+
+
+def test_set_order_key_orders_like_set_order():
+    # the integer key the upper-set table sorts by, which the test above
+    # pins on every poset with n <= 6, on all masks of the table widths
+    # n <= 8 and of the wide widths n = 9..12
+    for n in range(13):
+        masks = range(1 << n)
+        assert sorted(masks, key=set_order_key(n)) == sorted(masks, key=set_order), n
 
 
 def test_up_closure_monotone(posets_upto_5):

@@ -3,7 +3,7 @@ import pytest
 from helpers import is_completely_distributive_oracle, is_meet_continuous_algebraic
 
 from orderkit.generators import enumerate_lattices, named
-from orderkit import properties
+from orderkit import properties, verifier
 from orderkit.poset import FiniteLattice, FinitePoset, iter_bits
 from orderkit.properties import (
     is_continuous,
@@ -290,6 +290,36 @@ def test_birkhoff_screen_disagreement_is_a_fault(monkeypatch):
     for law in (is_join_continuous, is_frame, is_distributive):
         with pytest.raises(AssertionError, match="disagree"):
             law(b2)
+
+
+_BIRKHOFF_TEST = vars(FiniteLattice)["birkhoff_distributive"].compute
+
+
+def _birkhoff_flipped_on(name):
+    # Birkhoff's test, answering wrong on the lattice of that name alone;
+    # a property, so that no value cached on an instance is read instead
+    return property(lambda L: _BIRKHOFF_TEST(L) != (L.name == name))
+
+
+def test_suites_catch_a_flipped_birkhoff_test(monkeypatch, lattices_upto_6):
+    # flipped on one lattice at a time, each with n <= 6: on a distributive
+    # one the scan for the first witness finds none, and a non-distributive
+    # one turns join continuous without being prime continuous, which
+    # thm32 reports
+    for L in (L for batch in lattices_upto_6.values() for L in batch):
+        distributive = L.birkhoff_distributive
+        monkeypatch.setattr(FiniteLattice, "birkhoff_distributive", _birkhoff_flipped_on(L.name))
+        if distributive:
+            with pytest.raises(AssertionError, match="disagree"):
+                verifier.run_suites(("thm32",), 6)
+        else:
+            (report,) = verifier.run_suites(("thm32",), 6)
+            assert [r.name for r in report.failures] == [L.name]
+    # σ(P) and Γ(P), read by thm23, are distributive
+    for name in ("sigma(P6.100)", "gamma(P6.100)"):
+        monkeypatch.setattr(FiniteLattice, "birkhoff_distributive", _birkhoff_flipped_on(name))
+        with pytest.raises(AssertionError, match="disagree"):
+            verifier.run_suites(("thm23",), 6)
 
 
 def test_completely_distributive_oracle(m3):

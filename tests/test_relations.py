@@ -164,16 +164,75 @@ def _set_lattices(posets_upto_5):
             for family in (scott_opens, scott_closed_lattice)]
 
 
-def _way_way_below_disagreements(pool):
-    # names of the lattices on which the two routes differ, each route
-    # looked up on the module, so that a patched route is the one checked
-    return [L.name for L in pool
-            if relations.way_way_below(L) != relations.way_way_below(L, oracle=True)]
+def _route_disagreements(relation, pool):
+    # names of the instances on which the two routes of the named relation
+    # differ, each route looked up on the module, so that a patched route
+    # is the one checked
+    route = getattr(relations, relation)
+    return [X.name for X in pool if route(X) != route(X, oracle=True)]
 
 
 def test_way_way_below_modes_agree_on_set_lattices(posets_upto_5):
     # the shortcut joins only the join-irreducibles, n of them on σ(P)
-    assert _way_way_below_disagreements(_set_lattices(posets_upto_5)) == []
+    assert _route_disagreements("way_way_below", _set_lattices(posets_upto_5)) == []
+
+
+def _prec_pool(lattices_upto_6, posets_upto_5):
+    return [*(L for batch in lattices_upto_6.values() for L in batch),
+            *_set_lattices(posets_upto_5)]
+
+
+def test_way_below_routes_agree(posets_upto_6):
+    pool = [P for batch in posets_upto_6.values() for P in batch]
+    assert _route_disagreements("way_below", pool) == []
+
+
+def test_prec_routes_agree(lattices_upto_6, posets_upto_5):
+    assert _route_disagreements("prec", _prec_pool(lattices_upto_6, posets_upto_5)) == []
+
+
+def _dropping_one_bit(route, victim, v, u):
+    # the route, with bit u of column v dropped from its shortcut on the
+    # instance named like the victim alone
+    def faulty(X, *, oracle=False):
+        cols = route(X, oracle=oracle)
+        if oracle or X.name != victim.name:
+            return cols
+        return cols[:v] + (cols[v] & ~(1 << u),) + cols[v + 1:]
+
+    return faulty
+
+
+def test_route_checks_catch_a_dropped_bit(monkeypatch, lattices_upto_6, posets_upto_6):
+    # one bit of one column of the way_below or prec shortcut dropped, on
+    # one instance at a time, each of n <= 6: the route check names that
+    # instance and no other.  The suites miss many of these faults.
+    # Continuity reads a way_below column's greatest element, which stays
+    # while the element itself is in the column; hypercontinuity joins a
+    # prec column's join-irreducibles, whose join stays while the element
+    # is one of them and in the column
+    posets = [P for batch in posets_upto_6.values() for P in batch]
+    pools = {"way_below": (posets, posets[::9]),
+             "prec": (_prec_pool(lattices_upto_6, posets_upto_6),) * 2}
+    for relation, (pool, victims) in pools.items():
+        route = getattr(relations, relation)
+        for i, victim in enumerate(victims):
+            v = i % victim.n
+            down = victim.base.down if relation == "prec" else victim.down
+            below = iter_bits(down[v])
+            u = below[i % len(below)]
+            monkeypatch.setattr(relations, relation, _dropping_one_bit(route, victim, v, u))
+            assert _route_disagreements(relation, pool) == [victim.name], relation
+        monkeypatch.undo()
+    # a poset of n = 6 with a greatest element: the continuity suites see
+    # that element dropped from its own way_below column, not its least one
+    P = posets_upto_6[6][-1]
+    top = P.n - 1
+    assert P.down[top] == P.full_mask
+    for u, caught in ((0, False), (top, True)):
+        monkeypatch.setattr(properties, "way_below", _dropping_one_bit(way_below, P, top, u))
+        reports = verifier.run_suites(("thm34", "thm21"), 6)
+        assert [r.failures[0].name for r in reports if r.failures] == [P.name] * 2 * caught
 
 
 def test_way_way_below_route_check_catches_a_flipped_bit(monkeypatch, posets_upto_5):
@@ -192,7 +251,7 @@ def test_way_way_below_route_check_catches_a_flipped_bit(monkeypatch, posets_upt
             return cols[:v] + (cols[v] ^ 1 << u,) + cols[v + 1:]
 
         monkeypatch.setattr(relations, "way_way_below", flipped)
-        assert _way_way_below_disagreements(pool) == [victim.name]
+        assert _route_disagreements("way_way_below", pool) == [victim.name]
 
 
 def test_predecessor_columns_are_down_closed(lattices_upto_6, posets_upto_5):

@@ -6,7 +6,7 @@ from orderkit import SizeLimitError, limits, scott
 from orderkit.errors import InputError
 from orderkit.cli import main
 from orderkit.generators import named
-from orderkit.poset import FinitePoset, iter_bits, mask_of, set_order
+from orderkit.poset import FiniteLattice, FinitePoset, iter_bits, mask_of, set_order
 from orderkit.properties import (
     is_distributive,
     is_frame,
@@ -97,22 +97,64 @@ def test_set_lattice_members_in_set_order(posets_upto_6):
                 assert list(family.opens) == sorted(family.opens, key=set_order)
 
 
-def test_set_lattice_views_match_validating_route(posets_upto_6):
-    # σ(P) and Γ(P) are built in one pass and not validated; the validating
-    # constructor over literal subset tests, with its generic pair walks,
-    # must give the same rows
-    extras = [named(name) for name in ("chain(0)", "antichain(1)", "antichain(5)", "boolean(3)")]
-    for P in [*(Q for batch in posets_upto_6.values() for Q in batch), *extras]:
+def _set_lattice_view_mismatches(posets):
+    # the names of the σ(P) and Γ(P) whose rows or join-irreducibles
+    # differ from what the validating constructor, over literal subset
+    # tests and with its generic pair walks, gives
+    out = []
+    for P in posets:
         for family in (scott_opens(P), scott_closed_lattice(P)):
             L, masks = family.lattice, family.opens
             k = len(masks)
             rows = [mask_of(j for j in range(k) if not masks[i] & ~masks[j]) for i in range(k)]
             literal = FinitePoset(L.labels, rows)
-            assert L.base.up == literal.up
-            assert L.base.down == literal.down
-            assert L.base.cover_rows == literal.cover_rows
             lower_covers = [sum(row >> x & 1 for row in literal.cover_rows) for x in range(k)]
-            assert L.join_irreducibles == mask_of(x for x in range(k) if lower_covers[x] == 1)
+            irreducible = mask_of(x for x in range(k) if lower_covers[x] == 1)
+            views = (L.base.up, L.base.down, L.base.cover_rows, L.join_irreducibles)
+            if views != (literal.up, literal.down, literal.cover_rows, irreducible):
+                out.append(L.name)
+    return out
+
+
+def test_set_lattice_views_match_validating_route(posets_upto_6):
+    # σ(P) and Γ(P) are built in one pass and not validated
+    extras = [named(name) for name in ("chain(0)", "antichain(1)", "antichain(5)", "boolean(3)")]
+    posets = [*(Q for batch in posets_upto_6.values() for Q in batch), *extras]
+    assert _set_lattice_view_mismatches(posets) == []
+
+
+def _dropping_join_irreducible(name, i):
+    # the lattice constructor the set-family build calls, dropping the
+    # i-th of the join-irreducibles, cyclically, of the lattice of that
+    # name alone
+    def build(base, *, join_irreducibles):
+        if base.name == name:
+            bits = iter_bits(join_irreducibles)
+            join_irreducibles &= ~(1 << bits[i % len(bits)])
+        return FiniteLattice(base, join_irreducibles=join_irreducibles)
+
+    return build
+
+
+def test_dropped_join_irreducible_is_caught(monkeypatch, posets_upto_6):
+    # one join-irreducible dropped from the build of one σ(P) or Γ(P) at a
+    # time, P with n <= 4: the check against the validating route names
+    # that lattice and no other
+    posets = [P for n in range(1, 5) for P in posets_upto_6[n]]
+    for i, P in enumerate(posets):
+        for family in ("sigma", "gamma"):
+            name = f"{family}({P.name})"
+            monkeypatch.setattr(scott, "FiniteLattice", _dropping_join_irreducible(name, i))
+            assert _set_lattice_view_mismatches(posets) == [name]
+    # at n <= 6 the poset suites catch the fault on σ(P), whose prime
+    # continuity and hypercontinuity join the join-irreducibles, but not on
+    # Γ(P): Birkhoff's test, which the frame law reads there, passes on the
+    # join-irreducibles left
+    for family, caught in (("sigma", True), ("gamma", False)):
+        name = f"{family}(P6.100)"
+        monkeypatch.setattr(scott, "FiniteLattice", _dropping_join_irreducible(name, 0))
+        reports = run_suites(("thm21", "thm23", "thm25"), 6)
+        assert any(r.failures for r in reports) == caught, family
 
 
 def test_scott_opens_count_is_upper_set_count(posets_upto_5):
@@ -197,6 +239,27 @@ def test_birkhoff_bridge(monkeypatch):
         assert len(set(sigma)) == len(sigma), k
         counts.append(len(sigma))
     assert counts == [1, 1, 1, 2, 3, 5, 8, 15]
+
+
+def test_set_family_rows_built_on_demand(monkeypatch):
+    # the suites read the down rows and the join-irreducibles, known at
+    # build time, no cover row of σ(P) or Γ(P), and no up row of Γ(P)
+    built = []
+    for view in ("up", "cover_rows"):
+        descriptor = vars(scott.SetFamilyPoset)[view]
+
+        def counted(P, compute=descriptor.compute, view=view):
+            built.append((view, P.name.partition("(")[0]))
+            return compute(P)
+
+        monkeypatch.setattr(descriptor, "compute", counted)
+    assert all(r.passed for r in run_suites(SUITE_ORDER, 5))
+    assert set(built) == {("up", "sigma")}
+    # 87 posets with n <= 5, and the up rows of each σ(P) built once
+    assert len(built) == 87
+    L = scott_closed_lattice(named("chain(2)")).lattice
+    assert L.base.cover_rows == (2, 4, 0)
+    assert built[-2:] == [("cover_rows", "gamma"), ("up", "gamma")]
 
 
 def test_member_labels_built_on_demand(monkeypatch):

@@ -7,8 +7,10 @@ Exit codes: 0 pass, 1 predicate or suite failure, 2 input error,
 from __future__ import annotations
 
 import argparse
+import gc
 import io
 import json
+import locale  # argparse's gettext imports it on the first parser build, inside main
 import re
 import sys
 from pathlib import Path
@@ -18,6 +20,10 @@ from .errors import InputError, OrderkitError, SizeLimitError
 from .generators import named
 from .poset import FinitePoset
 from .scott import scott_closed_lattice, scott_opens
+
+# the objects made at import live as long as the process: no collection
+# need walk them, and one would otherwise fall inside the first command
+gc.freeze()
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -132,7 +138,7 @@ def cmd_dual(args):
 def cmd_enumerate(args):
     from .generators import check_ceiling, enumerate_lattices, enumerate_posets
 
-    evaluate = verifier.compile_expression(args.filter) if args.filter else None
+    evaluate = None if args.filter is None else verifier.compile_expression(args.filter)
     if args.emit:
         check_ceiling(args.kind, args.n)  # a refused size makes no directory
         out_dir = Path(args.emit)
@@ -301,11 +307,22 @@ def command_of(argv):
     return argv[0] if argv and argv[0] in COMMANDS else None
 
 
+# argparse takes an empty path, which Path reads as the working directory
+_EMPTY_PATHS = {
+    "input": "input '' names no file",
+    "output": "--output '' names no file",
+    "emit": "--emit '' names no directory",
+}
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = build_parser(command_of(argv)).parse_args(argv)
     try:
+        for dest, message in _EMPTY_PATHS.items():
+            if getattr(args, dest, None) == "":
+                raise InputError(message)
         return args.func(args)
     except SizeLimitError as exc:
         print(f"size limit: {exc}", file=sys.stderr)

@@ -30,7 +30,7 @@ DIRECTED_LIMIT = 1 << 16  # max number of directed subsets tabulated per poset
 CANON_LIMIT = 1 << 24     # max relation-table cells compared by one canonical labelling
 EXPRESSION_DEPTH = 100    # max nesting of parentheses in a filter expression
 ENUM_MAX_DEFAULT = 7      # enumeration ceiling of every universe (env-overridable)
-ENUM_MAX_HARD = {"posets": 8, "lattices": 11}
+ENUM_MAX_HARD = {"posets": 9, "lattices": 11}
 
 
 def check_subset_cap(n, what):

@@ -22,7 +22,6 @@ import os
 import re
 import time
 from collections import namedtuple
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from itertools import islice
 
@@ -325,6 +324,9 @@ def _outcomes(check, stream, jobs):
     if jobs == 1:
         yield from map(check, stream)
         return
+    # imported here: multiprocessing costs every other run its import
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         while batch := list(islice(stream, _BATCH)):
             yield from pool.map(check, batch, chunksize=8)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import io
 import json
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from orderkit import generators, verifier
+from orderkit import generators
 from orderkit.cli import COMMANDS, build_parser, command_of, main
 from orderkit.generators import named
 
@@ -171,6 +172,7 @@ def test_enumerate_filter_parse_error(capsys):
     for text, message in (
         ("lattice & 3", "column 11: unexpected character '3'"),
         ("   ", "column 4: expected a predicate name, found 'end of input'"),
+        ("", "column 1: expected a predicate name, found 'end of input'"),
     ):
         assert main(["enumerate", "--n", "2", "--filter", text]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
@@ -314,15 +316,15 @@ def test_ceiling_per_universe(monkeypatch, capsys):
     monkeypatch.setattr(generators, "_poset_level", lambda n: built.append(n) or ())
     for raw in ("11", "12", "0011", "9" * 5000):
         monkeypatch.setenv("ORDERKIT_MAX_N", raw)
-        assert main(["enumerate", "--n", "9"]) == 3
+        assert main(["enumerate", "--n", "10"]) == 3
         _, err = capsys.readouterr()
-        assert err == "size limit: poset enumeration: 9 exceeds cap 8\n"
+        assert err == "size limit: poset enumeration: 10 exceeds cap 9\n"
         assert main(["enumerate", "--n", "12", "--kind", "lattices"]) == 3
         _, err = capsys.readouterr()
         assert err == "size limit: lattice enumeration: 12 exceeds cap 11\n"
-        assert main(["verify", "--max-n", "9"]) == 3
+        assert main(["verify", "--max-n", "10"]) == 3
         _, err = capsys.readouterr()
-        assert err == "size limit: poset enumeration: 9 exceeds cap 8\n"
+        assert err == "size limit: poset enumeration: 10 exceeds cap 9\n"
     assert built == []
 
 
@@ -369,6 +371,20 @@ def test_verify_zero_max_n_exit(capsys):
 def test_check_empty_properties_exit(capsys):
     assert main(["check", "M3", "--properties", ""]) == 2
     assert "--properties" in _one_line_error(capsys)
+
+
+def test_empty_paths_exit(tmp_path, monkeypatch, capsys):
+    # an empty path is not the working directory: nothing is read or written
+    monkeypatch.chdir(tmp_path)
+    for argv, named_value in ((["dual", "M3", "-o", ""], "--output ''"),
+                              (["export-dot", "M3", "--output", ""], "--output ''"),
+                              (["enumerate", "--n", "3", "--emit", ""], "--emit ''"),
+                              (["check", ""], "input ''"),
+                              (["dual", ""], "input ''")):
+        assert main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and named_value in err, argv
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_named_carriers_over_cap_exit(capsys):
@@ -438,7 +454,7 @@ class _InlinePool:
 
 
 def test_verify_jobs_clamped_to_cpus(monkeypatch, capsys):
-    monkeypatch.setattr(verifier, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
     _InlinePool.workers.clear()
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     assert main(["verify", "--suite", "thm32", "--max-n", "3", "--jobs", "16"]) == 0
@@ -487,10 +503,14 @@ def test_command_parser_matches_full_parser(argv):
 
 def test_cli_import_skips_dataclass_machinery():
     """dataclasses pulls in inspect, which cost every invocation about
-    19 ms; the record types are named tuples instead."""
+    19 ms; the record types are named tuples instead.  The worker pool's
+    multiprocessing cost 13-18 ms more, and only verify --jobs above 1
+    imports it, neither at import nor in a one-job run."""
     src = Path(__file__).resolve().parents[1] / "src"
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import orderkit.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
-    done = subprocess.run([sys.executable, "-S", "-c", code, str(src)],
-                          capture_output=True, text=True, check=True)
-    assert done.stdout == "[]\n"
+    unwanted = "{'dataclasses', 'inspect', 'multiprocessing', 'concurrent.futures'}"
+    for run in ("", "orderkit.cli.main(['verify', '--max-n', '3']); "):
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import orderkit.cli; " + run
+                + f"print(sorted({unwanted} & set(sys.modules)), file=sys.stderr)")
+        done = subprocess.run([sys.executable, "-S", "-c", code, str(src)],
+                              capture_output=True, text=True, check=True)
+        assert done.stderr == "[]\n", run

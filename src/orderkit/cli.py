@@ -6,14 +6,13 @@ Exit codes: 0 pass, 1 predicate or suite failure, 2 input error,
 
 from __future__ import annotations
 
-import argparse
 import gc
 import io
 import json
-import locale  # argparse's gettext imports it on the first parser build, inside main
 import re
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import files, properties, verifier
 from .errors import InputError, OrderkitError, SizeLimitError
@@ -30,12 +29,12 @@ EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_LIMIT = 3
 
-_NAMED_INPUT = re.compile(r"^(M3|N5|(chain|antichain|boolean)\(\d+\))$")
+_NAMED_INPUT = re.compile(r"M3|N5|(chain|antichain|boolean)\([0-9]+\)")
 
 
 def load_input(spec: str) -> FinitePoset:
     """A named instance, '-' for stdin, or a poset file path."""
-    if _NAMED_INPUT.match(spec):
+    if _NAMED_INPUT.fullmatch(spec):
         return named(spec)
     try:
         if spec == "-":
@@ -285,6 +284,8 @@ def build_parser(command=None):
     """The argument parser, with every subcommand, or with only ``command``,
     which is all ``main`` needs: building the other four costs more than
     deciding a small instance."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="orderkit",
         description="Finite poset and lattice toolkit: predicates, Scott "
@@ -307,6 +308,83 @@ def command_of(argv):
     return argv[0] if argv and argv[0] in COMMANDS else None
 
 
+class _Declared:
+    """Stands in for a command's parser in its ``_xxx_arguments`` function
+    and keeps what that declares, so ``_read_argv`` reads the options the
+    parser would build.  Only the forms those functions use are taken."""
+
+    def __init__(self):
+        self.options = {}  # option string -> (dest, is a flag, type, choices)
+        self.positionals = []
+        self.required = []  # the dests a command line must give: no default
+        self.defaults = {}
+
+    def add_argument(self, *flags, action=None, type=None, choices=None, required=False,
+                     default=None, help=None, metavar=None):
+        if action not in (None, "store_true"):
+            raise TypeError(f"action {action!r} is not read without argparse")
+        if not flags[0].startswith("-"):
+            self.positionals.append(flags[0])
+            self.required.append(flags[0])
+            return
+        # argparse's dest: the first long option string, else the first
+        dest = next((f for f in flags if f.startswith("--")), flags[0])
+        dest = dest.lstrip("-").replace("-", "_")
+        is_flag = action == "store_true"
+        if required:
+            self.required.append(dest)
+        else:
+            self.defaults[dest] = False if is_flag else default
+        for flag in flags:
+            self.options[flag] = (dest, is_flag, type, choices)
+
+    def set_defaults(self, **defaults):
+        self.defaults.update(defaults)
+
+
+def _read_argv(argv):
+    """The namespace argparse would give for ``argv``, or None unless
+    ``argv`` is well formed in the plain way: the command word first,
+    option strings exactly as declared, option values not starting with
+    "-", and the declared positionals, "-" or not starting with "-".
+    Argparse reads everything else, and prints the help, usage and errors:
+    building its parser costs more than deciding a small instance."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    declared = _Declared()
+    COMMANDS[argv[0]][1](declared)
+    values = dict(declared.defaults, command=argv[0])
+    positionals = iter(declared.positionals)
+    words = iter(argv[1:])
+    for word in words:
+        if word in declared.options:
+            dest, is_flag, convert, choices = declared.options[word]
+            if is_flag:
+                values[dest] = True
+                continue
+            value = next(words, None)
+            if value is None or value.startswith("-"):
+                return None
+            if convert is not None:
+                try:
+                    value = convert(value)
+                except ValueError:
+                    return None
+            if choices is not None and value not in choices:
+                return None
+            values[dest] = value
+        elif word.startswith("-") and word != "-":
+            return None
+        else:
+            dest = next(positionals, None)
+            if dest is None:
+                return None
+            values[dest] = word
+    if not all(dest in values for dest in declared.required):
+        return None
+    return SimpleNamespace(**values)
+
+
 # argparse takes an empty path, which Path reads as the working directory
 _EMPTY_PATHS = {
     "input": "input '' names no file",
@@ -318,7 +396,9 @@ _EMPTY_PATHS = {
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser(command_of(argv)).parse_args(argv)
+    args = _read_argv(argv)
+    if args is None:
+        args = build_parser(command_of(argv)).parse_args(argv)
     try:
         for dest, message in _EMPTY_PATHS.items():
             if getattr(args, dest, None) == "":

@@ -37,7 +37,7 @@ def default_labels(n):
     return tuple(f"x{i}" for i in range(n))
 
 
-_NAME_RE = re.compile(r"^(chain|antichain|boolean)\((\d+)\)$")
+_NAME_RE = re.compile(r"(chain|antichain|boolean)\(([0-9]+)\)")
 
 
 def named(name: str) -> FinitePoset:
@@ -47,7 +47,7 @@ def named(name: str) -> FinitePoset:
         return _m3()
     if name == "N5":
         return _n5()
-    m = _NAME_RE.match(name)
+    m = _NAME_RE.fullmatch(name)
     if not m:
         raise UnknownNameError(name)
     kind, digits = m.group(1), m.group(2).lstrip("0") or "0"

@@ -491,12 +491,22 @@ class InstanceProfile:
     @cached_view
     def sigma(self):
         """Profile of the lattice of Scott opens."""
-        return InstanceProfile(scott_opens(self.poset).lattice)
+        return self._set_lattice_profile(scott_opens(self.poset).lattice)
 
     @cached_view
     def gamma(self):
         """Profile of the lattice of Scott-closed sets."""
-        return InstanceProfile(scott_closed_lattice(self.poset).lattice)
+        return self._set_lattice_profile(scott_closed_lattice(self.poset).lattice)
+
+    def _set_lattice_profile(self, L):
+        # the join-irreducibles of σ(P) and Γ(P) are the principal up and
+        # down sets, one per element of P; the suites, which read Γ(P)
+        # through Birkhoff's test alone, would not notice one missing
+        found = L.join_irreducibles.bit_count()
+        if found != self.poset.n:
+            raise AssertionError(f"{L.name} has {found} join-irreducibles, "
+                                 f"not one per element of {self.poset.name}")
+        return InstanceProfile(L)
 
     def verdict(self, name):
         """The predicate's Verdict, or None for a lattice-only predicate

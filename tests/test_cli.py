@@ -9,9 +9,11 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orderkit import generators
-from orderkit.cli import COMMANDS, build_parser, command_of, main
+from orderkit.cli import COMMANDS, _read_argv, build_parser, command_of, main
+from orderkit.errors import UnknownNameError
 from orderkit.generators import named
 
 RUN = [sys.executable, "-m", "orderkit"]
@@ -505,12 +507,73 @@ def test_cli_import_skips_dataclass_machinery():
     """dataclasses pulls in inspect, which cost every invocation about
     19 ms; the record types are named tuples instead.  The worker pool's
     multiprocessing cost 13-18 ms more, and only verify --jobs above 1
-    imports it, neither at import nor in a one-job run."""
+    imports it, neither at import nor in a one-job run.  Argparse, with
+    the gettext and locale it loads, is for help and errors: a
+    well-formed command line of any command is read without it."""
     src = Path(__file__).resolve().parents[1] / "src"
-    unwanted = "{'dataclasses', 'inspect', 'multiprocessing', 'concurrent.futures'}"
-    for run in ("", "orderkit.cli.main(['verify', '--max-n', '3']); "):
-        code = ("import sys; sys.path.insert(0, sys.argv[1]); import orderkit.cli; " + run
-                + f"print(sorted({unwanted} & set(sys.modules)), file=sys.stderr)")
+    unwanted = ("{'dataclasses', 'inspect', 'multiprocessing', 'concurrent.futures', "
+                "'argparse', 'gettext', 'locale'}")
+    for run in ("0", *(f"orderkit.cli.main({argv!r})" for argv in (
+            ["verify", "--max-n", "3"], ["check", "M3", "--json", "--no-assert"],
+            ["dual", "-", "-o", os.devnull], ["enumerate", "--n", "3", "--kind", "lattices"],
+            ["export-dot", "N5"]))):
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import orderkit.cli; "
+                f"code = {run}; print(code, sorted({unwanted} & set(sys.modules)), "
+                "file=sys.stderr)")
         done = subprocess.run([sys.executable, "-S", "-c", code, str(src)],
-                              capture_output=True, text=True, check=True)
-        assert done.stderr == "[]\n", run
+                              capture_output=True, text=True, check=True,
+                              input="elements: a b\ncover a b\n")
+        assert done.stderr == "0 []\n", run
+
+
+def test_named_specs_match_whole_string(tmp_path, monkeypatch, capsys):
+    # a trailing newline or a non-ASCII digit makes no instance name: the
+    # CLI reads the spec as a path, and named() refuses it
+    monkeypatch.chdir(tmp_path)
+    for spec in ("chain(3)\n", "M3\n", "N5\n", "chain(\u0663)", "boolean(\uff12)"):
+        assert main(["check", spec, "--json"]) == 2, spec
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and err.startswith("error: "), spec
+        with pytest.raises(UnknownNameError):
+            named(spec)
+
+
+# words the reader and argparse are compared on: every command and option
+# string, abbreviations, "=" forms, help, "--", "-", empty and spaced words,
+# ints with signs, underscores or non-ASCII digits, valid and invalid choices
+_ARGV_WORDS = (
+    *COMMANDS, "bogus",
+    "--properties", "--witness", "--json", "--no-assert", "--scott-closed", "-o",
+    "--output", "--n", "--kind", "--filter", "--emit", "--suite", "--max-n", "--jobs",
+    "--deterministic", "-h", "--help",
+    "--max", "--prop", "--no", "--det", "--out", "--scott", "--k", "--j",
+    "--n=3", "--max-n=2", "--kind=lattices", "--output=x", "-ox", "-o=x", "--json=1",
+    "--", "-", "", " ", "a b", "-x y", "M3", "chain(2)", "all", "continuous,frame",
+    "lattice & !distributive",
+    "0", "1", "3", "-1", "+2", "-5", " 3", "3 ", "1_0", "_1", "\u0663", "\uff12", "\u00b2",
+    "2.0", "-1.5", "9" * 5000,
+    "posets", "lattices", "trees", "full", "thm32", "lemma31", "nope", "Full",
+)
+
+
+def _argparse_namespace(argv):
+    """The attributes the full parser gives for ``argv``, or the exit
+    code and output when it exits."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return vars(build_parser().parse_args(argv))
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+@given(st.lists(st.sampled_from(_ARGV_WORDS), max_size=6),
+       st.sampled_from((*COMMANDS, None)))
+@settings(max_examples=400, deadline=None)
+def test_reader_agrees_with_argparse(words, command):
+    """main reads a well-formed command line without argparse; whatever
+    it reads, argparse reads the same, and the rest it leaves to argparse."""
+    argv = words if command is None else [command, *words]
+    read = _read_argv(argv)
+    if read is not None:
+        assert vars(read) == _argparse_namespace(argv)

@@ -15,6 +15,8 @@ still give one class, and one sort of all parents' keys orders the level.
 Lattices with n >= 2 elements are read off the poset level n - 2: each is
 one such poset with a new bottom and a new top added, kept when the result
 is a lattice, and distinct poset classes give distinct lattice classes.
+Lattice keys need no labelling: a bounded level key is already the
+canonical key of its lattice, in the level's order.
 The published counts of unlabeled posets and lattices serve as acceptance
 oracles for these constructions, not as inputs.
 """
@@ -291,10 +293,24 @@ def enumerate_lattices(n: int):
     the unique least and greatest elements, so any isomorphism of two
     extensions maps bounds to bounds and restricts to an isomorphism of the
     posets, and distinct classes of the level give distinct classes of
-    lattices.  Sorting the canonical keys gives the order of the n-element
-    poset level, of which the lattices are a subsequence, so every name is
-    the one a filter of ``enumerate_posets(n)`` would give.  The ceiling is
-    the lattice ceiling, which reaches past the poset one.
+    lattices.
+
+    Nothing is labelled: a level key P with the bottom at index 0 and the
+    top at n-1 is already the canonical key of the bounded poset B.
+    Refinement: the bottom and the top have the unique least and greatest
+    degree signatures (0 and n-1 elements strictly below), and each middle
+    element's signature is a strictly increasing function of its signature
+    in P, so every refinement round splits in step with P's and B's ranks
+    are P's plus one, with the bounds at the two ends.  Search: the bottom
+    is forced first and the top last, and each middle chunk is P's with
+    every weight doubled plus the bottom's bit, common to all, so every
+    comparison the search makes is one it makes on P.  A level key's
+    canonical order is the identity, so B's is too, and its rows are its
+    own key.  Order: ``(row << 1) | top`` is increasing in the row, so the
+    bounded keys keep the level's order, and they are the lattice
+    subsequence of the sorted n-element poset level; every name is the one
+    a filter of ``enumerate_posets(n)`` would give.  The ceiling is the
+    lattice ceiling, which reaches past the poset one.
     """
     check_ceiling("lattices", n)
     if n == 0:
@@ -302,19 +318,16 @@ def enumerate_lattices(n: int):
     if n == 1:
         yield FinitePoset._trusted(default_labels(1), (1,), "L1.0").as_lattice()
         return
-    top = 1 << (n - 1)
-    keys = []
+    labels, top, k = default_labels(n), 1 << (n - 1), 0
     for key in _poset_level(n - 2):
         # bottom at index 0, the poset at 1..n-2, top at n-1
-        rows = [(1 << n) - 1, *((row << 1) | top for row in key), top]
-        bounded = FinitePoset._trusted(default_labels(n), rows)
+        rows = ((1 << n) - 1, *((row << 1) | top for row in key), top)
         try:
-            bounded.as_lattice()
+            lattice = FinitePoset._trusted(labels, rows, f"L{n}.{k}").as_lattice()
         except NotALatticeError:
             continue
-        keys.append(bounded.canonical_key())
-    for k, key in enumerate(sorted(keys)):
-        yield FinitePoset._trusted(default_labels(n), key, f"L{n}.{k}").as_lattice()
+        k += 1
+        yield lattice
 
 
 def random_poset(n: int, *, seed=0, density=0.0) -> FinitePoset:

@@ -324,10 +324,15 @@ def _outcomes(check, stream, jobs):
     if jobs == 1:
         yield from map(check, stream)
         return
-    # imported here: multiprocessing costs every other run its import
+    # imported here: multiprocessing costs every other run its import.
+    # Workers are spawned, not forked: forking a process that may hold
+    # threads can deadlock the child, and the default differs by platform
+    # and Python version
+    import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    context = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=jobs, mp_context=context) as pool:
         while batch := list(islice(stream, _BATCH)):
             yield from pool.map(check, batch, chunksize=8)
 

@@ -437,13 +437,15 @@ def test_quasicontinuous_on_large_antichain(capsys):
 
 
 class _InlinePool:
-    """Stands in for ProcessPoolExecutor: records the worker count and
-    maps in this process."""
+    """Stands in for ProcessPoolExecutor: records the worker count and the
+    start method, and maps in this process."""
 
     workers = []
+    methods = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, mp_context=None):
         self.workers.append(max_workers)
+        self.methods.append(mp_context and mp_context.get_start_method())
 
     def __enter__(self):
         return self
@@ -458,11 +460,13 @@ class _InlinePool:
 def test_verify_jobs_clamped_to_cpus(monkeypatch, capsys):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
     _InlinePool.workers.clear()
+    _InlinePool.methods.clear()
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     assert main(["verify", "--suite", "thm32", "--max-n", "3", "--jobs", "16"]) == 0
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert main(["verify", "--suite", "thm32", "--max-n", "3", "--jobs", "16"]) == 0
     assert _InlinePool.workers == [2]
+    assert _InlinePool.methods == ["spawn"]
     assert capsys.readouterr().out.count("0 failures") == 2
 
 

@@ -259,28 +259,84 @@ def test_deletion_decides_between_tied_maxima():
     assert kept.count(True) == 1
 
 
+def _lattice_filter(n):
+    # the literal route: the n-element poset level through as_lattice
+    literal = []
+    for P in enumerate_posets(n):
+        try:
+            literal.append(P.with_name(f"L{n}.{len(literal)}").as_lattice())
+        except NotALatticeError:
+            pass
+    return literal
+
+
 def test_lattices_match_poset_filter(lattices_upto_7):
     for n in range(1, 8):
-        literal = []
-        for P in enumerate_posets(n):
-            try:
-                literal.append(P.with_name(f"L{n}.{len(literal)}").as_lattice())
-            except NotALatticeError:
-                pass
-        assert lattices_upto_7[n] == literal
+        assert lattices_upto_7[n] == _lattice_filter(n)
+
+
+def _bounded(key):
+    # the poset of ``key`` with a new bottom at index 0 and top at the end
+    n = len(key) + 2
+    top = 1 << (n - 1)
+    return ((1 << n) - 1, *((row << 1) | top for row in key), top)
+
+
+def test_bounded_level_keys_are_canonical():
+    # enumerate_lattices takes each bounded level key as its own canonical
+    # key; labelling the bounded poset is the oracle, lattice or not
+    for n in range(8):
+        for key in generators._poset_level(n):
+            rows = _bounded(key)
+            assert FinitePoset._trusted(default_labels(n + 2), rows).canonical_key() == rows, key
 
 
 def test_lattices_read_bounded_poset_level(monkeypatch):
     seen = []
     level = generators._poset_level
+    level(5)
+    view = vars(FinitePoset)["_canonical_search"]
+    searches = [0]
 
     def recording(n):
         seen.append(n)
         return level(n)
 
+    def counted(P, compute=view.compute):
+        searches[0] += 1
+        return compute(P)
+
     monkeypatch.setattr(generators, "_poset_level", recording)
+    monkeypatch.setattr(view, "compute", counted)
     assert len(list(enumerate_lattices(7))) == LATTICE_COUNTS[7]
     assert seen and max(seen) <= 5
+    # with the level cached, no poset is labelled
+    assert searches[0] == 0
+
+
+def test_route_check_catches_a_non_canonical_level_key(monkeypatch):
+    # the lattice route rests on every level key being canonical: replace
+    # one level-5 key, whose bounded poset is a lattice, by the rows of the
+    # same class with the element order reversed
+    literal = _lattice_filter(7)
+    level = generators._poset_level(5)
+    for i, key in enumerate(level):
+        reversed_rows = tuple(mask_of(4 - j for j in iter_bits(row)) for row in reversed(key))
+        if reversed_rows == key:
+            continue
+        try:
+            FinitePoset(default_labels(7), _bounded(key)).as_lattice()
+        except NotALatticeError:
+            continue
+        break
+    FinitePoset(default_labels(5), reversed_rows)  # still a poset of that class
+    assert FinitePoset._trusted(default_labels(5), reversed_rows).canonical_key() == key
+    faulty = level[:i] + (reversed_rows,) + level[i + 1:]
+    poset_level = generators._poset_level
+    monkeypatch.setattr(generators, "_poset_level", lambda n: faulty if n == 5 else poset_level(n))
+    got = list(enumerate_lattices(7))
+    assert [L.name for L in got] == [L.name for L in literal]
+    assert sum(a != b for a, b in zip(got, literal)) == 1
 
 
 def test_lattices_n4():

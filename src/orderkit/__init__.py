@@ -38,7 +38,6 @@ from .verifier import (
     lemma31_check,
     run_suite,
     run_suites,
-    search,
     thm21_check,
     thm23_check,
     thm25_check,
@@ -63,6 +62,6 @@ __all__ = [
     "named", "enumerate_posets", "enumerate_lattices", "random_poset",
     "SuiteReport", "lemma31_check", "thm32_check", "thm34_check", "thm21_check",
     "thm23_check", "thm25_check", "chain_check", "characterization_check",
-    "run_suite", "run_suites", "search",
+    "run_suite", "run_suites",
     "parse", "emit", "export_dot",
 ]

@@ -9,14 +9,13 @@ from __future__ import annotations
 import gc
 import io
 import json
-import re
 import sys
 from pathlib import Path
 from types import SimpleNamespace
 
 from . import files, properties, verifier
 from .errors import InputError, OrderkitError, SizeLimitError
-from .generators import named
+from .generators import NAME_RE, named
 from .poset import FinitePoset
 from .scott import scott_closed_lattice, scott_opens
 
@@ -29,12 +28,10 @@ EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_LIMIT = 3
 
-_NAMED_INPUT = re.compile(r"M3|N5|(chain|antichain|boolean)\([0-9]+\)")
-
 
 def load_input(spec: str) -> FinitePoset:
     """A named instance, '-' for stdin, or a poset file path."""
-    if _NAMED_INPUT.fullmatch(spec):
+    if NAME_RE.fullmatch(spec):
         return named(spec)
     try:
         if spec == "-":

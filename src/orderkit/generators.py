@@ -39,19 +39,20 @@ def default_labels(n):
     return tuple(f"x{i}" for i in range(n))
 
 
-_NAME_RE = re.compile(r"(chain|antichain|boolean)\(([0-9]+)\)")
+# every named instance, and nothing else; k is ASCII digits only
+NAME_RE = re.compile(r"M3|N5|(chain|antichain|boolean)\(([0-9]+)\)")
 
 
 def named(name: str) -> FinitePoset:
     """Canonical named instances: chain(k), antichain(k), boolean(k), and
     the two minimal non-distributive five-element lattices M3 and N5."""
+    m = NAME_RE.fullmatch(name)
+    if not m:
+        raise UnknownNameError(name)
     if name == "M3":
         return _m3()
     if name == "N5":
         return _n5()
-    m = _NAME_RE.fullmatch(name)
-    if not m:
-        raise UnknownNameError(name)
     kind, digits = m.group(1), m.group(2).lstrip("0") or "0"
     # bound the carrier before building it, from the digit string when it is
     # longer than the cap's (int() refuses more than 4300 digits); boolean(k)
@@ -263,14 +264,12 @@ def _orbit(mask, generators):
 
 def check_ceiling(kind, n):
     """Refuse the ``kind`` universe ("posets" or "lattices") at size n past
-    its own ceiling, ``limits.enum_max(kind)``, before any level is built.
-    The lattices of size n are read off the poset level n - 2, which the
-    lattice ceiling allows past the poset ceiling: lattices at 11 read
-    level 9, while enumerating posets stops at 8."""
+    its ceiling, ``limits.ENUM_MAX[kind]``, before any level is built.
+    The lattices of size n are read off the poset level n - 2, so the
+    lattice ceiling lies two past the poset ceiling: lattices at 11 read
+    level 9, the largest poset level enumerated."""
     limits.check_count(n, "n")
-    ceiling = limits.enum_max(kind)
-    if n > ceiling:
-        raise SizeLimitError(f"{kind[:-1]} enumeration", n, ceiling)
+    limits.check_limit(n, f"{kind[:-1]} enumeration", limits.ENUM_MAX[kind])
 
 
 def enumerate_posets(n: int):

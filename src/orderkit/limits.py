@@ -11,16 +11,11 @@ while it searches.  ``EXPRESSION_DEPTH`` bounds the nesting of
 parentheses in a filter expression, which its parser and evaluator
 recurse through.
 
-Each enumerated universe has its own ceiling: posets up to
-``ENUM_MAX_HARD["posets"]`` elements and lattices, read off the poset
-level two below, up to ``ENUM_MAX_HARD["lattices"]``.  Both default to
-``ENUM_MAX_DEFAULT``; the ORDERKIT_MAX_N environment variable raises or
-lowers every universe's ceiling, each clamped to its own hard ceiling.
-The lattice suites loop over upper sets, bounded by ``OPENS_LIMIT``, not
-over 2^n subsets.
+Each enumerated universe has one ceiling, ``ENUM_MAX[kind]``: posets up
+to 9 elements and lattices, read off the poset level two below, up to 11.
+A size past it is refused before any level is built.  The lattice suites
+loop over upper sets, bounded by ``OPENS_LIMIT``, not over 2^n subsets.
 """
-
-import os
 
 from .errors import InputError, SizeLimitError
 
@@ -29,8 +24,7 @@ OPENS_LIMIT = 1 << 20     # max number of upper sets tabulated per poset
 DIRECTED_LIMIT = 1 << 16  # max number of directed subsets tabulated per poset
 CANON_LIMIT = 1 << 24     # max relation-table cells compared by one canonical labelling
 EXPRESSION_DEPTH = 100    # max nesting of parentheses in a filter expression
-ENUM_MAX_DEFAULT = 7      # enumeration ceiling of every universe (env-overridable)
-ENUM_MAX_HARD = {"posets": 9, "lattices": 11}
+ENUM_MAX = {"posets": 9, "lattices": 11}  # enumeration ceiling of each universe
 
 
 def check_subset_cap(n, what):
@@ -48,20 +42,3 @@ def check_count(value, what, least=0):
     """Reject a size or count below ``least``."""
     if value < least:
         raise InputError(f"{what} must be at least {least}, got {value}")
-
-
-def enum_max(kind):
-    """The enumeration ceiling of the ``kind`` universe ("posets" or
-    "lattices"): ORDERKIT_MAX_N, ASCII digits only, clamped to the
-    universe's hard ceiling, or the default when it is unset."""
-    raw = os.environ.get("ORDERKIT_MAX_N")
-    if raw is None:
-        return ENUM_MAX_DEFAULT
-    digits = raw.strip()
-    if not (digits.isascii() and digits.isdigit()):
-        raise InputError(f"ORDERKIT_MAX_N must be a non-negative integer, got {raw!r}")
-    # ceilings have few digits: a longer string is past every one of them,
-    # and int() is not asked to read it
-    if len(digits.lstrip("0")) > 3:
-        return ENUM_MAX_HARD[kind]
-    return min(int(digits), ENUM_MAX_HARD[kind])

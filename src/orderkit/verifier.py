@@ -1,4 +1,4 @@
-"""Executable theorem checks, exhaustive suites, and counterexample search.
+"""Executable theorem checks, exhaustive suites, and predicate expressions.
 
 Each check evaluates both sides of a biconditional (or an equation) on one
 instance and returns a Verdict with the full property profile.  Checks read
@@ -380,7 +380,7 @@ def run_suite(which: str, max_n: int, jobs: int = 1) -> SuiteReport:
     return run_suites((which,), max_n, jobs)[0]
 
 
-# -- predicate expressions and search ----------------------------------
+# -- predicate expressions ---------------------------------------------
 
 EXPRESSION_NAMES = properties.PREDICATE_NAMES + ("lattice",)
 
@@ -534,15 +534,3 @@ class InstanceProfile:
             return self.lattice is not None
         v = self.verdict(name)
         return v is not None and v.holds
-
-
-def search(expression: str, max_n: int, kind: str = "posets"):
-    """Smallest enumerated instance satisfying the expression (by element
-    count, then canonical order), or None.  ``kind`` is posets or lattices."""
-    if kind not in ("posets", "lattices"):
-        raise ValueError(f"unknown kind {kind!r}")
-    evaluate = compile_expression(expression)
-    for obj in _stream(kind, max_n):
-        if evaluate(InstanceProfile(obj)):
-            return obj
-    return None

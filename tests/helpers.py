@@ -3,10 +3,17 @@
 from itertools import combinations_with_replacement, islice, product
 
 from orderkit import limits
-from orderkit.generators import _poset_level, default_labels, enumerate_lattices, named
+from orderkit.generators import (
+    _poset_level,
+    default_labels,
+    enumerate_lattices,
+    enumerate_posets,
+    named,
+)
 from orderkit.poset import FinitePoset, Verdict, Witness, iter_bits, mask_of
 from orderkit.properties import _first_violation, _verdict
 from orderkit.scott import scott_opens
+from orderkit.verifier import InstanceProfile, compile_expression
 
 
 def is_canonical(P):
@@ -31,6 +38,15 @@ def complement_isomorphism(opens, closeds):
             if a.leq(i, j) != b.leq(mapping[j], mapping[i]):
                 raise AssertionError("complementation does not reverse inclusion")
     return tuple(mapping)
+
+
+def first_match(expression, max_n, enumerate_kind=enumerate_posets):
+    """The first instance, by size 1..max_n and then in enumeration order,
+    that the filter expression accepts, as ``enumerate --filter`` reads
+    them; None when there is none."""
+    evaluate = compile_expression(expression)
+    return next((obj for n in range(1, max_n + 1) for obj in enumerate_kind(n)
+                 if evaluate(InstanceProfile(obj))), None)
 
 
 def is_meet_continuous_algebraic(L):

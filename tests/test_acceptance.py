@@ -8,7 +8,7 @@ import json
 import subprocess
 import sys
 
-from helpers import complement_isomorphism
+from helpers import complement_isomorphism, first_match
 
 from orderkit.files import emit, parse
 from orderkit.generators import (
@@ -35,7 +35,6 @@ from orderkit.verifier import (
     downset_complement_identity,
     lemma31_check,
     run_suite,
-    search,
     thm21_check,
     thm23_check,
     thm25_check,
@@ -155,7 +154,7 @@ def test_criterion_8_determinism():
     assert runs[0].returncode == runs[1].returncode == jobs2.returncode == 0
     assert runs[0].stdout == runs[1].stdout == jobs2.stdout
     assert json.loads(runs[0].stdout)["max_n"] == 4
-    hits = [search("lattice & !join_continuous", 5) for _ in range(2)]
+    hits = [first_match("lattice & !join_continuous", 5) for _ in range(2)]
     assert hits[0] == hits[1]
     base = hits[0].base if hasattr(hits[0], "base") else hits[0]
     assert base.is_isomorphic(named("M3")) or base.is_isomorphic(named("N5"))

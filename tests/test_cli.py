@@ -102,9 +102,8 @@ def test_undecodable_stdin_exit(monkeypatch, capsys):
     assert err.startswith("error: stdin: ")
 
 
-def test_size_limit_exit(monkeypatch):
-    monkeypatch.setenv("ORDERKIT_MAX_N", "3")
-    assert main(["enumerate", "--n", "6"]) == 3
+def test_size_limit_exit():
+    assert main(["enumerate", "--n", "10"]) == 3
 
 
 def test_stdin_input():
@@ -154,9 +153,8 @@ def test_enumerate_counts(capsys):
     assert capsys.readouterr().out.strip() == "1"
 
 
-def test_enumerate_lattices_n8(monkeypatch, capsys):
+def test_enumerate_lattices_n8(capsys):
     # OEIS A006966: 222 lattices with 8 elements
-    monkeypatch.setenv("ORDERKIT_MAX_N", "8")
     assert main(["enumerate", "--n", "8", "--kind", "lattices"]) == 0
     assert capsys.readouterr().out.strip() == "222"
 
@@ -193,7 +191,7 @@ def test_enumerate_filter_long_or_deep(capsys):
     assert err.count("\n") == 1 and "column 101" in err
 
 
-def test_enumerate_emit(tmp_path, monkeypatch, capsys):
+def test_enumerate_emit(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["enumerate", "--n", "3", "--emit", str(out)]) == 0
     capsys.readouterr()
@@ -209,9 +207,8 @@ def test_enumerate_emit(tmp_path, monkeypatch, capsys):
                  "--emit", str(empty)]) == 0
     assert capsys.readouterr().out == "0\n"
     assert empty.is_dir() and not any(empty.iterdir())
-    monkeypatch.delenv("ORDERKIT_MAX_N", raising=False)
     refused = tmp_path / "refused"
-    assert main(["enumerate", "--n", "9", "--emit", str(refused)]) == 3
+    assert main(["enumerate", "--n", "10", "--emit", str(refused)]) == 3
     assert not refused.exists()
 
 
@@ -296,43 +293,27 @@ def test_dot_backslash_label_exit(tmp_path, capsys):
     assert parse(emit(P)) == P
 
 
-def test_bad_max_n_env_exit(monkeypatch, capsys):
-    # "²" is a digit to str.isdigit but not to int()
-    for raw in ("abc", "\u00b2", "7\u00b2", "-1"):
-        monkeypatch.setenv("ORDERKIT_MAX_N", raw)
-        assert main(["enumerate", "--n", "3"]) == 2
-        assert "ORDERKIT_MAX_N" in _one_line_error(capsys)
-
-
-def test_bad_max_n_env_subprocess():
-    proc = subprocess.run(RUN + ["enumerate", "--n", "3"], capture_output=True, text=True,
-                          env=dict(os.environ, ORDERKIT_MAX_N="\u00b2"))
-    assert proc.returncode == 2
-    assert proc.stdout == "" and proc.stderr.count("\n") == 1
-    assert proc.stderr.startswith("error: ORDERKIT_MAX_N")
-
-
 def test_ceiling_per_universe(monkeypatch, capsys):
-    # ORDERKIT_MAX_N is clamped to each universe's own hard ceiling
-    built = []
-    monkeypatch.setattr(generators, "_poset_level", lambda n: built.append(n) or ())
-    for raw in ("11", "12", "0011", "9" * 5000):
+    # one ceiling per universe, whatever the environment holds: nothing
+    # reads ORDERKIT_MAX_N, and a size past a ceiling builds no level
+    level = generators._poset_level
+    for raw in ("3", "abc"):
         monkeypatch.setenv("ORDERKIT_MAX_N", raw)
-        assert main(["enumerate", "--n", "10"]) == 3
-        _, err = capsys.readouterr()
-        assert err == "size limit: poset enumeration: 10 exceeds cap 9\n"
-        assert main(["enumerate", "--n", "12", "--kind", "lattices"]) == 3
-        _, err = capsys.readouterr()
-        assert err == "size limit: lattice enumeration: 12 exceeds cap 11\n"
-        assert main(["verify", "--max-n", "10"]) == 3
-        _, err = capsys.readouterr()
-        assert err == "size limit: poset enumeration: 10 exceeds cap 9\n"
-    assert built == []
+        built = []
+        monkeypatch.setattr(generators, "_poset_level", lambda n: built.append(n) or level(n))
+        for argv, what in ((["enumerate", "--n", "10"], "poset enumeration: 10 exceeds cap 9"),
+                           (["enumerate", "--n", "12", "--kind", "lattices"],
+                            "lattice enumeration: 12 exceeds cap 11"),
+                           (["verify", "--max-n", "10"], "poset enumeration: 10 exceeds cap 9")):
+            assert main(argv) == 3
+            assert capsys.readouterr() == ("", f"size limit: {what}\n")
+        assert built == []
+        assert main(["enumerate", "--n", "4"]) == 0
+        assert capsys.readouterr() == ("16\n", "")
 
 
-def test_enumerate_lattices_n9(monkeypatch, capsys):
-    # OEIS A006966: 1078 lattices with 9 elements, past the poset ceiling
-    monkeypatch.setenv("ORDERKIT_MAX_N", "9")
+def test_enumerate_lattices_n9(capsys):
+    # OEIS A006966: 1078 lattices with 9 elements, read off poset level 7
     assert main(["enumerate", "--n", "9", "--kind", "lattices"]) == 0
     assert capsys.readouterr().out.strip() == "1078"
 
@@ -354,14 +335,14 @@ def test_verify_zero_jobs_exit(capsys):
 
 def test_verify_past_ceiling_names_the_size_asked(monkeypatch, capsys):
     # each universe is checked against its ceiling before any level is built
-    monkeypatch.delenv("ORDERKIT_MAX_N", raising=False)
     built = []
     monkeypatch.setattr(generators, "_poset_level", lambda n: built.append(n) or ())
-    for argv, what in ((["verify", "--max-n", "9"], "lattice enumeration: 9"),
-                       (["verify", "--suite", "thm34", "--max-n", "8"], "poset enumeration: 8")):
+    for argv, what in ((["verify", "--max-n", "12"], "lattice enumeration: 12 exceeds cap 11"),
+                       (["verify", "--suite", "thm34", "--max-n", "10"],
+                        "poset enumeration: 10 exceeds cap 9")):
         assert main(argv) == 3
         out, err = capsys.readouterr()
-        assert out == "" and err == f"size limit: {what} exceeds cap 7\n"
+        assert out == "" and err == f"size limit: {what}\n"
     assert built == []
 
 

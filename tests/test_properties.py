@@ -262,9 +262,8 @@ def test_law_scan_matches_literal_scan(lattices_upto_6):
     assert hits == 4 * 12
 
 
-def test_birkhoff_screen_matches_triple_scan(monkeypatch):
-    # every lattice with n <= 8; n = 8 lies past the default ceiling
-    monkeypatch.setenv("ORDERKIT_MAX_N", "8")
+def test_birkhoff_screen_matches_triple_scan():
+    # every lattice with n <= 8
     counts = {True: 0, False: 0}
     for n in range(1, 9):
         for L in enumerate_lattices(n):

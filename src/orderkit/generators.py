@@ -5,10 +5,10 @@ Enumeration grows posets one element at a time: every poset arises from a
 smaller one by adding a new maximal element above a down-closed subset.
 Each level is built by canonical augmentation (McKay, "Isomorph-free
 exhaustive generation", 1998): every canonical representative is extended by
-one down set from each orbit of its automorphism group, and a child is kept
-only when its new element stands for its canonical deletion, a maximal
-element chosen by an isomorphism-invariant rule, so each class has one
-parent class.  A degree-signature pre-filter refuses most other children
+one down set from each orbit of its automorphism group, whose generators its
+own canonical labelling finds, and a child is kept only when its new
+element stands for its canonical deletion, a maximal element chosen by an
+isomorphism-invariant rule, so each class has one parent class.  A degree-signature pre-filter refuses most other children
 before they are built, each child's order views are the parent's with one
 element added, the keys are deduplicated per parent, since two orbits can
 still give one class, and one sort of all parents' keys orders the level.
@@ -153,39 +153,25 @@ def _delete(P, c):
     return FinitePoset._trusted(default_labels(P.n - 1), rows)
 
 
-# the non-trivial automorphisms of keys of the last level built, in the
-# keys' own order, carried from the labelling that found each key to its
-# expansion as a parent, where the entry is dropped; each key's
-# permutations are packed end to end into one bytes object
-_carried = {}
-
-
 @lru_cache(maxsize=None)
 def _poset_level(n):
     """Canonical keys of all isomorphism classes of size n, sorted.  Each
-    parent is its key in its canonical order, the identity, so it takes
-    the automorphisms its key carries and is not labelled again."""
+    parent is its key, already in canonical order, and labels itself for
+    the automorphisms that prune its down sets."""
     if n == 0:
         return ((),)
     keys = []
-    m = n - 1
-    identity = tuple(range(m))
-    for key in _poset_level(m):
-        # the packed permutations, read back m bytes at a time
-        autos = tuple(zip(*[iter(_carried.pop(key, b""))] * m))
-        parent = FinitePoset._trusted(default_labels(m), key, _canonical_search=(identity, autos))
-        children = _canonical_children(parent, key)
-        keys.extend(children)
-        _carried.update((k, b"".join(map(bytes, autos))) for k, autos in children.items() if autos)
+    labels = default_labels(n - 1)
+    for key in _poset_level(n - 1):
+        keys.extend(_canonical_children(FinitePoset._trusted(labels, key), key))
     keys.sort()
     return tuple(keys)
 
 
 def _canonical_children(parent, key):
-    """Canonical keys of the extensions of ``parent`` (canonical key ``key``)
-    by a new maximal element m that stands for the child's canonical
-    deletion, once each, mapped to the automorphisms the labelling of the
-    first child with that key found, carried into the key's order.
+    """The set of canonical keys of the extensions of ``parent`` (canonical
+    key ``key``) by a new maximal element m that stands for the child's
+    canonical deletion.
 
     The canonical deletion of a poset C is its maximal element of top rank
     when that element is unique, and otherwise the maximal element c last in
@@ -211,7 +197,7 @@ def _canonical_children(parent, key):
     strict_up, signatures = parent._strict_up, parent._degree_signatures
     generators = parent._canonical_search[1]
     maximal = [x for x in range(n) if not strict_up[x]]
-    found, seen = {}, set()
+    found, seen = set(), set()
     for up_mask in parent.iter_upper_masks():
         if up_mask in seen:
             continue
@@ -232,20 +218,8 @@ def _canonical_children(parent, key):
             c = next(e for e in reversed(child._canonical_order) if child.up[e] == 1 << e)
             if c != n and _delete(child, c).canonical_key() != key:
                 continue
-        if child_key not in found:
-            found[child_key] = _in_canonical_order(child)
+        found.add(child_key)
     return found
-
-
-def _in_canonical_order(P):
-    """The automorphisms P's labelling found, as permutations of the
-    positions of its canonical order: g becomes p -> position of
-    g(order[p])."""
-    order, autos = P._canonical_search
-    position = [0] * P.n
-    for p, old in enumerate(order):
-        position[old] = p
-    return tuple(tuple(position[g[old]] for old in order) for g in autos)
 
 
 def _orbit(mask, generators):

@@ -505,8 +505,7 @@ class FinitePoset:
         removes the first least leaf, so the order is the one the plain
         search would return (McKay and Piperno, "Practical graph
         isomorphism, II", 2014).  The stored automorphisms are returned
-        beside the order; a discrete ranking has none, since every
-        automorphism keeps each rank.
+        beside the order.
 
         Every chunk computed at depth k counts 2k table cells; the search
         is refused once more than ``limits.CANON_LIMIT`` are counted.  A
@@ -514,20 +513,42 @@ class FinitePoset:
         candidate, then those above it, each weighted 2^(n-1-p) by its
         position p.  Chunks of one depth so compare as their 0/1 tuples
         would, and one costs a step per placed element related to the
-        candidate.  When every rank is distinct the rank order is the only
-        candidate, and it is returned at once after the n(n-1) cells its
-        search would count are checked.
+        candidate.
+
+        Twins, two elements with equal strict up rows and equal strict down
+        rows, so rows that differ in those two alone, are incomparable and
+        swapped by an automorphism.
+        When every rank class is a set of pairwise twins (a singleton is
+        one), the group, whose members keep each rank, is the product of
+        the symmetric groups on the classes.  Any two rank-respecting
+        orderings then differ by an automorphism and have equal tables, so
+        every chunk ties at every node and the first leaf, the rank order
+        with ties by index, is the order.  It is returned without a search,
+        with the swap of each class's first two members and, from three
+        members on, the cycle through all of them as generators, refused
+        first when n(n-1) cells for the order and n per generator pass the
+        bound; distinct ranks are the case with no generator.
         """
         n = self.n
         ranks = self._refined_ranks
-        if len(set(ranks)) == n:
-            limits.check_limit(n * (n - 1), "canonical labelling", limits.CANON_LIMIT)
-            return tuple(sorted(range(n), key=ranks.__getitem__)), ()
         by_rank = {}
         for i in range(n):
             by_rank.setdefault(ranks[i], []).append(i)
-        classes = [by_rank[r] for r in sorted(ranks)]
         up, down = self.up, self.down
+        if all(up[c[0]] ^ up[e] == 1 << c[0] | 1 << e == down[c[0]] ^ down[e]
+               for c in by_rank.values() for e in c[1:]):
+            cycles = [c[:2] for c in by_rank.values() if len(c) > 1]
+            cycles += [c for c in by_rank.values() if len(c) > 2]
+            limits.check_limit(n * (n - 1) + n * len(cycles), "canonical labelling",
+                               limits.CANON_LIMIT)
+            autos = []
+            for cycle in cycles:
+                g = list(range(n))
+                for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                    g[a] = b
+                autos.append(tuple(g))
+            return tuple(sorted(range(n), key=ranks.__getitem__)), tuple(autos)
+        classes = [by_rank[r] for r in sorted(ranks)]
         # the weight 2^(n-1-p) of each element placed at position p; stale
         # entries of unplaced elements are masked off
         weight = [0] * n

@@ -1,5 +1,6 @@
 """Checks that only the tests use."""
 
+import random
 from itertools import combinations_with_replacement, islice, product
 
 from orderkit import limits
@@ -19,6 +20,29 @@ from orderkit.verifier import InstanceProfile, compile_expression
 def is_canonical(P):
     """P's elements are already in its canonical order."""
     return P._canonical_order == tuple(range(P.n))
+
+
+# level sizes of stacked antichains: antichain(7), antichain(3) below
+# antichain(3), M5 (the lattice with five atoms) and a 2-3-3 stack
+TWIN_LEVELS = ((7,), (3, 3), (1, 5, 1), (2, 3, 3))
+
+
+def stacked_antichains(sizes, seed):
+    """The antichains of the given sizes, each level wholly below the next,
+    with the elements shuffled by ``seed``.  Every rank class is one level,
+    a set of twins: elements with the same strict up and strict down rows."""
+    n = sum(sizes)
+    rows, start = [], 0
+    for k in sizes:
+        above = (1 << n) - (1 << (start + k))
+        rows += [1 << i | above for i in range(start, start + k)]
+        start += k
+    perm = list(range(n))
+    random.Random(seed).shuffle(perm)
+    shuffled = [0] * n
+    for i, row in enumerate(rows):
+        shuffled[perm[i]] = mask_of(perm[j] for j in iter_bits(row))
+    return FinitePoset(default_labels(n), shuffled)
 
 
 def complement_isomorphism(opens, closeds):

@@ -409,6 +409,26 @@ def test_large_carriers_exit_at_work_limit(capsys, tmp_path):
         assert err.startswith(f"size limit: {what}")
 
 
+def test_export_dot_of_twin_classes_needs_no_search(capsys, tmp_path):
+    # a 1000-element antichain is one class of twins, so its order is read
+    # off the ranks; the 300 pairs a_i < b_i below t make classes that are
+    # symmetric but not twins, whose search passes the cell bound
+    anti = tmp_path / "antichain1000.poset"
+    anti.write_text("elements: " + " ".join(f"e{i}" for i in range(1000)) + "\n")
+    out = tmp_path / "antichain1000.dot"
+    assert main(["export-dot", str(anti), "-o", str(out)]) == 0
+    assert out.read_text().count("\n") == 1003
+    pairs = tmp_path / "pairs300.poset"
+    pairs.write_text("elements: " + " ".join(f"{x}{i}" for x in "ab" for i in range(300)) + " t\n"
+                     + "".join(f"cover a{i} b{i}\ncover b{i} t\n" for i in range(300)))
+    started = time.perf_counter()
+    assert main(["export-dot", str(pairs)]) == 3
+    assert time.perf_counter() - started < 10
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("size limit: canonical labelling")
+
+
 def test_quasicontinuous_on_large_antichain(capsys):
     # 2^14 upper sets per element; directedness is one least-member test
     started = time.perf_counter()

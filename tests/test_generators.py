@@ -1,10 +1,11 @@
 import hashlib
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import is_canonical
+from helpers import TWIN_LEVELS, is_canonical, stacked_antichains
 
 from orderkit import (
     NotALatticeError,
@@ -150,15 +151,27 @@ def test_stored_automorphisms_generate_the_group():
         assert len(_group(P.n, gens)) == count
 
 
-def test_parents_carry_their_automorphisms(monkeypatch):
-    # a parent is its key in canonical order, which the labelling that
-    # found the key as a child already searched: the parent takes that
-    # search's automorphisms, carried into the key's order, and is not
-    # labelled again.  Levels 1-7 take 2451 searches, not 2857 with one
-    # more for each of the 406 parents of levels 0-6
+def test_twin_class_generators_generate_the_group():
+    # rank classes of twins: two generators per class of three or more, one
+    # per pair, and the group is the product of the classes' symmetric groups
+    for sizes in TWIN_LEVELS:
+        P = stacked_antichains(sizes, seed=1)
+        relation = {(i, j) for i in range(P.n) for j in iter_bits(P.up[i])}
+        gens = P._canonical_search[1]
+        assert len(gens) == sum((k > 1) + (k > 2) for k in sizes)
+        for g in gens:
+            assert {(g[i], g[j]) for i, j in relation} == relation
+        assert len(_group(P.n, gens)) == math.prod(map(math.factorial, sizes))
+
+
+def test_parents_label_themselves(monkeypatch):
+    # a parent is its key, already in canonical order, and its own
+    # labelling gives the automorphisms that prune its down sets: levels
+    # 1-7 take 2857 searches, one for each of the 406 parents of levels
+    # 0-6 and 2451 for children and deletions
     generators._poset_level.cache_clear()
     view = vars(FinitePoset)["_canonical_search"]
-    searches, seeded = [0], {}
+    searches, orders = [0], []
     children = generators._canonical_children
 
     def counted(P, compute=view.compute):
@@ -166,21 +179,17 @@ def test_parents_carry_their_automorphisms(monkeypatch):
         return compute(P)
 
     def recording(parent, key):
-        seeded[key] = parent._canonical_search
-        return children(parent, key)
+        found = children(parent, key)
+        orders.append((key, parent._canonical_order))
+        return found
 
     monkeypatch.setattr(view, "compute", counted)
     monkeypatch.setattr(generators, "_canonical_children", recording)
     assert len(generators._poset_level(7)) == 2045
-    assert searches[0] == 2451
-    assert len(seeded) == 406
-    monkeypatch.undo()
-    # the carried generators generate the group a fresh search finds
-    for key, (order, gens) in seeded.items():
-        n = len(key)
-        fresh_order, fresh_gens = FinitePoset._trusted(default_labels(n), key)._canonical_search
-        assert order == fresh_order == tuple(range(n))
-        assert _group(n, gens) == _group(n, fresh_gens), key
+    assert searches[0] == 2857
+    assert len(orders) == 406
+    for key, order in orders:
+        assert order == tuple(range(len(key))), key
 
 
 def _unpruned_children(parent, key):
@@ -212,7 +221,7 @@ def _unpruned_children(parent, key):
 
 def test_orbit_pruning_keeps_every_child():
     for parent, key in _level_posets(6):
-        assert generators._canonical_children(parent, key).keys() == _unpruned_children(parent, key)
+        assert generators._canonical_children(parent, key) == _unpruned_children(parent, key)
 
 
 def test_children_views_seeded_from_parent(monkeypatch):

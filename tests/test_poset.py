@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import is_canonical
+from helpers import TWIN_LEVELS, is_canonical, stacked_antichains
 
 from orderkit import (
     CycleError,
@@ -385,6 +385,20 @@ def test_canonical_labelling_limit_when_ranks_are_distinct(monkeypatch):
     assert named("chain(5)").canonical_key() == chain.up
 
 
+def test_canonical_labelling_limit_on_twin_classes():
+    # an antichain of n is one class of twins, labelled from its ranks with
+    # two generators: n(n-1) cells for the order and n per generator,
+    # n(n+1) in all, within 2^24 at n = 4095 and past it at 4096
+    assert limits.CANON_LIMIT == 1 << 24
+    anti = FinitePoset(default_labels(4095), [1 << i for i in range(4095)])
+    order, gens = anti._canonical_search
+    assert order == tuple(range(4095)) and len(gens) == 2
+    anti = FinitePoset(default_labels(4096), [1 << i for i in range(4096)])
+    with pytest.raises(SizeLimitError) as err:
+        anti.canonical_key()
+    assert err.value.needed == 4096 * 4097
+
+
 def _relabelled(key, rng):
     n = len(key)
     perm = list(range(n))
@@ -423,6 +437,11 @@ def test_canonical_order_is_first_least(posets_upto_6):
         for P in enumerate_posets(n):
             for L in (scott_opens(P).lattice.base, scott_closed_lattice(P).lattice.base):
                 assert L._canonical_order == _first_least_order(L)
+    # every rank class a set of twins: the order is read off the ranks
+    for sizes in TWIN_LEVELS:
+        for seed in range(3):
+            P = stacked_antichains(sizes, seed)
+            assert P._canonical_order == _first_least_order(P), (sizes, seed)
 
 
 def test_canonical_key_of_symmetric_level8_poset():

@@ -15,7 +15,7 @@ from types import SimpleNamespace
 
 from . import files, properties, verifier
 from .errors import InputError, OrderkitError, SizeLimitError
-from .generators import NAME_RE, named
+from .generators import NAME_RE, check_ceiling, enumerate_lattices, enumerate_posets, named
 from .poset import FinitePoset
 from .scott import scott_closed_lattice, scott_opens
 
@@ -99,7 +99,7 @@ def cmd_check(args):
     if args.properties == "all":
         names = list(properties.PREDICATE_NAMES)
     else:
-        names = [s.strip() for s in args.properties.split(",") if s.strip()]
+        names = [s for s in dict.fromkeys(map(str.strip, args.properties.split(","))) if s]
         for prop in names:
             if prop not in properties.PREDICATE_NAMES:
                 raise InputError(f"unknown property {prop!r}")
@@ -132,8 +132,6 @@ def cmd_dual(args):
 
 
 def cmd_enumerate(args):
-    from .generators import check_ceiling, enumerate_lattices, enumerate_posets
-
     evaluate = None if args.filter is None else verifier.compile_expression(args.filter)
     if args.emit:
         check_ceiling(args.kind, args.n)  # a refused size makes no directory
@@ -187,13 +185,10 @@ def _detail(rec):
 
 def cmd_verify(args):
     suites = verifier.SUITE_ORDER if args.suite == "full" else (args.suite,)
-    reports = verifier.run_suites(suites, args.max_n, jobs=args.jobs)
+    reports = verifier.run_suites(suites, args.max_n)
     if args.json:
-        payload = {
-            "max_n": args.max_n,
-            "suites": [_suite_dict(r, args.deterministic) for r in reports],
-        }
-        _write_json(payload)
+        _write_json({"max_n": args.max_n,
+                     "suites": [_suite_dict(r, args.deterministic) for r in reports]})
     else:
         lines = []
         for r in reports:
@@ -255,7 +250,6 @@ def _verify_arguments(p):
                    choices=verifier.SUITE_ORDER + ("full",))
     p.add_argument("--max-n", type=int, default=5)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--deterministic", action="store_true",
                    help="omit wall times so identical runs are byte-identical")
     p.set_defaults(func=cmd_verify)

@@ -15,6 +15,9 @@ Each enumerated universe has one ceiling, ``ENUM_MAX[kind]``: posets up
 to 9 elements and lattices, read off the poset level two below, up to 11.
 A size past it is refused before any level is built.  The lattice suites
 loop over upper sets, bounded by ``OPENS_LIMIT``, not over 2^n subsets.
+``POOL_FROM[kind]`` is the least ``max_n`` at which ``verify`` was measured
+to gain from a pool of one worker per CPU (timings in the README); it
+checks a smaller universe in its own process.
 """
 
 from .errors import InputError, SizeLimitError
@@ -25,6 +28,7 @@ DIRECTED_LIMIT = 1 << 16  # max number of directed subsets tabulated per poset
 CANON_LIMIT = 1 << 24     # max relation-table cells compared by one canonical labelling
 EXPRESSION_DEPTH = 100    # max nesting of parentheses in a filter expression
 ENUM_MAX = {"posets": 9, "lattices": 11}  # enumeration ceiling of each universe
+POOL_FROM = {"posets": 8, "lattices": 11}  # least max_n verified in a pool
 
 
 def check_subset_cap(n, what):

@@ -337,20 +337,18 @@ def _outcomes(check, stream, jobs):
             yield from pool.map(check, batch, chunksize=8)
 
 
-def run_suites(names, max_n: int, jobs: int = 1) -> list:
+def run_suites(names, max_n: int) -> list:
     """Run the named suites up to max_n, one report per name in the order
     given.  Each universe kind is enumerated once, every requested suite
     checks one instance before the next, and the outcomes are folded into
-    the reports as they arrive, so no instance outlives its checks.  The
-    reports are deterministic and independent of the worker count, which
-    is clamped to the number of CPUs.  Every universe asked for is checked
-    against its ceiling before any is enumerated."""
+    the reports as they arrive, so no instance outlives its checks.  From
+    ``limits.POOL_FROM[kind]`` on, a pool of one worker per CPU checks the
+    universe; the reports do not depend on it.  Every universe asked for
+    is checked against its ceiling before any is enumerated."""
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}")
     limits.check_count(max_n, "max_n", 1)
-    limits.check_count(jobs, "jobs", 1)
-    jobs = min(jobs, os.cpu_count() or 1)
     kinds = {}
     for kind in ("lattices", "posets"):
         wanted = tuple(s for s in names if SUITES[s][0] == kind)
@@ -359,6 +357,7 @@ def run_suites(names, max_n: int, jobs: int = 1) -> list:
             kinds[kind] = wanted
     reports = {}
     for kind, wanted in kinds.items():
+        jobs = (os.cpu_count() or 1) if max_n >= limits.POOL_FROM[kind] else 1
         count = 0
         records = {name: {"fail": [], "expected": []} for name in wanted}
         spent = dict.fromkeys(wanted, 0)
@@ -375,9 +374,9 @@ def run_suites(names, max_n: int, jobs: int = 1) -> list:
     return [reports[name] for name in names]
 
 
-def run_suite(which: str, max_n: int, jobs: int = 1) -> SuiteReport:
+def run_suite(which: str, max_n: int) -> SuiteReport:
     """Run one suite; see run_suites."""
-    return run_suites((which,), max_n, jobs)[0]
+    return run_suites((which,), max_n)[0]
 
 
 # -- predicate expressions ---------------------------------------------

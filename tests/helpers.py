@@ -1,5 +1,6 @@
 """Checks that only the tests use."""
 
+import os
 import random
 from itertools import combinations_with_replacement, islice, product
 
@@ -15,6 +16,13 @@ from orderkit.poset import FinitePoset, Verdict, Witness, iter_bits, mask_of
 from orderkit.properties import _first_violation, _verdict
 from orderkit.scott import scott_opens
 from orderkit.verifier import InstanceProfile, compile_expression
+
+
+def pooled(monkeypatch):
+    """Make ``verify`` check every universe in a spawned pool of two
+    workers, whatever the size and the machine."""
+    monkeypatch.setattr(limits, "POOL_FROM", {"posets": 1, "lattices": 1})
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
 
 
 def is_canonical(P):

@@ -4,12 +4,15 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see one pass line per
 criterion; any assertion failure marks the criterion failed.
 """
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
-from helpers import complement_isomorphism, first_match
+from helpers import complement_isomorphism, first_match, pooled
 
+from orderkit.cli import main
 from orderkit.files import emit, parse
 from orderkit.generators import (
     NAMED_LATTICE_EXAMPLES,
@@ -146,19 +149,33 @@ def test_criterion_7_enumeration_counts():
     _report(7, "posets 1,2,5,16,63 and lattices 1,1,1,2,5,15,53 match published sequences")
 
 
-def test_criterion_8_determinism():
-    args = [sys.executable, "-m", "orderkit", "verify", "--suite", "full",
-            "--max-n", "4", "--json", "--deterministic"]
-    runs = [subprocess.run(args, capture_output=True, text=True) for _ in range(2)]
-    jobs2 = subprocess.run(args + ["--jobs", "2"], capture_output=True, text=True)
-    assert runs[0].returncode == runs[1].returncode == jobs2.returncode == 0
-    assert runs[0].stdout == runs[1].stdout == jobs2.stdout
+def _main_stdout(argv):
+    """What ``main(argv)`` writes to stdout; it must exit 0.  Not captured
+    by capsys, which would hold back the criterion's report line."""
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    out.flush()
+    return out.buffer.getvalue().decode("utf-8")
+
+
+def test_criterion_8_determinism(monkeypatch):
+    argv = ["verify", "--suite", "full", "--max-n", "4", "--json", "--deterministic"]
+    runs = [subprocess.run([sys.executable, "-m", "orderkit", *argv],
+                           capture_output=True, text=True) for _ in range(2)]
+    assert runs[0].returncode == runs[1].returncode == 0
+    assert runs[0].stdout == runs[1].stdout
+    # in this process, and in a spawned pool of two workers
+    in_process = _main_stdout(argv)
+    pooled(monkeypatch)
+    assert runs[0].stdout == in_process == _main_stdout(argv)
     assert json.loads(runs[0].stdout)["max_n"] == 4
     hits = [first_match("lattice & !join_continuous", 5) for _ in range(2)]
     assert hits[0] == hits[1]
     base = hits[0].base if hasattr(hits[0], "base") else hits[0]
     assert base.is_isomorphic(named("M3")) or base.is_isomorphic(named("N5"))
-    _report(8, "byte-identical full verify output across runs and --jobs; stable search result")
+    _report(8, "byte-identical full verify output across runs, in process and pooled; "
+               "stable search result")
 
 
 def test_criterion_9_roundtrip(posets_upto_5):

@@ -9,9 +9,10 @@ import time
 from pathlib import Path
 
 import pytest
+from helpers import pooled
 from hypothesis import given, settings, strategies as st
 
-from orderkit import generators
+from orderkit import generators, limits
 from orderkit.cli import COMMANDS, _read_argv, build_parser, command_of, main
 from orderkit.errors import UnknownNameError
 from orderkit.generators import named
@@ -212,6 +213,14 @@ def test_enumerate_emit(tmp_path, capsys):
     assert not refused.exists()
 
 
+def test_check_repeated_property_once(capsys):
+    argv = ["check", "M3", "--properties", "continuous,continuous,frame", "--no-assert"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "poset M3 (n=5)\n  continuous: true\n  frame: false\n"
+    assert main([*argv, "--json"]) == 0
+    assert list(json.loads(capsys.readouterr().out)["properties"]) == ["continuous", "frame"]
+
+
 def test_verify_full_exit(capsys):
     assert main(["verify", "--suite", "full", "--max-n", "4"]) == 0
     out = capsys.readouterr().out
@@ -224,13 +233,15 @@ def test_verify_single_suite(capsys):
     assert "1 instances, 0 failures" in out
 
 
-def test_verify_json_deterministic_across_jobs():
+def test_verify_json_deterministic_across_jobs(monkeypatch, capsys):
     args = ["verify", "--suite", "full", "--max-n", "4", "--json", "--deterministic"]
     a = run_cli(*args)
     b = run_cli(*args)
-    c = run_cli(*args, "--jobs", "2")
-    assert a.returncode == b.returncode == c.returncode == 0
-    assert a.stdout == b.stdout == c.stdout
+    pooled(monkeypatch)
+    assert main(args) == 0
+    c = capsys.readouterr().out
+    assert a.returncode == b.returncode == 0
+    assert a.stdout == b.stdout == c
     payload = json.loads(a.stdout)
     assert {s["suite"] for s in payload["suites"]} >= {"lemma31", "thm32", "thm34"}
     assert all("wall_time" not in s for s in payload["suites"])
@@ -328,9 +339,14 @@ def test_verify_negative_max_n_exit(capsys):
     assert "max_n" in _one_line_error(capsys)
 
 
-def test_verify_zero_jobs_exit(capsys):
-    assert main(["verify", "--suite", "thm32", "--max-n", "2", "--jobs", "0"]) == 2
-    assert "jobs" in _one_line_error(capsys)
+def test_verify_jobs_is_no_option(capsys):
+    # verify picks its workers itself: --jobs is an unknown option
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "thm32", "--max-n", "2", "--jobs", "2"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1] == "orderkit: error: unrecognized arguments: --jobs 2"
 
 
 def test_verify_past_ceiling_names_the_size_asked(monkeypatch, capsys):
@@ -458,25 +474,34 @@ class _InlinePool:
         return map(fn, items)
 
 
-def test_verify_jobs_clamped_to_cpus(monkeypatch, capsys):
+def test_verify_pool_from_table(monkeypatch, capsys):
+    # a pool of one worker per CPU exactly from limits.POOL_FROM on
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
     _InlinePool.workers.clear()
     _InlinePool.methods.clear()
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    assert main(["verify", "--suite", "thm32", "--max-n", "3", "--jobs", "16"]) == 0
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert main(["verify", "--suite", "thm32", "--max-n", "3", "--jobs", "16"]) == 0
-    assert _InlinePool.workers == [2]
+    argv = ["verify", "--suite", "thm32", "--max-n", "3"]
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert main(argv) == 0
+    assert _InlinePool.workers == []
+    monkeypatch.setattr(limits, "POOL_FROM", {"posets": 1, "lattices": 1})
+    assert main(argv) == 0
+    assert _InlinePool.workers == [3]
     assert _InlinePool.methods == ["spawn"]
-    assert capsys.readouterr().out.count("0 failures") == 2
+    for cpus in (1, None):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert main(argv) == 0
+    assert _InlinePool.workers == [3]
+    assert capsys.readouterr().out.count("0 failures") == 4
 
 
-def test_verify_full_matches_golden(capsys):
+def test_verify_full_matches_golden(monkeypatch, capsys):
     golden = (Path(__file__).parent / "data" / "verify_full_n4.json").read_text()
-    for jobs in ("1", "2"):
-        assert main(["verify", "--suite", "full", "--max-n", "4", "--json",
-                     "--deterministic", "--jobs", jobs]) == 0
-        assert capsys.readouterr().out == golden
+    argv = ["verify", "--suite", "full", "--max-n", "4", "--json", "--deterministic"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == golden
+    pooled(monkeypatch)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == golden
 
 
 def _parse_outcome(parser, argv):
@@ -511,15 +536,17 @@ def test_command_parser_matches_full_parser(argv):
 def test_cli_import_skips_dataclass_machinery():
     """dataclasses pulls in inspect, which cost every invocation about
     19 ms; the record types are named tuples instead.  The worker pool's
-    multiprocessing cost 13-18 ms more, and only verify --jobs above 1
-    imports it, neither at import nor in a one-job run.  Argparse, with
+    multiprocessing cost 13-18 ms more, and only verify at the sizes of
+    limits.POOL_FROM imports it: not at import, and not for posets up to
+    7 elements, the largest universe checked in process.  Argparse, with
     the gettext and locale it loads, is for help and errors: a
     well-formed command line of any command is read without it."""
     src = Path(__file__).resolve().parents[1] / "src"
     unwanted = ("{'dataclasses', 'inspect', 'multiprocessing', 'concurrent.futures', "
                 "'argparse', 'gettext', 'locale'}")
     for run in ("0", *(f"orderkit.cli.main({argv!r})" for argv in (
-            ["verify", "--max-n", "3"], ["check", "M3", "--json", "--no-assert"],
+            ["verify", "--max-n", "3"], ["verify", "--suite", "full", "--max-n", "7"],
+            ["check", "M3", "--json", "--no-assert"],
             ["dual", "-", "-o", os.devnull], ["enumerate", "--n", "3", "--kind", "lattices"],
             ["export-dot", "N5"]))):
         code = ("import sys; sys.path.insert(0, sys.argv[1]); import orderkit.cli; "
@@ -549,7 +576,7 @@ def test_named_specs_match_whole_string(tmp_path, monkeypatch, capsys):
 _ARGV_WORDS = (
     *COMMANDS, "bogus",
     "--properties", "--witness", "--json", "--no-assert", "--scott-closed", "-o",
-    "--output", "--n", "--kind", "--filter", "--emit", "--suite", "--max-n", "--jobs",
+    "--output", "--n", "--kind", "--filter", "--emit", "--suite", "--max-n",
     "--deterministic", "-h", "--help",
     "--max", "--prop", "--no", "--det", "--out", "--scott", "--k", "--j",
     "--n=3", "--max-n=2", "--kind=lattices", "--output=x", "-ox", "-o=x", "--json=1",

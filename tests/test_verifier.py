@@ -3,7 +3,7 @@ import weakref
 from collections import Counter
 
 import pytest
-from helpers import first_match
+from helpers import first_match, pooled
 
 from orderkit import ParseError, limits, properties, verifier
 from orderkit.generators import enumerate_lattices, named
@@ -232,14 +232,16 @@ def test_run_suite_lemma31_expected_failures():
 
 
 def test_run_suite_jobs_deterministic(monkeypatch):
-    seq = run_suite("chains", 4, jobs=1)
-    par = run_suite("chains", 4, jobs=2)
-    assert seq.failures == par.failures
-    assert seq.instances == par.instances
+    # in this process, then in the pool
+    seq = run_suite("chains", 4)
     # batches of 7 instances: several per universe, the last one ragged
     monkeypatch.setattr(verifier, "_BATCH", 7)
-    reports = [[r._replace(wall_time=0) for r in run_suites(SUITE_ORDER, 6, jobs=jobs)]
-               for jobs in (1, 2)]
+    reports = [[r._replace(wall_time=0) for r in run_suites(SUITE_ORDER, 6)]]
+    pooled(monkeypatch)
+    par = run_suite("chains", 4)
+    assert seq.failures == par.failures
+    assert seq.instances == par.instances
+    reports.append([r._replace(wall_time=0) for r in run_suites(SUITE_ORDER, 6)])
     assert reports[0] == reports[1]
     assert [r.instances for r in reports[0]] == [25, 25, 405, 405, 405, 405, 25, 25]
 

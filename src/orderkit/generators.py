@@ -8,10 +8,13 @@ exhaustive generation", 1998): every canonical representative is extended by
 one down set from each orbit of its automorphism group, whose generators its
 own canonical labelling finds, and a child is kept only when its new
 element stands for its canonical deletion, a maximal element chosen by an
-isomorphism-invariant rule, so each class has one parent class.  A degree-signature pre-filter refuses most other children
-before they are built, each child's order views are the parent's with one
-element added, the keys are deduplicated per parent, since two orbits can
-still give one class, and one sort of all parents' keys orders the level.
+isomorphism-invariant rule, so each class has one parent class.  A
+degree-signature pre-filter refuses most other children before they are
+built.  A child is rows, not a poset: its order rows are the parent's with
+one element added, and it is labelled on them, without a search when its
+refined rank classes are all sets of twins.  The keys are deduplicated per
+parent, since two orbits can still give one class, and one sort of all
+parents' keys orders the level.
 Lattices with n >= 2 elements are read off the poset level n - 2: each is
 one such poset with a new bottom and a new top added, kept when the result
 is a lattice, and distinct poset classes give distinct lattice classes.
@@ -29,7 +32,16 @@ from functools import lru_cache
 
 from . import limits
 from .errors import NotALatticeError, SizeLimitError, UnknownNameError
-from .poset import FinitePoset, _closure_rows, degree_signature, iter_bits, mask_of
+from .poset import (
+    FinitePoset,
+    _closure_rows,
+    _twin_order,
+    degree_signature,
+    iter_bits,
+    key_of_order,
+    mask_of,
+    refined_ranks,
+)
 
 
 @lru_cache(maxsize=32)
@@ -119,38 +131,36 @@ NAMED_POSET_EXAMPLES = NAMED_LATTICE_EXAMPLES + (
 
 
 def _extend_with_max(P, down, tops, signature):
-    """Add one new maximal element m strictly above exactly the down set
-    ``down``, given its maximal elements ``tops`` and m's
-    ``degree_signature`` ``signature``.
+    """The rows of P with one new maximal element m added strictly above
+    exactly the down set ``down``, given its maximal elements ``tops`` and
+    m's ``degree_signature`` ``signature``: the child's ``up``, ``down``,
+    strict up and signature rows, as lists but ``down``.
 
-    The child's order views are P's with m added, in O(n): each x in
-    ``down`` gains m in its up and strict up rows and one element above in
-    its signature, each top also gains m as a cover, and m itself is below
-    nothing and covers exactly the tops."""
-    n = P.n
-    m = 1 << n
+    They are P's with m added, in O(n): each x in ``down`` gains m in its
+    up and strict up rows and one element above in its signature, each top
+    also gains one cover above, and m itself is below nothing and covers
+    exactly the tops.  No cover rows are built: the signatures count
+    them, and nothing else of a child reads them."""
+    m = 1 << P.n
     up, strict_up = list(P.up), list(P._strict_up)
-    covers, signatures = list(P.cover_rows), list(P._degree_signatures)
+    signatures = list(P._degree_signatures)
     for x in iter_bits(down):
         up[x] |= m
         strict_up[x] |= m
         below, above, covered, covering = signatures[x]
-        if tops >> x & 1:
-            covers[x] |= m
-            covering += 1
-        signatures[x] = (below, above + 1, covered, covering)
-    return FinitePoset._trusted(
-        default_labels(n + 1), up + [m], down=P.down + (down | m,),
-        cover_rows=(*covers, 0), _strict_up=(*strict_up, 0),
-        _degree_signatures=(*signatures, signature),
-    )
+        signatures[x] = (below, above + 1, covered, covering + (tops >> x & 1))
+    up.append(m)
+    strict_up.append(0)
+    signatures.append(signature)
+    return up, (*P.down, down | m), strict_up, signatures
 
 
-def _delete(P, c):
-    """P without element c; the elements after c move down one index."""
+def _delete(up, c):
+    """The poset of the rows ``up`` without element c; the elements after c
+    move down one index."""
     low = (1 << c) - 1
-    rows = [row & low | row >> (c + 1) << c for i, row in enumerate(P.up) if i != c]
-    return FinitePoset._trusted(default_labels(P.n - 1), rows)
+    rows = [row & low | row >> (c + 1) << c for i, row in enumerate(up) if i != c]
+    return FinitePoset._trusted(default_labels(len(rows)), rows)
 
 
 @lru_cache(maxsize=None)
@@ -192,10 +202,18 @@ def _canonical_children(parent, key):
     Refinement keeps the order of ranks, so a child whose new element's
     ``degree_signature`` is below that of a maximal element it leaves
     maximal cannot give m the top rank; it is refused before it is built.
+
+    A child is labelled on its rows: one ``refined_ranks`` over the rows
+    ``_extend_with_max`` gives, then, when every rank class is a set of
+    twins, the rank order of ``_twin_order``, and its key from
+    ``key_of_order``.  Only a child whose classes are not all twins is
+    built as a poset, seeded with its rows and ranks, for its search.  A
+    child's generators are never built: only parents read them.
     """
     n = parent.n
     strict_up, signatures = parent._strict_up, parent._degree_signatures
     generators = parent._canonical_search[1]
+    labels = default_labels(n + 1)
     maximal = [x for x in range(n) if not strict_up[x]]
     found, seen = set(), set()
     for up_mask in parent.iter_upper_masks():
@@ -209,16 +227,21 @@ def _canonical_children(parent, key):
         signature = degree_signature(down, 0, tops, 0)
         if any(signatures[x] > signature for x in rivals):
             continue
-        child = _extend_with_max(parent, down, tops, signature)
-        ranks = child._refined_ranks
+        up, downs, child_strict_up, child_signatures = _extend_with_max(
+            parent, down, tops, signature)
+        ranks, twins = refined_ranks(child_signatures, downs, child_strict_up)
         if any(ranks[x] > ranks[n] for x in rivals):
             continue
-        child_key = child.canonical_key()
+        if twins:
+            order = _twin_order(ranks)
+        else:
+            order = FinitePoset._trusted(labels, up, down=downs,
+                                         _refinement=(ranks, twins))._canonical_order
         if any(ranks[x] == ranks[n] for x in rivals):
-            c = next(e for e in reversed(child._canonical_order) if child.up[e] == 1 << e)
-            if c != n and _delete(child, c).canonical_key() != key:
+            c = next(e for e in reversed(order) if up[e] == 1 << e)
+            if c != n and _delete(up, c).canonical_key() != key:
                 continue
-        found.add(child_key)
+        found.add(key_of_order(up, order))
     return found
 
 

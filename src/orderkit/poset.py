@@ -104,6 +104,88 @@ def degree_signature(strict_down, strict_up, covers_down, covers_up):
             covers_down.bit_count(), covers_up.bit_count())
 
 
+def _intern(signatures):
+    """Dense ranks of ``signatures`` in sorted order, and their number."""
+    order = {s: r for r, s in enumerate(sorted(set(signatures)))}
+    return [order[s] for s in signatures], len(order)
+
+
+def refined_ranks(signatures, down, strict_up):
+    """Iso-invariant element colors of the order with ``down`` rows and
+    ``strict_up`` rows, starting from each element's ``degree_signature``
+    in ``signatures``, and whether every color class is a set of pairwise
+    twins.
+
+    Each round refines a color by the sorted colors of the elements below
+    and above.  Refinement only splits classes and orders each split by the
+    old color first, so a color never passes a larger one, and a discrete
+    coloring is final.  Twins, elements with equal strict up rows and down
+    rows that differ in the two elements alone, have the same colors below
+    and above, so a partition into classes of twins (a singleton is one)
+    is stable: it is tested before each round, one row comparison per
+    element against the first of its class, and returned at once.  Else
+    the rounds run until one splits no class.  A singleton class's round
+    color is its old color alone, which no other color starts with."""
+    ranks, classes = _intern(signatures)
+    below = above = None
+    while True:
+        first = [-1] * classes
+        for e, r in enumerate(ranks):
+            a = first[r]
+            if a < 0:
+                first[r] = e
+            elif strict_up[a] != strict_up[e] or down[a] ^ down[e] != 1 << a | 1 << e:
+                break
+        else:
+            return tuple(ranks), True
+        sizes = [0] * classes
+        for r in ranks:
+            sizes[r] += 1
+        if below is None:
+            below = [iter_bits(col & ~(1 << i)) for i, col in enumerate(down)]
+            above = [iter_bits(row) for row in strict_up]
+        color = ranks.__getitem__
+        new, count = _intern([
+            (r, tuple(sorted(map(color, b))), tuple(sorted(map(color, a))))
+            if sizes[r] > 1 else (r,)
+            for r, b, a in zip(ranks, below, above)
+        ])
+        if count == classes:
+            return tuple(ranks), False
+        ranks, classes = new, count
+
+
+def _twin_order(ranks):
+    """The canonical order of a poset whose refined rank classes are all
+    sets of twins: the rank order with ties by index.  Refused first, as
+    ``_canonical_search`` counts it, when n(n-1) cells for the order and n
+    per generator, one per class of two or more and one more per class of
+    three or more, pass ``limits.CANON_LIMIT``."""
+    n = len(ranks)
+    sizes = [0] * n
+    for r in ranks:
+        sizes[r] += 1
+    pairs = n - sizes.count(0) - sizes.count(1)
+    gens = 2 * pairs - sizes.count(2)
+    limits.check_limit(n * (n - 1) + n * gens, "canonical labelling", limits.CANON_LIMIT)
+    return tuple(sorted(range(n), key=ranks.__getitem__))
+
+
+def key_of_order(up, order):
+    """The rows ``up`` relabelled so that ``order[new]`` becomes ``new``:
+    the canonical key when ``order`` is the canonical order."""
+    bit = [0] * len(up)
+    for new, old in enumerate(order):
+        bit[old] = 1 << new
+    rows = []
+    for old in order:
+        row = 0
+        for j in iter_bits(up[old]):
+            row |= bit[j]
+        rows.append(row)
+    return tuple(rows)
+
+
 class FinitePoset:
     """An immutable finite partial order with distinct element labels.
 
@@ -430,7 +512,7 @@ class FinitePoset:
     @cached_view
     def _degree_signatures(self):
         """Each element's ``degree_signature``: the first colors of
-        ``_refined_ranks``."""
+        ``refined_ranks``."""
         strict_up, covers_up = self._strict_up, self.cover_rows
         strict_down = [col & ~(1 << i) for i, col in enumerate(self.down)]
         covers_down = [0] * self.n
@@ -440,34 +522,15 @@ class FinitePoset:
         return tuple(map(degree_signature, strict_down, strict_up, covers_down, covers_up))
 
     @cached_view
-    def _refined_ranks(self):
-        """Iso-invariant element colors: degree invariants refined by the
-        colors of the elements below and above, until stable.  Refinement
-        only splits classes and orders each split by the old color first,
-        so a color never passes a larger one, and a discrete coloring is
-        final."""
-        n = self.n
-        ranks, classes = self._intern(self._degree_signatures)
-        if classes == n:
-            return tuple(ranks)
-        below = [iter_bits(col & ~(1 << i)) for i, col in enumerate(self.down)]
-        above = [iter_bits(row) for row in self._strict_up]
-        while True:
-            color = ranks.__getitem__
-            sig = [
-                (r, tuple(sorted(map(color, b))), tuple(sorted(map(color, a))))
-                for r, b, a in zip(ranks, below, above)
-            ]
-            new, count = self._intern(sig)
-            if count == classes or count == n:
-                return tuple(new)
-            ranks, classes = new, count
+    def _refinement(self):
+        """``refined_ranks`` of this poset: its refined ranks, and whether
+        every rank class is a set of twins."""
+        return refined_ranks(self._degree_signatures, self.down, self._strict_up)
 
-    @staticmethod
-    def _intern(signatures):
-        """Dense ranks of ``signatures`` in sorted order, and their number."""
-        order = {s: r for r, s in enumerate(sorted(set(signatures)))}
-        return [order[s] for s in signatures], len(order)
+    @property
+    def _refined_ranks(self):
+        """Iso-invariant element colors; see ``refined_ranks``."""
+        return self._refinement[0]
 
     @property
     def _canonical_order(self):
@@ -519,35 +582,34 @@ class FinitePoset:
         rows, so rows that differ in those two alone, are incomparable and
         swapped by an automorphism.
         When every rank class is a set of pairwise twins (a singleton is
-        one), the group, whose members keep each rank, is the product of
-        the symmetric groups on the classes.  Any two rank-respecting
-        orderings then differ by an automorphism and have equal tables, so
-        every chunk ties at every node and the first leaf, the rank order
-        with ties by index, is the order.  It is returned without a search,
-        with the swap of each class's first two members and, from three
-        members on, the cycle through all of them as generators, refused
-        first when n(n-1) cells for the order and n per generator pass the
-        bound; distinct ranks are the case with no generator.
+        one), which the refinement reports beside the ranks, the group,
+        whose members keep each rank, is the product of the symmetric groups
+        on the classes.  Any two rank-respecting orderings then differ by an
+        automorphism and have equal tables, so every chunk ties at every
+        node and the first leaf, the rank order with ties by index, is the
+        order.  ``_twin_order`` returns it without a search, refused first
+        when n(n-1) cells for the order and n per generator pass the bound,
+        and the generators are the swap of each class's first two members
+        and, from three members on, the cycle through all of them; distinct
+        ranks are the case with no generator.
         """
         n = self.n
-        ranks = self._refined_ranks
+        ranks, twins = self._refinement
         by_rank = {}
         for i in range(n):
             by_rank.setdefault(ranks[i], []).append(i)
-        up, down = self.up, self.down
-        if all(up[c[0]] ^ up[e] == 1 << c[0] | 1 << e == down[c[0]] ^ down[e]
-               for c in by_rank.values() for e in c[1:]):
+        if twins:
+            order = _twin_order(ranks)
             cycles = [c[:2] for c in by_rank.values() if len(c) > 1]
             cycles += [c for c in by_rank.values() if len(c) > 2]
-            limits.check_limit(n * (n - 1) + n * len(cycles), "canonical labelling",
-                               limits.CANON_LIMIT)
             autos = []
             for cycle in cycles:
                 g = list(range(n))
                 for a, b in zip(cycle, cycle[1:] + cycle[:1]):
                     g[a] = b
                 autos.append(tuple(g))
-            return tuple(sorted(range(n), key=ranks.__getitem__)), tuple(autos)
+            return order, tuple(autos)
+        up, down = self.up, self.down
         classes = [by_rank[r] for r in sorted(ranks)]
         # the weight 2^(n-1-p) of each element placed at position p; stale
         # entries of unplaced elements are masked off
@@ -647,17 +709,7 @@ class FinitePoset:
 
     def canonical_key(self):
         """Hashable structure invariant: equal keys iff isomorphic posets."""
-        order = self._canonical_order
-        bit = [0] * self.n
-        for new, old in enumerate(order):
-            bit[old] = 1 << new
-        rows = []
-        for old in order:
-            row = 0
-            for j in iter_bits(self.up[old]):
-                row |= bit[j]
-            rows.append(row)
-        return tuple(rows)
+        return key_of_order(self.up, self._canonical_order)
 
     def canonical_form(self) -> "FinitePoset":
         """Relabeled copy in canonical element order; idempotent, and equal

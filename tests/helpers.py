@@ -53,6 +53,21 @@ def stacked_antichains(sizes, seed):
     return FinitePoset(default_labels(n), shuffled)
 
 
+def self_dual_classes(n):
+    """The number of self-dual classes of poset level n, once the labelled
+    dual of every key of the level is found to be a key of the same level.
+    That ties the labelling to the generator without the canonical deletion
+    rule the generator keeps its children by."""
+    level = _poset_level(n)
+    keys, labels, count = set(level), default_labels(n), 0
+    for key in level:
+        dual = FinitePoset._trusted(labels, key).dual().canonical_key()
+        if dual not in keys:
+            raise AssertionError(f"the dual of {key} is no key of level {n}")
+        count += dual == key
+    return count
+
+
 def complement_isomorphism(opens, closeds):
     """Explicit order anti-isomorphism between two set lattices of one
     poset, such as σ(P) and Γ(P): the index map sending each member of

@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import TWIN_LEVELS, is_canonical, stacked_antichains
+from helpers import TWIN_LEVELS, is_canonical, self_dual_classes, stacked_antichains
 
 from orderkit import (
     NotALatticeError,
@@ -17,6 +17,7 @@ from orderkit import (
     is_join_continuous,
     is_scott_open,
     parse,
+    poset,
     prec,
     scott_closure,
     way_below,
@@ -98,27 +99,38 @@ def test_poset_level_labels_few_children(monkeypatch):
     # the literal construction labels all 5439 extensions of level 6; the
     # degree-signature pre-filter also keeps most children from being built,
     # and one down set per orbit of the parent's automorphisms leaves 2046
-    # labelled children (2759 without that pruning) for 2045 classes
+    # labellings (2759 without that pruning) for 2045 classes: 2045
+    # children and one deletion
     generators._poset_level.cache_clear()
     generators._poset_level(6)
-    counts = {"keys": 0, "builds": 0}
-    key, trusted = FinitePoset.canonical_key, FinitePoset._trusted
+    counts = {"twins": 0, "searched": 0, "deletions": 0, "builds": 0}
+    twin_order, trusted = generators._twin_order, FinitePoset._trusted
+    key = FinitePoset.canonical_key
+
+    def counted_twin_order(ranks):
+        counts["twins"] += 1
+        return twin_order(ranks)
 
     def counted_key(self):
-        counts["keys"] += 1
+        counts["deletions"] += 1
         return key(self)
 
     def counted_trusted(cls, *args, **kwargs):
         counts["builds"] += 1
+        counts["searched"] += "_refinement" in kwargs
         return trusted(*args, **kwargs)
 
+    # a child is labelled on its rows, from its ranks when its rank classes
+    # are all twins, and is built as a poset only to search; a deletion is
+    # labelled as a poset
+    monkeypatch.setattr(generators, "_twin_order", counted_twin_order)
     monkeypatch.setattr(FinitePoset, "canonical_key", counted_key)
-    # every poset the level build makes is a trusted one: 2427 at level 7,
-    # 3170 before the orbit pruning
+    # every poset the level build makes is a trusted one: 514 at level 7,
+    # the 318 parents, 195 children that search and one deletion (2427
+    # while every child was a poset, 3170 before the orbit pruning)
     monkeypatch.setattr(FinitePoset, "_trusted", classmethod(counted_trusted))
     assert len(generators._poset_level(7)) == 2045
-    assert counts["keys"] < 2100
-    assert 2045 <= counts["builds"] < 2500
+    assert counts == {"twins": 1850, "searched": 195, "deletions": 1, "builds": 514}
 
 
 def _level_posets(top):
@@ -167,16 +179,25 @@ def test_twin_class_generators_generate_the_group():
 def test_parents_label_themselves(monkeypatch):
     # a parent is its key, already in canonical order, and its own
     # labelling gives the automorphisms that prune its down sets: levels
-    # 1-7 take 2857 searches, one for each of the 406 parents of levels
-    # 0-6 and 2451 for children and deletions
+    # 1-7 take 2857 labellings, one for each of the 406 parents of levels
+    # 0-6 and 2451 for children and deletions; 992 have distinct ranks,
+    # 1596 more rank classes of twins, and 269 search.  Children labelled
+    # from their ranks build no poset, so 639 run _canonical_search
     generators._poset_level.cache_clear()
     view = vars(FinitePoset)["_canonical_search"]
-    searches, orders = [0], []
-    children = generators._canonical_children
+    searches, twin_ranks, orders = [0, 0], [], []
+    children, twin_order = generators._canonical_children, poset._twin_order
+
+    def recorded_twin_order(ranks):
+        twin_ranks.append(ranks)
+        return twin_order(ranks)
 
     def counted(P, compute=view.compute):
+        before = len(twin_ranks)
         searches[0] += 1
-        return compute(P)
+        found = compute(P)
+        searches[1] += len(twin_ranks) == before
+        return found
 
     def recording(parent, key):
         found = children(parent, key)
@@ -184,9 +205,13 @@ def test_parents_label_themselves(monkeypatch):
         return found
 
     monkeypatch.setattr(view, "compute", counted)
+    monkeypatch.setattr(poset, "_twin_order", recorded_twin_order)
+    monkeypatch.setattr(generators, "_twin_order", recorded_twin_order)
     monkeypatch.setattr(generators, "_canonical_children", recording)
     assert len(generators._poset_level(7)) == 2045
-    assert searches[0] == 2857
+    distinct = sum(len(set(ranks)) == len(ranks) for ranks in twin_ranks)
+    assert (distinct, len(twin_ranks) - distinct, searches[1]) == (992, 1596, 269)
+    assert searches[0] == 639
     assert len(orders) == 406
     for key, order in orders:
         assert order == tuple(range(len(key))), key
@@ -229,18 +254,19 @@ def test_children_views_seeded_from_parent(monkeypatch):
     extend = generators._extend_with_max
 
     def recording(*args):
-        child = extend(*args)
-        built.append(child)
-        return child
+        rows = extend(*args)
+        built.append(rows)
+        return rows
 
     monkeypatch.setattr(generators, "_extend_with_max", recording)
     for parent, key in _level_posets(6):
         generators._canonical_children(parent, key)
     assert len(built) > 2000
-    for child in built:
-        fresh = FinitePoset(child.labels, child.up)
-        for view in ("down", "cover_rows", "_strict_up", "_degree_signatures"):
-            assert vars(child)[view] == getattr(fresh, view), view
+    for up, down, strict_up, signatures in built:
+        fresh = FinitePoset(default_labels(len(up)), up)
+        assert down == fresh.down
+        assert tuple(strict_up) == fresh._strict_up
+        assert tuple(signatures) == fresh._degree_signatures
 
 
 def _cycles(*lengths):
@@ -261,11 +287,18 @@ def test_deletion_decides_between_tied_maxima():
     C = _cycles(2, 4)
     maxima = [x for x in range(C.n) if C.up[x] == 1 << x]
     assert len({C._refined_ranks[x] for x in maxima}) == 1
-    parents = [FinitePoset(default_labels(C.n - 1), generators._delete(C, m).canonical_key())
+    parents = [FinitePoset(default_labels(C.n - 1), generators._delete(C.up, m).canonical_key())
                for m in (maxima[0], maxima[-1])]
     assert not parents[0].is_isomorphic(parents[1])
     kept = [C.canonical_key() in generators._canonical_children(P, P.up) for P in parents]
     assert kept.count(True) == 1
+
+
+def test_level_duals_are_level_keys():
+    # the dual of a poset is a poset of the same size, so each level is
+    # closed under labelled duals; the self-dual classes for n = 1..7
+    for n, want in enumerate((1, 2, 3, 8, 15, 50, 119), start=1):
+        assert self_dual_classes(n) == want
 
 
 def _lattice_filter(n):

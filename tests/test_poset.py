@@ -399,6 +399,60 @@ def test_canonical_labelling_limit_on_twin_classes():
     assert err.value.needed == 4096 * 4097
 
 
+def _literal_refinement(P):
+    """Refinement as defined, from the relation alone and with no early
+    stop: each element's counts of the elements strictly below and above it
+    and of those it covers and is covered by, then rounds that color each
+    element by its color and the sorted colors of the elements strictly
+    below and above, until a round splits no class; and whether every class
+    of that partition is a set of pairwise twins (equal strict up and
+    strict down sets)."""
+    n = P.n
+    below = [[j for j in range(n) if j != i and P.leq(j, i)] for i in range(n)]
+    above = [[j for j in range(n) if j != i and P.leq(i, j)] for i in range(n)]
+    covers = [[j for j in above[i] if not set(above[i]) & set(below[j])] for i in range(n)]
+    covered = [[j for j in below[i] if not set(below[i]) & set(above[j])] for i in range(n)]
+
+    def dense(colors):
+        order = sorted(set(colors))
+        return [order.index(c) for c in colors]
+
+    ranks = dense([(len(below[i]), len(above[i]), len(covered[i]), len(covers[i]))
+                   for i in range(n)])
+    while True:
+        new = dense([(ranks[i], tuple(sorted(ranks[j] for j in below[i])),
+                      tuple(sorted(ranks[j] for j in above[i]))) for i in range(n)])
+        if len(set(new)) == len(set(ranks)):
+            break
+        ranks = new
+    twins = all(below[i] == below[j] and above[i] == above[j]
+                for i in range(n) for j in range(n) if ranks[i] == ranks[j])
+    return tuple(ranks), twins
+
+
+def _pairs_below_top(k):
+    """k pairs a_i < b_i below one top t: every a_i is symmetric to every
+    other, yet no two are twins."""
+    labels = [f"{x}{i}" for x in "ab" for i in range(k)] + ["t"]
+    pairs = [(f"a{i}", f"b{i}") for i in range(k)] + [(f"b{i}", "t") for i in range(k)]
+    return build_poset(labels, pairs)
+
+
+def test_refinement_matches_literal_rounds():
+    # the refinement stops at a partition of twin classes, which no later
+    # round splits; run to stability instead, it gives the same ranks
+    cases = [FinitePoset(default_labels(n), key)
+             for n in range(8) for key in generators._poset_level(n)]
+    for n in range(6):
+        for key in generators._poset_level(n):
+            P = FinitePoset(default_labels(n), key)
+            cases += [scott_opens(P).lattice.base, scott_closed_lattice(P).lattice.base]
+    cases += [stacked_antichains(sizes, seed=2) for sizes in TWIN_LEVELS]
+    cases += [_pairs_below_top(3), _pairs_below_top(3).dual()]
+    for P in cases:
+        assert P._refinement == _literal_refinement(P), P.up
+
+
 def _relabelled(key, rng):
     n = len(key)
     perm = list(range(n))

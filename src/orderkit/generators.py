@@ -10,9 +10,10 @@ own canonical labelling finds, and a child is kept only when its new
 element stands for its canonical deletion, a maximal element chosen by an
 isomorphism-invariant rule, so each class has one parent class.  A
 degree-signature pre-filter refuses most other children before they are
-built.  A child is rows, not a poset: its order rows are the parent's with
-one element added, and it is labelled on them, without a search when its
-refined rank classes are all sets of twins.  The keys are deduplicated per
+built.  A child's rows are the parent's with one element added, and it is
+refined on them; only a child that passes its ranks' test is made a poset,
+seeded with those rows and ranks, and it is labelled without a search when
+its rank classes are all sets of twins.  The keys are deduplicated per
 parent, since two orbits can still give one class, and one sort of all
 parents' keys orders the level.
 Lattices with n >= 2 elements are read off the poset level n - 2: each is
@@ -35,10 +36,8 @@ from .errors import NotALatticeError, SizeLimitError, UnknownNameError
 from .poset import (
     FinitePoset,
     _closure_rows,
-    _twin_order,
     degree_signature,
     iter_bits,
-    key_of_order,
     mask_of,
     refined_ranks,
 )
@@ -203,12 +202,12 @@ def _canonical_children(parent, key):
     ``degree_signature`` is below that of a maximal element it leaves
     maximal cannot give m the top rank; it is refused before it is built.
 
-    A child is labelled on its rows: one ``refined_ranks`` over the rows
-    ``_extend_with_max`` gives, then, when every rank class is a set of
-    twins, the rank order of ``_twin_order``, and its key from
-    ``key_of_order``.  Only a child whose classes are not all twins is
-    built as a poset, seeded with its rows and ranks, for its search.  A
-    child's generators are never built: only parents read them.
+    A child is refined on its rows: one ``refined_ranks`` over the rows
+    ``_extend_with_max`` gives.  Only a child whose ranks pass is built as
+    a poset, seeded with its ``down`` rows and refinement, and it labels
+    itself: from its ranks when every rank class is a set of twins, else by
+    a search.  A child's generators are never built: only parents read
+    them.
     """
     n = parent.n
     strict_up, signatures = parent._strict_up, parent._degree_signatures
@@ -229,19 +228,16 @@ def _canonical_children(parent, key):
             continue
         up, downs, child_strict_up, child_signatures = _extend_with_max(
             parent, down, tops, signature)
-        ranks, twins = refined_ranks(child_signatures, downs, child_strict_up)
+        refinement = refined_ranks(child_signatures, downs, child_strict_up)
+        ranks = refinement[0]
         if any(ranks[x] > ranks[n] for x in rivals):
             continue
-        if twins:
-            order = _twin_order(ranks)
-        else:
-            order = FinitePoset._trusted(labels, up, down=downs,
-                                         _refinement=(ranks, twins))._canonical_order
+        child = FinitePoset._trusted(labels, up, down=downs, _refinement=refinement)
         if any(ranks[x] == ranks[n] for x in rivals):
-            c = next(e for e in reversed(order) if up[e] == 1 << e)
+            c = next(e for e in reversed(child._canonical_order) if up[e] == 1 << e)
             if c != n and _delete(up, c).canonical_key() != key:
                 continue
-        found.add(key_of_order(up, order))
+        found.add(child.canonical_key())
     return found
 
 

@@ -157,33 +157,19 @@ def refined_ranks(signatures, down, strict_up):
 
 def _twin_order(ranks):
     """The canonical order of a poset whose refined rank classes are all
-    sets of twins: the rank order with ties by index.  Refused first, as
+    sets of twins, the rank order with ties by index, and the cycles whose
+    rotations generate its automorphisms: each class's first two members
+    and, from three members on, the whole class.  Refused first, as
     ``_canonical_search`` counts it, when n(n-1) cells for the order and n
-    per generator, one per class of two or more and one more per class of
-    three or more, pass ``limits.CANON_LIMIT``."""
+    per cycle pass ``limits.CANON_LIMIT``."""
     n = len(ranks)
-    sizes = [0] * n
-    for r in ranks:
-        sizes[r] += 1
-    pairs = n - sizes.count(0) - sizes.count(1)
-    gens = 2 * pairs - sizes.count(2)
-    limits.check_limit(n * (n - 1) + n * gens, "canonical labelling", limits.CANON_LIMIT)
-    return tuple(sorted(range(n), key=ranks.__getitem__))
-
-
-def key_of_order(up, order):
-    """The rows ``up`` relabelled so that ``order[new]`` becomes ``new``:
-    the canonical key when ``order`` is the canonical order."""
-    bit = [0] * len(up)
-    for new, old in enumerate(order):
-        bit[old] = 1 << new
-    rows = []
-    for old in order:
-        row = 0
-        for j in iter_bits(up[old]):
-            row |= bit[j]
-        rows.append(row)
-    return tuple(rows)
+    classes = [[] for _ in ranks]
+    for e, r in enumerate(ranks):
+        classes[r].append(e)
+    cycles = [c[:2] for c in classes if len(c) > 1]
+    cycles += [c for c in classes if len(c) > 2]
+    limits.check_limit(n * (n - 1) + n * len(cycles), "canonical labelling", limits.CANON_LIMIT)
+    return tuple([e for c in classes for e in c]), cycles
 
 
 class FinitePoset:
@@ -527,14 +513,14 @@ class FinitePoset:
         every rank class is a set of twins."""
         return refined_ranks(self._degree_signatures, self.down, self._strict_up)
 
-    @property
-    def _refined_ranks(self):
-        """Iso-invariant element colors; see ``refined_ranks``."""
-        return self._refinement[0]
-
-    @property
+    @cached_view
     def _canonical_order(self):
-        """Old indices in canonical position order; see ``_canonical_search``."""
+        """Old indices in canonical position order; see ``_canonical_search``.
+        When every rank class is a set of twins it is the order of
+        ``_twin_order``, read without building the automorphisms."""
+        ranks, twins = self._refinement
+        if twins:
+            return _twin_order(ranks)[0]
         return self._canonical_search[0]
 
     @cached_view
@@ -587,21 +573,16 @@ class FinitePoset:
         on the classes.  Any two rank-respecting orderings then differ by an
         automorphism and have equal tables, so every chunk ties at every
         node and the first leaf, the rank order with ties by index, is the
-        order.  ``_twin_order`` returns it without a search, refused first
-        when n(n-1) cells for the order and n per generator pass the bound,
-        and the generators are the swap of each class's first two members
-        and, from three members on, the cycle through all of them; distinct
-        ranks are the case with no generator.
+        order.  ``_twin_order`` returns it without a search, beside the
+        cycles it counts against the bound, one generator each: the swap of
+        each class's first two members and, from three members on, the
+        cycle through all of them; distinct ranks are the case with no
+        generator.
         """
         n = self.n
         ranks, twins = self._refinement
-        by_rank = {}
-        for i in range(n):
-            by_rank.setdefault(ranks[i], []).append(i)
         if twins:
-            order = _twin_order(ranks)
-            cycles = [c[:2] for c in by_rank.values() if len(c) > 1]
-            cycles += [c for c in by_rank.values() if len(c) > 2]
+            order, cycles = _twin_order(ranks)
             autos = []
             for cycle in cycles:
                 g = list(range(n))
@@ -609,6 +590,9 @@ class FinitePoset:
                     g[a] = b
                 autos.append(tuple(g))
             return order, tuple(autos)
+        by_rank = {}
+        for i in range(n):
+            by_rank.setdefault(ranks[i], []).append(i)
         up, down = self.up, self.down
         classes = [by_rank[r] for r in sorted(ranks)]
         # the weight 2^(n-1-p) of each element placed at position p; stale
@@ -709,7 +693,17 @@ class FinitePoset:
 
     def canonical_key(self):
         """Hashable structure invariant: equal keys iff isomorphic posets."""
-        return key_of_order(self.up, self._canonical_order)
+        order = self._canonical_order
+        bit = [0] * self.n
+        for new, old in enumerate(order):
+            bit[old] = 1 << new
+        rows = []
+        for old in order:
+            row = 0
+            for j in iter_bits(self.up[old]):
+                row |= bit[j]
+            rows.append(row)
+        return tuple(rows)
 
     def canonical_form(self) -> "FinitePoset":
         """Relabeled copy in canonical element order; idempotent, and equal
@@ -722,7 +716,7 @@ class FinitePoset:
     def is_isomorphic(self, other: "FinitePoset") -> bool:
         if self.n != other.n:
             return False
-        if sorted(self._refined_ranks) != sorted(other._refined_ranks):
+        if sorted(self._refinement[0]) != sorted(other._refinement[0]):
             return False
         return self.canonical_key() == other.canonical_key()
 

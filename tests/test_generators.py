@@ -103,34 +103,33 @@ def test_poset_level_labels_few_children(monkeypatch):
     # children and one deletion
     generators._poset_level.cache_clear()
     generators._poset_level(6)
-    counts = {"twins": 0, "searched": 0, "deletions": 0, "builds": 0}
-    twin_order, trusted = generators._twin_order, FinitePoset._trusted
-    key = FinitePoset.canonical_key
-
-    def counted_twin_order(ranks):
-        counts["twins"] += 1
-        return twin_order(ranks)
+    counts = {"keys": 0, "builds": 0, "searches": 0}
+    key, trusted = FinitePoset.canonical_key, FinitePoset._trusted
+    view = vars(FinitePoset)["_canonical_search"]
 
     def counted_key(self):
-        counts["deletions"] += 1
+        counts["keys"] += 1
         return key(self)
 
     def counted_trusted(cls, *args, **kwargs):
         counts["builds"] += 1
-        counts["searched"] += "_refinement" in kwargs
         return trusted(*args, **kwargs)
 
-    # a child is labelled on its rows, from its ranks when its rank classes
-    # are all twins, and is built as a poset only to search; a deletion is
-    # labelled as a poset
-    monkeypatch.setattr(generators, "_twin_order", counted_twin_order)
+    def counted_search(P, compute=view.compute):
+        counts["searches"] += 1
+        return compute(P)
+
     monkeypatch.setattr(FinitePoset, "canonical_key", counted_key)
-    # every poset the level build makes is a trusted one: 514 at level 7,
-    # the 318 parents, 195 children that search and one deletion (2427
-    # while every child was a poset, 3170 before the orbit pruning)
+    # every poset the level build makes is a trusted one: 2364 at level 7,
+    # the 318 parents, 2045 children and one deletion; a child is refined
+    # on its rows and built only when its ranks pass (2427 while the 63
+    # refused by their ranks were built too, 3170 before the orbit pruning)
     monkeypatch.setattr(FinitePoset, "_trusted", classmethod(counted_trusted))
+    # the parents run _canonical_search for their automorphisms, and of
+    # the children only the 195 whose rank classes are not all twins
+    monkeypatch.setattr(view, "compute", counted_search)
     assert len(generators._poset_level(7)) == 2045
-    assert counts == {"twins": 1850, "searched": 195, "deletions": 1, "builds": 514}
+    assert counts == {"keys": 2046, "builds": 2364, "searches": 318 + 195}
 
 
 def _level_posets(top):
@@ -182,7 +181,8 @@ def test_parents_label_themselves(monkeypatch):
     # 1-7 take 2857 labellings, one for each of the 406 parents of levels
     # 0-6 and 2451 for children and deletions; 992 have distinct ranks,
     # 1596 more rank classes of twins, and 269 search.  Children labelled
-    # from their ranks build no poset, so 639 run _canonical_search
+    # from their ranks read no automorphisms, so 638 run _canonical_search:
+    # the 406 parents and the 232 children that search
     generators._poset_level.cache_clear()
     view = vars(FinitePoset)["_canonical_search"]
     searches, twin_ranks, orders = [0, 0], [], []
@@ -201,17 +201,16 @@ def test_parents_label_themselves(monkeypatch):
 
     def recording(parent, key):
         found = children(parent, key)
-        orders.append((key, parent._canonical_order))
+        orders.append((key, parent._canonical_search[0]))
         return found
 
     monkeypatch.setattr(view, "compute", counted)
     monkeypatch.setattr(poset, "_twin_order", recorded_twin_order)
-    monkeypatch.setattr(generators, "_twin_order", recorded_twin_order)
     monkeypatch.setattr(generators, "_canonical_children", recording)
     assert len(generators._poset_level(7)) == 2045
     distinct = sum(len(set(ranks)) == len(ranks) for ranks in twin_ranks)
     assert (distinct, len(twin_ranks) - distinct, searches[1]) == (992, 1596, 269)
-    assert searches[0] == 639
+    assert searches[0] == 406 + 232
     assert len(orders) == 406
     for key, order in orders:
         assert order == tuple(range(len(key))), key
@@ -230,7 +229,7 @@ def _unpruned_children(parent, key):
         rows = [row | (1 << n if down >> i & 1 else 0) for i, row in enumerate(parent.up)]
         C = FinitePoset(default_labels(n + 1), rows + [1 << n])
         maxima = [x for x in range(n + 1) if C.up[x] == 1 << x]
-        ranks = C._refined_ranks
+        ranks = C._refinement[0]
         top = [x for x in maxima if ranks[x] == max(ranks[y] for y in maxima)]
         if n not in top:
             continue
@@ -286,7 +285,7 @@ def test_deletion_decides_between_tied_maxima():
     # posets; exactly one of the two parents may keep the whole poset
     C = _cycles(2, 4)
     maxima = [x for x in range(C.n) if C.up[x] == 1 << x]
-    assert len({C._refined_ranks[x] for x in maxima}) == 1
+    assert len({C._refinement[0][x] for x in maxima}) == 1
     parents = [FinitePoset(default_labels(C.n - 1), generators._delete(C.up, m).canonical_key())
                for m in (maxima[0], maxima[-1])]
     assert not parents[0].is_isomorphic(parents[1])

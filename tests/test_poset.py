@@ -376,7 +376,7 @@ def test_canonical_labelling_limit_when_ranks_are_distinct(monkeypatch):
     # every element of chain(5) has its own rank, so the order is read off
     # the ranks; the search it stands for compares 2k cells at depth k
     chain = named("chain(5)")
-    assert len(set(chain._refined_ranks)) == 5
+    assert len(set(chain._refinement[0])) == 5
     monkeypatch.setattr(limits, "CANON_LIMIT", 5 * 4 - 1)
     with pytest.raises(SizeLimitError) as err:
         chain.canonical_key()
@@ -469,7 +469,7 @@ def _first_least_order(P):
     ordering, in candidate order, the first whose relation table (for each
     position, the cells to the earlier positions below it, then above it)
     is lexicographically least."""
-    ranks = P._refined_ranks
+    ranks = P._refinement[0]
     classes = [[i for i in range(P.n) if ranks[i] == r] for r in sorted(set(ranks))]
     best = None
     for parts in itertools.product(*map(itertools.permutations, classes)):

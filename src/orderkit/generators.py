@@ -9,9 +9,10 @@ one down set from each orbit of its automorphism group, whose generators its
 own canonical labelling finds, and a child is kept only when its new
 element stands for its canonical deletion, a maximal element chosen by an
 isomorphism-invariant rule, so each class has one parent class.  A
-degree-signature pre-filter refuses most other children before they are
-built.  A child's rows are the parent's with one element added, and it is
-refined on them; only a child that passes its ranks' test is made a poset,
+size bound and a degree-signature pre-filter refuse most other children
+before they are built, and before their down set's orbit is.  A child's
+rows are the parent's with one element added, and it is refined on them;
+only a child that passes its ranks' test is made a poset,
 seeded with those rows and ranks, and it is labelled without a search when
 its rank classes are all sets of twins.  The keys are deduplicated per
 parent, since two orbits can still give one class, and one sort of all
@@ -201,6 +202,13 @@ def _canonical_children(parent, key):
     Refinement keeps the order of ranks, so a child whose new element's
     ``degree_signature`` is below that of a maximal element it leaves
     maximal cannot give m the top rank; it is refused before it is built.
+    A signature starts with the strict-down count, so with ``least`` the
+    largest count of the parent's maximal elements, a down set of fewer
+    than ``least`` elements is refused from its size alone: the maximal
+    element that attains ``least`` lies outside it.  Neither test changes
+    under the parent's automorphisms, so an orbit is refused whole or
+    passes with the same first member, and it is computed only for a down
+    set that passes both.
 
     A child is refined on its rows: one ``refined_ranks`` over the rows
     ``_extend_with_max`` gives.  Only a child whose ranks pass is built as
@@ -214,18 +222,19 @@ def _canonical_children(parent, key):
     generators = parent._canonical_search[1]
     labels = default_labels(n + 1)
     maximal = [x for x in range(n) if not strict_up[x]]
+    least = max((signatures[x][0] for x in maximal), default=0)
     found, seen = set(), set()
     for up_mask in parent.iter_upper_masks():
-        if up_mask in seen:
+        if n - up_mask.bit_count() < least or up_mask in seen:
             continue
-        if generators:
-            seen |= _orbit(up_mask, generators)
         down = parent.full_mask ^ up_mask
         rivals = [x for x in maximal if not down >> x & 1]
         tops = mask_of(x for x in iter_bits(down) if not strict_up[x] & down)
         signature = degree_signature(down, 0, tops, 0)
         if any(signatures[x] > signature for x in rivals):
             continue
+        if generators:
+            seen |= _orbit(up_mask, generators)
         up, downs, child_strict_up, child_signatures = _extend_with_max(
             parent, down, tops, signature)
         refinement = refined_ranks(child_signatures, downs, child_strict_up)

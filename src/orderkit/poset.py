@@ -556,13 +556,19 @@ class FinitePoset:
         isomorphism, II", 2014).  The stored automorphisms are returned
         beside the order.
 
-        Every chunk computed at depth k counts 2k table cells; the search
+        Every chunk read at depth k counts 2k table cells; the search
         is refused once more than ``limits.CANON_LIMIT`` are counted.  A
         chunk is packed into an int: the placed elements below the
         candidate, then those above it, each weighted 2^(n-1-p) by its
         position p.  Chunks of one depth so compare as their 0/1 tuples
         would, and one costs a step per placed element related to the
-        candidate.
+        candidate.  Members of one rank class are incomparable, since
+        comparable elements differ in their counts of elements strictly
+        below, so a candidate's chunk at depth k + 1 is its chunk at depth
+        k while position k + 1 stays in the class of k: the node that
+        enters a class computes its members' chunks, keeps them in a table
+        when the next position is in the same class, and the nodes below it
+        in that class read the table, counting the same cells.
 
         Twins, two elements with equal strict up rows and equal strict down
         rows, so rows that differ in those two alone, are incomparable and
@@ -609,11 +615,17 @@ class FinitePoset:
 
         cells, limit = 0, limits.CANON_LIMIT
 
-        def node(k, used, ahead):
+        def node(k, used, ahead, table):
             # the frame of a node at depth k: its least-chunk candidates, the
-            # next one to try, that chunk, whether the prefix is ahead and the
-            # mask of candidates expanded; None when the node is cut
+            # next one to try, that chunk, whether the prefix is ahead, the
+            # mask of candidates expanded and, when position k + 1 is in the
+            # same class, the class's chunk table, read from ``table`` when
+            # one is carried, else built; None when the node is cut
             nonlocal cells
+            carried = table is not None
+            same = k + 1 < n and classes[k + 1] is classes[k]
+            if not carried and same:
+                table = {}
             least, kids = None, []
             for e in classes[k]:
                 if used >> e & 1:
@@ -621,7 +633,12 @@ class FinitePoset:
                 cells += 2 * k
                 if cells > limit:
                     raise SizeLimitError("canonical labelling", cells, limit)
-                c = chunk(e, used)
+                if carried:
+                    c = table[e]
+                else:
+                    c = chunk(e, used)
+                    if table is not None:
+                        table[e] = c
                 if least is None or c < least:
                     least, kids = c, [e]
                 elif c == least:
@@ -630,7 +647,7 @@ class FinitePoset:
                 if least > best_chunks[k]:
                     return None
                 ahead = least < best_chunks[k]
-            return [kids, 0, least, ahead, 0]
+            return [kids, 0, least, ahead, 0, table if same else None]
 
         def in_orbit(e, done, prefix):
             # e is in the orbit of the masked siblings under the stored
@@ -647,10 +664,10 @@ class FinitePoset:
         autos = []
         order, chunks, used = [], [], 0
         # with no best table yet, the first descent is ahead
-        stack = [node(0, 0, True)]
+        stack = [node(0, 0, True, None)]
         while stack:
             frame = stack[-1]
-            kids, i, least, ahead, done = frame
+            kids, i, least, ahead, done, table = frame
             k = len(order)
             while i < len(kids) and done and autos and in_orbit(kids[i], done, order):
                 i += 1
@@ -683,7 +700,7 @@ class FinitePoset:
             chunks.append(least)
             used |= 1 << e
             weight[e] = 1 << (n - 1 - k)
-            child = node(k + 1, used, ahead)
+            child = node(k + 1, used, ahead, table)
             if child is None:
                 used ^= 1 << order.pop()
                 chunks.pop()

@@ -13,7 +13,9 @@ On a finite lattice join continuity, the frame law and distributivity are
 one law, distributivity, read in different forms.  Birkhoff's test
 (``FiniteLattice.birkhoff_distributive``) decides it; the law scan over
 the order rows, ``_first_violation``, runs only when the test fails, to
-find the first witness, so witnesses do not depend on the test.
+find the first witness, so witnesses do not depend on the test.  A truth
+value needs no witness: ``BIRKHOFF_LAWS`` names the three laws, and an
+instance profile reads their values from the test alone.
 """
 
 from __future__ import annotations
@@ -271,5 +273,10 @@ LATTICE_PREDICATES = {
     "prime_continuous": is_prime_continuous,
     "distributive": is_distributive,
 }
+
+BIRKHOFF_LAWS = ("join_continuous", "frame", "distributive")
+"""The lattice predicates that are distributivity on a finite lattice.  On
+the shortcut route Birkhoff's test decides each of them, and the law scan
+only names a witness, so a truth value needs the test alone."""
 
 PREDICATE_NAMES = (*POSET_PREDICATES, *LATTICE_PREDICATES)

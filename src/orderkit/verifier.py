@@ -475,7 +475,10 @@ def compile_expression(text: str):
 class InstanceProfile:
     """What the checks read about one poset or lattice, each computed at
     most once: the lattice structure, the Scott open and closed set
-    lattices as profiles of their own, and predicate verdicts by name."""
+    lattices as profiles of their own, and predicate verdicts by name.
+    Truth values of the laws Birkhoff's test decides are read from the
+    test, so the suites and ``enumerate --filter`` scan for no witness;
+    ``verdict`` still gives each law's witness."""
 
     def __init__(self, instance):
         if isinstance(instance, FiniteLattice):
@@ -528,8 +531,12 @@ class InstanceProfile:
         return self._verdicts[name]
 
     def value(self, name):
-        """Truth value of ``lattice`` or a predicate; False without a verdict."""
+        """Truth value of ``lattice`` or a predicate; False without a verdict.
+        A law of ``properties.BIRKHOFF_LAWS`` whose verdict is not cached is
+        read from Birkhoff's test, which decides it, with no witness scan."""
         if name == "lattice":
             return self.lattice is not None
+        if name in properties.BIRKHOFF_LAWS and name not in self._verdicts:
+            return self.lattice is not None and self.lattice.birkhoff_distributive
         v = self.verdict(name)
         return v is not None and v.holds

@@ -541,6 +541,25 @@ def test_canonical_orders_pinned():
     assert (len(orders), hashlib.sha256(repr(orders).encode()).hexdigest()) == CANONICAL_ORDERS
 
 
+# sha256 of repr() of the (order, automorphisms) pairs of
+# ``_canonical_search`` below, recorded while every node computed every
+# candidate's chunk over its whole prefix: carrying the chunks through a
+# rank class must keep the orders, the automorphisms met and their order
+CANONICAL_SEARCHES = (177, "abccc42908c6795b579896d5468618b9dc788a6c8387023392925ab33977bab8")
+
+
+def test_canonical_searches_pinned():
+    rng = random.Random(20261020)
+    searches = []
+    for n in range(6):
+        for P in enumerate_posets(n):
+            for L in (scott_opens(P).lattice, scott_closed_lattice(P).lattice):
+                searches.append(_relabelled(L.base.up, rng)._canonical_search)
+    sigma = scott_opens(named("antichain(6)")).lattice.base
+    searches.append(_relabelled(sigma.up, rng)._canonical_search)
+    assert (len(searches), hashlib.sha256(repr(searches).encode()).hexdigest()) == CANONICAL_SEARCHES
+
+
 def test_covers_match_definition(posets_upto_5):
     for batch in posets_upto_5.values():
         for P in batch:

@@ -301,24 +301,26 @@ def _birkhoff_flipped_on(name):
 
 
 def test_suites_catch_a_flipped_birkhoff_test(monkeypatch, lattices_upto_6):
-    # flipped on one lattice at a time, each with n <= 6: on a distributive
-    # one the scan for the first witness finds none, and a non-distributive
-    # one turns join continuous without being prime continuous, which
-    # thm32 reports
+    # flipped on one lattice at a time, each with n <= 6: the suites read
+    # join continuity from the test, so a distributive lattice turns not
+    # join continuous while staying prime continuous, and a
+    # non-distributive one turns join continuous without being prime
+    # continuous; either way thm32 reports that lattice alone
     for L in (L for batch in lattices_upto_6.values() for L in batch):
         distributive = L.birkhoff_distributive
         monkeypatch.setattr(FiniteLattice, "birkhoff_distributive", _birkhoff_flipped_on(L.name))
-        if distributive:
-            with pytest.raises(AssertionError, match="disagree"):
-                verifier.run_suites(("thm32",), 6)
-        else:
-            (report,) = verifier.run_suites(("thm32",), 6)
-            assert [r.name for r in report.failures] == [L.name]
-    # σ(P) and Γ(P), read by thm23, are distributive
+        (report,) = verifier.run_suites(("thm32",), 6)
+        assert [r.name for r in report.failures] == [L.name]
+        profile = dict(report.failures[0].verdict.profile)
+        assert profile["join_continuous"] is not distributive
+        assert profile["prime_continuous"] is distributive
+    # σ(P) and Γ(P), read by thm23, are distributive: flipped, the opens
+    # are not join continuous, or the closeds not a frame, and thm23
+    # reports the poset
     for name in ("sigma(P6.100)", "gamma(P6.100)"):
         monkeypatch.setattr(FiniteLattice, "birkhoff_distributive", _birkhoff_flipped_on(name))
-        with pytest.raises(AssertionError, match="disagree"):
-            verifier.run_suites(("thm23",), 6)
+        (report,) = verifier.run_suites(("thm23",), 6)
+        assert [r.name for r in report.failures] == ["P6.100"]
 
 
 def test_completely_distributive_oracle(m3):

@@ -331,6 +331,23 @@ def test_profile_on_non_lattice():
     assert prof.value("continuous") is True
 
 
+def test_truth_values_scan_for_no_witness(monkeypatch):
+    # Birkhoff's test decides join continuity, frames and distributivity,
+    # so a filter and the lattice suites read them without the witness
+    # scan, which is refused here
+    def refused(*args):
+        raise AssertionError("witness scan run for a truth value")
+
+    monkeypatch.setattr(properties, "_first_violation", refused)
+    evaluate = compile_expression("lattice & !distributive")
+    counts = [sum(evaluate(InstanceProfile(L)) for L in enumerate_lattices(n))
+              for n in range(1, 8)]
+    # A006966 less A006982: 53 - 8 = 45 non-distributive lattices at n = 7
+    assert counts == [0, 0, 0, 0, 2, 10, 45]
+    reports = run_suites(("lemma31", "thm32", "chains", "characterizations"), 7)
+    assert all(r.passed for r in reports)
+
+
 def test_run_suites_shares_work_per_instance(monkeypatch):
     calls = Counter()
 

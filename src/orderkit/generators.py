@@ -11,8 +11,11 @@ element stands for its canonical deletion, a maximal element chosen by an
 isomorphism-invariant rule, so each class has one parent class.  A
 size bound and a degree-signature pre-filter refuse most other children
 before they are built, and before their down set's orbit is.  A child's
-rows are the parent's with one element added, and it is refined on them;
-only a child that passes its ranks' test is made a poset,
+rows are the parent's with one element added.  One stable sort of its
+degree signatures, with a twin test along each run of equal ones, decides
+most children: when every run is a set of twins the sort is the canonical
+order, and the key is the rows relabelled through it.  Any other child is
+refined on its rows; only one that passes its ranks' test is made a poset,
 seeded with those rows and ranks, and it is labelled without a search when
 its rank classes are all sets of twins.  The keys are deduplicated per
 parent, since two orbits can still give one class, and one sort of all
@@ -41,6 +44,7 @@ from .poset import (
     iter_bits,
     mask_of,
     refined_ranks,
+    twin_sort,
 )
 
 
@@ -210,12 +214,19 @@ def _canonical_children(parent, key):
     passes with the same first member, and it is computed only for a down
     set that passes both.
 
-    A child is refined on its rows: one ``refined_ranks`` over the rows
-    ``_extend_with_max`` gives.  Only a child whose ranks pass is built as
-    a poset, seeded with its ``down`` rows and refinement, and it labels
-    itself: from its ranks when every rank class is a set of twins, else by
-    a search.  A child's generators are never built: only parents read
-    them.
+    A child is first sorted on the rows ``_extend_with_max`` gives:
+    ``twin_sort`` of its signatures.  When every class of equal signatures
+    is a set of twins, refinement would stop there, so the sort is the
+    child's canonical order, and the child is kept: a rival's signature is
+    the same in the child as in the parent, so the pre-filter put it at or
+    below m's, a tie makes it m's twin, and m, last of its class by index,
+    is then the maximal element last in the canonical order.  Its key is
+    its rows relabelled through the sort, read from a poset seeded with
+    that order.  Any other child is refined: one ``refined_ranks`` over
+    the same rows.  Only a child whose ranks pass is built as a poset,
+    seeded with its ``down`` rows and refinement, and it labels itself:
+    from its ranks when every rank class is a set of twins, else by a
+    search.  A child's generators are never built: only parents read them.
     """
     n = parent.n
     strict_up, signatures = parent._strict_up, parent._degree_signatures
@@ -237,6 +248,11 @@ def _canonical_children(parent, key):
             seen |= _orbit(up_mask, generators)
         up, downs, child_strict_up, child_signatures = _extend_with_max(
             parent, down, tops, signature)
+        order, twins = twin_sort(child_signatures, downs, child_strict_up)
+        if twins:
+            child = FinitePoset._trusted(labels, up, _canonical_order=tuple(order))
+            found.add(child.canonical_key())
+            continue
         refinement = refined_ranks(child_signatures, downs, child_strict_up)
         ranks = refinement[0]
         if any(ranks[x] > ranks[n] for x in rivals):

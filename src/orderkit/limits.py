@@ -6,8 +6,9 @@ follow from n alone (directed subsets, upper sets) are bounded by their
 own count, checked before or while they are built.  ``OPENS_LIMIT`` also
 bounds the k x k order rows of a set lattice such as the Scott opens,
 refused before they are built when k * k passes it.  ``CANON_LIMIT``
-bounds the relation-table cells one canonical labelling compares, counted
-while it searches.  ``EXPRESSION_DEPTH`` bounds the nesting of
+bounds the work of one canonical labelling, counted while it searches: the
+relation-table cells of each chunk it computes, and one per chunk it reads
+from a rank class's table.  ``EXPRESSION_DEPTH`` bounds the nesting of
 parentheses in a filter expression, which its parser and evaluator
 recurse through.
 
@@ -25,7 +26,7 @@ from .errors import InputError, SizeLimitError
 SUBSET_CAP = 24           # refuse 2^n loops and named carriers beyond this size
 OPENS_LIMIT = 1 << 20     # max number of upper sets tabulated per poset
 DIRECTED_LIMIT = 1 << 16  # max number of directed subsets tabulated per poset
-CANON_LIMIT = 1 << 24     # max relation-table cells compared by one canonical labelling
+CANON_LIMIT = 1 << 24     # max table cells compared, or chunks read, by one canonical labelling
 EXPRESSION_DEPTH = 100    # max nesting of parentheses in a filter expression
 ENUM_MAX = {"posets": 9, "lattices": 11}  # enumeration ceiling of each universe
 POOL_FROM = {"posets": 8, "lattices": 11}  # least max_n verified in a pool

@@ -104,10 +104,22 @@ def degree_signature(strict_down, strict_up, covers_down, covers_up):
             covers_down.bit_count(), covers_up.bit_count())
 
 
-def _intern(signatures):
-    """Dense ranks of ``signatures`` in sorted order, and their number."""
-    order = {s: r for r, s in enumerate(sorted(set(signatures)))}
-    return [order[s] for s in signatures], len(order)
+def twin_sort(colors, down, strict_up):
+    """The indices in the order of their ``colors``, ties by index, and
+    whether every class of equal colors is a set of pairwise twins:
+    elements with equal strict up rows and down rows that differ in the two
+    elements alone (a singleton is one).  One stable sort, then one row
+    comparison per element against the first of its run, stopping at the
+    first that fails."""
+    order = sorted(range(len(colors)), key=colors.__getitem__)
+    a = color = None
+    for e in order:
+        c = colors[e]
+        if c != color:
+            a, color = e, c
+        elif strict_up[a] != strict_up[e] or down[a] ^ down[e] != 1 << a | 1 << e:
+            return order, False
+    return order, True
 
 
 def refined_ranks(signatures, down, strict_up):
@@ -119,25 +131,25 @@ def refined_ranks(signatures, down, strict_up):
     Each round refines a color by the sorted colors of the elements below
     and above.  Refinement only splits classes and orders each split by the
     old color first, so a color never passes a larger one, and a discrete
-    coloring is final.  Twins, elements with equal strict up rows and down
-    rows that differ in the two elements alone, have the same colors below
-    and above, so a partition into classes of twins (a singleton is one)
-    is stable: it is tested before each round, one row comparison per
-    element against the first of its class, and returned at once.  Else
-    the rounds run until one splits no class.  A singleton class's round
-    color is its old color alone, which no other color starts with."""
-    ranks, classes = _intern(signatures)
-    below = above = None
+    coloring is final.  Twins have the same colors below and above, so a
+    partition into classes of twins is stable.  Each round's colors go
+    through ``twin_sort``: its order gives their dense ranks, and when its
+    scan finds every class a set of twins they are returned at once, at
+    round 0 with the signatures' order.  Else the rounds run until one
+    splits no class.  A singleton class's round color is its old color
+    alone, which no other color starts with."""
+    colors, classes, below = signatures, 0, None
     while True:
-        first = [-1] * classes
-        for e, r in enumerate(ranks):
-            a = first[r]
-            if a < 0:
-                first[r] = e
-            elif strict_up[a] != strict_up[e] or down[a] ^ down[e] != 1 << a | 1 << e:
-                break
-        else:
-            return tuple(ranks), True
+        order, twins = twin_sort(colors, down, strict_up)
+        ranks, count, color = [0] * len(colors), -1, None
+        for e in order:
+            if colors[e] != color:
+                count, color = count + 1, colors[e]
+            ranks[e] = count
+        count += 1
+        if twins or count == classes:
+            return tuple(ranks), twins
+        classes = count
         sizes = [0] * classes
         for r in ranks:
             sizes[r] += 1
@@ -145,23 +157,20 @@ def refined_ranks(signatures, down, strict_up):
             below = [iter_bits(col & ~(1 << i)) for i, col in enumerate(down)]
             above = [iter_bits(row) for row in strict_up]
         color = ranks.__getitem__
-        new, count = _intern([
+        colors = [
             (r, tuple(sorted(map(color, b))), tuple(sorted(map(color, a))))
             if sizes[r] > 1 else (r,)
             for r, b, a in zip(ranks, below, above)
-        ])
-        if count == classes:
-            return tuple(ranks), False
-        ranks, classes = new, count
+        ]
 
 
 def _twin_order(ranks):
     """The canonical order of a poset whose refined rank classes are all
     sets of twins, the rank order with ties by index, and the cycles whose
     rotations generate its automorphisms: each class's first two members
-    and, from three members on, the whole class.  Refused first, as
-    ``_canonical_search`` counts it, when n(n-1) cells for the order and n
-    per cycle pass ``limits.CANON_LIMIT``."""
+    and, from three members on, the whole class.  Refused first when
+    n(n-1) cells for the order, what the search counts when every rank is
+    distinct, and n per cycle pass ``limits.CANON_LIMIT``."""
     n = len(ranks)
     classes = [[] for _ in ranks]
     for e, r in enumerate(ranks):
@@ -395,24 +404,20 @@ class FinitePoset:
         return tuple(sorted(range(self.n), key=lambda i: (self.up[i].bit_count(), i)))
 
     def iter_upper_masks(self):
-        """All upper (up-closed) subsets, by include/exclude backtracking
-        along a linear extension processed from maximal elements down, the
-        branch without an element before the branch with it.  Pending
-        branches wait on an explicit stack, so no carrier size reaches the
-        interpreter's recursion limit."""
-        n = self.n
-        order = self._reverse_linear_extension
+        """All upper (up-closed) subsets, by doubling along a linear
+        extension processed from maximal elements down: from the empty set,
+        each element e adds e to every set listed so far that holds the
+        elements strictly above e, all processed before e, and yields
+        those new sets.  Each is upper, and each upper set is listed once,
+        built from its members in that order."""
         strict_up = self._strict_up
-        stack = [(0, 0)]
-        while stack:
-            k, mask = stack.pop()
-            if k == n:
-                yield mask
-                continue
-            e = order[k]
-            if not strict_up[e] & ~mask:
-                stack.append((k + 1, mask | (1 << e)))
-            stack.append((k + 1, mask))
+        masks = [0]
+        yield 0
+        for e in self._reverse_linear_extension:
+            above, bit = strict_up[e], 1 << e
+            new = [m | bit for m in masks if not above & ~m]
+            masks += new
+            yield from new
 
     def upper_masks(self):
         """Every upper subset in ``set_order``, walked once per poset;
@@ -556,10 +561,11 @@ class FinitePoset:
         isomorphism, II", 2014).  The stored automorphisms are returned
         beside the order.
 
-        Every chunk read at depth k counts 2k table cells; the search
-        is refused once more than ``limits.CANON_LIMIT`` are counted.  A
-        chunk is packed into an int: the placed elements below the
-        candidate, then those above it, each weighted 2^(n-1-p) by its
+        A chunk computed at depth k counts the 2k table cells it compares,
+        and one read from a rank class's table (below) counts one; the
+        search is refused once more than ``limits.CANON_LIMIT`` are
+        counted.  A chunk is packed into an int: the placed elements below
+        the candidate, then those above it, each weighted 2^(n-1-p) by its
         position p.  Chunks of one depth so compare as their 0/1 tuples
         would, and one costs a step per placed element related to the
         candidate.  Members of one rank class are incomparable, since
@@ -568,7 +574,7 @@ class FinitePoset:
         k while position k + 1 stays in the class of k: the node that
         enters a class computes its members' chunks, keeps them in a table
         when the next position is in the same class, and the nodes below it
-        in that class read the table, counting the same cells.
+        in that class read the table, one cell per chunk.
 
         Twins, two elements with equal strict up rows and equal strict down
         rows, so rows that differ in those two alone, are incomparable and
@@ -630,15 +636,16 @@ class FinitePoset:
             for e in classes[k]:
                 if used >> e & 1:
                     continue
-                cells += 2 * k
-                if cells > limit:
-                    raise SizeLimitError("canonical labelling", cells, limit)
                 if carried:
+                    cells += 1
                     c = table[e]
                 else:
+                    cells += 2 * k
                     c = chunk(e, used)
                     if table is not None:
                         table[e] = c
+                if cells > limit:
+                    raise SizeLimitError("canonical labelling", cells, limit)
                 if least is None or c < least:
                     least, kids = c, [e]
                 elif c == least:

@@ -2,7 +2,7 @@
 
 import os
 import random
-from itertools import combinations_with_replacement, islice, product
+from itertools import combinations_with_replacement, islice, permutations, product
 
 from orderkit import limits
 from orderkit.generators import (
@@ -139,3 +139,51 @@ def birkhoff_bridge(k):
     lattices = [L.base.canonical_key() for L in enumerate_lattices(k)
                 if L.birkhoff_distributive]
     return sorted(sigma), sorted(lattices)
+
+
+def literal_refinement(P):
+    """Refinement as defined, from the relation alone and with no early
+    stop: each element's counts of the elements strictly below and above it
+    and of those it covers and is covered by, then rounds that color each
+    element by its color and the sorted colors of the elements strictly
+    below and above, until a round splits no class; and whether every class
+    of that partition is a set of pairwise twins (equal strict up and
+    strict down sets)."""
+    n = P.n
+    below = [[j for j in range(n) if j != i and P.leq(j, i)] for i in range(n)]
+    above = [[j for j in range(n) if j != i and P.leq(i, j)] for i in range(n)]
+    covers = [[j for j in above[i] if not set(above[i]) & set(below[j])] for i in range(n)]
+    covered = [[j for j in below[i] if not set(below[i]) & set(above[j])] for i in range(n)]
+
+    def dense(colors):
+        order = sorted(set(colors))
+        return [order.index(c) for c in colors]
+
+    ranks = dense([(len(below[i]), len(above[i]), len(covered[i]), len(covers[i]))
+                   for i in range(n)])
+    while True:
+        new = dense([(ranks[i], tuple(sorted(ranks[j] for j in below[i])),
+                      tuple(sorted(ranks[j] for j in above[i]))) for i in range(n)])
+        if len(set(new)) == len(set(ranks)):
+            break
+        ranks = new
+    twins = all(below[i] == below[j] and above[i] == above[j]
+                for i in range(n) for j in range(n) if ranks[i] == ranks[j])
+    return tuple(ranks), twins
+
+
+def first_least_order(P):
+    """The definition of the canonical order: of every rank-respecting
+    ordering, in candidate order, the first whose relation table (for each
+    position, the cells to the earlier positions below it, then above it)
+    is lexicographically least."""
+    ranks = P._refinement[0]
+    classes = [[i for i in range(P.n) if ranks[i] == r] for r in sorted(set(ranks))]
+    best = None
+    for parts in product(*map(permutations, classes)):
+        order = [e for part in parts for e in part]
+        table = [([P.leq(a, e) for a in order[:k]], [P.leq(e, a) for a in order[:k]])
+                 for k, e in enumerate(order)]
+        if best is None or table < best[0]:
+            best = table, tuple(order)
+    return best[1]

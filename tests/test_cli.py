@@ -120,6 +120,19 @@ def test_dual_antichain(capsys):
     assert parse(out).is_isomorphic(named("boolean(2)"))
 
 
+def test_dual_antichain9_is_boolean9(capsys):
+    # sigma(antichain(9)) is the 512-element Boolean lattice, whose labelling
+    # reads most chunks from its rank classes' tables and so fits the bound
+    from orderkit.files import parse
+    from orderkit.poset import FinitePoset, mask_of
+
+    assert main(["dual", "antichain(9)"]) == 0
+    sigma = parse(capsys.readouterr().out)
+    rows = [mask_of(j for j in range(512) if i & j == i) for i in range(512)]
+    boolean9 = FinitePoset(generators.default_labels(512), rows)
+    assert sigma.canonical_key() == boolean9.canonical_key()
+
+
 def test_utf8_output_under_c_locale(tmp_path):
     # the stream encoding under this locale is ASCII; labels still come out
     env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
@@ -404,18 +417,15 @@ def test_named_carriers_over_cap_exit(capsys):
 
 def test_large_carriers_exit_at_work_limit(capsys, tmp_path):
     # chain(24) has 2^24 - 1 directed sets, antichain(24) 2^24 upper sets,
-    # and sigma(antichain(11)) 2^11 members, so 2^22 cells per table;
-    # sigma(antichain(10)) has 2^10 members, whose labelling passes the cell
-    # bound long before the search could end; a 1200-element chain has 1201
-    # upper sets, so 1201^2 cells per table, and its upper-set walk is 1200
-    # branches deep
+    # and sigma(antichain(11)) 2^11 members, so 2^22 cells per table; a
+    # 1200-element chain has 1201 upper sets, so 1201^2 cells per table, and
+    # its upper-set walk adds 1200 elements
     chain = tmp_path / "chain1200.poset"
     chain.write_text("elements: " + " ".join(f"c{i}" for i in range(1200)) + "\n"
                      + "".join(f"cover c{i} c{i + 1}\n" for i in range(1199)))
     for argv, what in ((["check", "chain(24)"], "directed-subset"),
                        (["check", "antichain(24)"], "upper-set"),
                        (["dual", "antichain(11)"], "set-lattice table"),
-                       (["dual", "antichain(10)"], "canonical labelling"),
                        (["dual", str(chain)], "set-lattice table")):
         started = time.perf_counter()
         assert main(argv) == 3

@@ -5,7 +5,14 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import TWIN_LEVELS, is_canonical, self_dual_classes, stacked_antichains
+from helpers import (
+    TWIN_LEVELS,
+    first_least_order,
+    is_canonical,
+    literal_refinement,
+    self_dual_classes,
+    stacked_antichains,
+)
 
 from orderkit import (
     NotALatticeError,
@@ -99,13 +106,14 @@ def test_poset_level_labels_few_children(monkeypatch):
     # the literal construction labels all 5439 extensions of level 6; the
     # degree-signature pre-filter also keeps most children from being built,
     # and one down set per orbit of the parent's automorphisms leaves 2046
-    # labellings (2759 without that pruning) for 2045 classes: 2045
-    # children and one deletion
+    # keys (2759 without that pruning) for 2045 classes: 2045 children and
+    # one deletion
     generators._poset_level.cache_clear()
     generators._poset_level(6)
-    counts = {"keys": 0, "builds": 0, "searches": 0}
+    counts = {"keys": 0, "builds": 0, "searches": 0, "refinements": 0, "sorted": 0}
     key, trusted = FinitePoset.canonical_key, FinitePoset._trusted
     view = vars(FinitePoset)["_canonical_search"]
+    refine, sort = poset.refined_ranks, generators.twin_sort
 
     def counted_key(self):
         counts["keys"] += 1
@@ -119,17 +127,62 @@ def test_poset_level_labels_few_children(monkeypatch):
         counts["searches"] += 1
         return compute(P)
 
+    def counted_refine(*args):
+        counts["refinements"] += 1
+        return refine(*args)
+
+    def counted_sort(*args):
+        order, twins = sort(*args)
+        counts["sorted"] += twins
+        return order, twins
+
     monkeypatch.setattr(FinitePoset, "canonical_key", counted_key)
     # every poset the level build makes is a trusted one: 2364 at level 7,
-    # the 318 parents, 2045 children and one deletion; a child is refined
-    # on its rows and built only when its ranks pass (2427 while the 63
-    # refused by their ranks were built too, 3170 before the orbit pruning)
+    # the 318 parents, 2045 children and one deletion (2427 while the 63
+    # children refused by their ranks were built too, 3170 before the orbit
+    # pruning)
     monkeypatch.setattr(FinitePoset, "_trusted", classmethod(counted_trusted))
     # the parents run _canonical_search for their automorphisms, and of
     # the children only the 195 whose rank classes are not all twins
     monkeypatch.setattr(view, "compute", counted_search)
+    # 1578 of the 2108 children that pass the pre-filters have degree
+    # signature classes of twins, and are keyed from one sort of their
+    # signatures, with no refinement; the 318 parents, the other 530
+    # children and the deletion are refined (2427 refinements when every
+    # child was)
+    monkeypatch.setattr(poset, "refined_ranks", counted_refine)
+    monkeypatch.setattr(generators, "refined_ranks", counted_refine)
+    monkeypatch.setattr(generators, "twin_sort", counted_sort)
     assert len(generators._poset_level(7)) == 2045
-    assert counts == {"keys": 2046, "builds": 2364, "searches": 318 + 195}
+    assert counts == {"keys": 2046, "builds": 2364, "searches": 318 + 195,
+                      "refinements": 318 + 530 + 1, "sorted": 1578}
+
+
+def test_sorted_children_take_the_first_least_order(monkeypatch):
+    # the children the level build keys from the sort of their degree
+    # signatures, against the definition of the canonical order on the
+    # literal refinement
+    generators._poset_level.cache_clear()
+    sort, keyed = generators.twin_sort, []
+
+    def recording(signatures, down, strict_up):
+        order, twins = sort(signatures, down, strict_up)
+        if twins:
+            keyed.append((order, strict_up))
+        return order, twins
+
+    monkeypatch.setattr(generators, "twin_sort", recording)
+    per_level = []
+    for n in range(1, 7):
+        before = len(keyed)
+        generators._poset_level(n)
+        per_level.append(len(keyed) - before)
+    assert per_level == [1, 2, 5, 15, 56, 264]
+    for order, strict_up in keyed:
+        n = len(order)
+        C = FinitePoset(default_labels(n), [row | 1 << i for i, row in enumerate(strict_up)])
+        assert C._refinement == literal_refinement(C)
+        assert tuple(order) == first_least_order(C), C.up
 
 
 def test_orbits_follow_the_prefilters(monkeypatch):
@@ -199,11 +252,14 @@ def test_twin_class_generators_generate_the_group():
 def test_parents_label_themselves(monkeypatch):
     # a parent is its key, already in canonical order, and its own
     # labelling gives the automorphisms that prune its down sets: levels
-    # 1-7 take 2857 labellings, one for each of the 406 parents of levels
-    # 0-6 and 2451 for children and deletions; 992 have distinct ranks,
-    # 1596 more rank classes of twins, and 269 search.  Children labelled
-    # from their ranks read no automorphisms, so 638 run _canonical_search:
-    # the 406 parents and the 232 children that search
+    # 1-7 take 936 labellings, one for each of the 406 parents of levels
+    # 0-6 and 530 for children and deletions; 297 have distinct ranks,
+    # 370 more rank classes of twins, and 269 search.  The other 1921
+    # children are keyed from the sort of their degree signatures and
+    # labelled by nothing (2857 labellings, 992 / 1596 / 269, while every
+    # child was).  Children labelled from their ranks read no
+    # automorphisms, so 638 run _canonical_search: the 406 parents and the
+    # 232 children that search
     generators._poset_level.cache_clear()
     view = vars(FinitePoset)["_canonical_search"]
     searches, twin_ranks, orders = [0, 0], [], []
@@ -230,7 +286,7 @@ def test_parents_label_themselves(monkeypatch):
     monkeypatch.setattr(generators, "_canonical_children", recording)
     assert len(generators._poset_level(7)) == 2045
     distinct = sum(len(set(ranks)) == len(ranks) for ranks in twin_ranks)
-    assert (distinct, len(twin_ranks) - distinct, searches[1]) == (992, 1596, 269)
+    assert (distinct, len(twin_ranks) - distinct, searches[1]) == (297, 370, 269)
     assert searches[0] == 406 + 232
     assert len(orders) == 406
     for key, order in orders:

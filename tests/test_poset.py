@@ -1,11 +1,16 @@
 import hashlib
-import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import TWIN_LEVELS, is_canonical, stacked_antichains
+from helpers import (
+    TWIN_LEVELS,
+    first_least_order,
+    is_canonical,
+    literal_refinement,
+    stacked_antichains,
+)
 
 from orderkit import (
     CycleError,
@@ -362,13 +367,15 @@ def test_canonical_idempotent(posets_upto_5):
 
 def test_canonical_labelling_limit(monkeypatch):
     # sigma(antichain(4)) is the 16-element Boolean lattice; its labelling
-    # compares 2300 cells
+    # counts 820 cells: 2k for each chunk it computes at depth k, and one
+    # for each it reads from a rank class's table (2300 when a read chunk
+    # counted 2k too)
     sigma = scott_opens(named("antichain(4)")).lattice.base
-    monkeypatch.setattr(limits, "CANON_LIMIT", 2300 - 1)
+    monkeypatch.setattr(limits, "CANON_LIMIT", 820 - 1)
     with pytest.raises(SizeLimitError) as err:
         sigma.canonical_key()
-    assert err.value.cap == 2300 - 1
-    monkeypatch.setattr(limits, "CANON_LIMIT", 2300)
+    assert err.value.cap == 820 - 1
+    monkeypatch.setattr(limits, "CANON_LIMIT", 820)
     assert is_canonical(sigma.canonical_form())
 
 
@@ -399,37 +406,6 @@ def test_canonical_labelling_limit_on_twin_classes():
     assert err.value.needed == 4096 * 4097
 
 
-def _literal_refinement(P):
-    """Refinement as defined, from the relation alone and with no early
-    stop: each element's counts of the elements strictly below and above it
-    and of those it covers and is covered by, then rounds that color each
-    element by its color and the sorted colors of the elements strictly
-    below and above, until a round splits no class; and whether every class
-    of that partition is a set of pairwise twins (equal strict up and
-    strict down sets)."""
-    n = P.n
-    below = [[j for j in range(n) if j != i and P.leq(j, i)] for i in range(n)]
-    above = [[j for j in range(n) if j != i and P.leq(i, j)] for i in range(n)]
-    covers = [[j for j in above[i] if not set(above[i]) & set(below[j])] for i in range(n)]
-    covered = [[j for j in below[i] if not set(below[i]) & set(above[j])] for i in range(n)]
-
-    def dense(colors):
-        order = sorted(set(colors))
-        return [order.index(c) for c in colors]
-
-    ranks = dense([(len(below[i]), len(above[i]), len(covered[i]), len(covers[i]))
-                   for i in range(n)])
-    while True:
-        new = dense([(ranks[i], tuple(sorted(ranks[j] for j in below[i])),
-                      tuple(sorted(ranks[j] for j in above[i]))) for i in range(n)])
-        if len(set(new)) == len(set(ranks)):
-            break
-        ranks = new
-    twins = all(below[i] == below[j] and above[i] == above[j]
-                for i in range(n) for j in range(n) if ranks[i] == ranks[j])
-    return tuple(ranks), twins
-
-
 def _pairs_below_top(k):
     """k pairs a_i < b_i below one top t: every a_i is symmetric to every
     other, yet no two are twins."""
@@ -450,7 +426,7 @@ def test_refinement_matches_literal_rounds():
     cases += [stacked_antichains(sizes, seed=2) for sizes in TWIN_LEVELS]
     cases += [_pairs_below_top(3), _pairs_below_top(3).dual()]
     for P in cases:
-        assert P._refinement == _literal_refinement(P), P.up
+        assert P._refinement == literal_refinement(P), P.up
 
 
 def _relabelled(key, rng):
@@ -464,38 +440,21 @@ def _relabelled(key, rng):
     return FinitePoset(default_labels(n), rows)
 
 
-def _first_least_order(P):
-    """The definition of the canonical order: of every rank-respecting
-    ordering, in candidate order, the first whose relation table (for each
-    position, the cells to the earlier positions below it, then above it)
-    is lexicographically least."""
-    ranks = P._refinement[0]
-    classes = [[i for i in range(P.n) if ranks[i] == r] for r in sorted(set(ranks))]
-    best = None
-    for parts in itertools.product(*map(itertools.permutations, classes)):
-        order = [e for part in parts for e in part]
-        table = [([P.leq(a, e) for a in order[:k]], [P.leq(e, a) for a in order[:k]])
-                 for k, e in enumerate(order)]
-        if best is None or table < best[0]:
-            best = table, tuple(order)
-    return best[1]
-
-
 def test_canonical_order_is_first_least(posets_upto_6):
     rng = random.Random(11)
     for n in range(1, 7):
         for P in posets_upto_6[n]:
             Q = _relabelled(P.up, rng)
-            assert Q._canonical_order == _first_least_order(Q)
+            assert Q._canonical_order == first_least_order(Q)
     for n in range(4):
         for P in enumerate_posets(n):
             for L in (scott_opens(P).lattice.base, scott_closed_lattice(P).lattice.base):
-                assert L._canonical_order == _first_least_order(L)
+                assert L._canonical_order == first_least_order(L)
     # every rank class a set of twins: the order is read off the ranks
     for sizes in TWIN_LEVELS:
         for seed in range(3):
             P = stacked_antichains(sizes, seed)
-            assert P._canonical_order == _first_least_order(P), (sizes, seed)
+            assert P._canonical_order == first_least_order(P), (sizes, seed)
 
 
 def test_canonical_key_of_symmetric_level8_poset():
@@ -574,19 +533,19 @@ def test_covers_match_definition(posets_upto_5):
 
 
 def test_upper_walk_order(posets_upto_6):
-    # the nested include/exclude recursion the walk stands for
-    def walk(P, k, mask):
-        if k == P.n:
-            yield mask
-            return
-        e = P._reverse_linear_extension[k]
-        yield from walk(P, k + 1, mask)
-        if not P.up[e] & ~(1 << e) & ~mask:
-            yield from walk(P, k + 1, mask | (1 << e))
+    # the doubling the walk stands for: the upper sets of the first k + 1
+    # elements of the linear extension are those of the first k, then each
+    # of them with element k added, where that is still an upper set
+    def walk(P, k):
+        if k == 0:
+            return [0]
+        listed = walk(P, k - 1)
+        bit = 1 << P._reverse_linear_extension[k - 1]
+        return listed + [m | bit for m in listed if P.up_closure_mask(m | bit) == m | bit]
 
     for batch in posets_upto_6.values():
         for P in batch:
-            assert list(P.iter_upper_masks()) == list(walk(P, 0, 0))
+            assert list(P.iter_upper_masks()) == walk(P, P.n)
 
 
 def test_upper_masks_are_upper(posets_upto_6):

@@ -1,10 +1,11 @@
 """Size caps for definitional enumerations.
 
-Brute-force oracles loop over 2^n subsets; the caps below keep them from
-being invoked on carriers where that blows up.  Tables whose size does not
-follow from n alone (directed subsets, upper sets) are bounded by their
-own count, checked before or while they are built.  ``OPENS_LIMIT`` also
-bounds the k x k order rows of a set lattice such as the Scott opens,
+Each cap sits on the loop or table it bounds.  ``SUBSET_CAP`` refuses the
+oracles' loops over 2^n subsets, and named carriers beyond it.
+``DIRECTED_LIMIT`` bounds the directed-subset table, counted before it is
+built; only the oracles and ``way_below_sets`` read it.  ``OPENS_LIMIT``
+bounds the upper-set table, which the shortcut routes read, while it is
+built, and the k x k order rows of a set lattice such as the Scott opens,
 refused before they are built when k * k passes it.  ``CANON_LIMIT``
 bounds the work of one canonical labelling, counted while it searches: the
 relation-table cells of each chunk it computes, and one per chunk it reads

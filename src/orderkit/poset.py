@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import partial
-from itertools import compress
+from itertools import compress, islice
 
 from .errors import CycleError, NotALatticeError, SizeLimitError, UnknownLabelError
 from . import limits
@@ -364,20 +364,17 @@ class FinitePoset:
     # -- subset enumeration ---------------------------------------------
 
     def directed_sets(self):
-        """(mask, sup) of every directed subset, in ascending mask order;
-        built once per poset, after ``bound_directed_sets``."""
-        self.bound_directed_sets()
-        return self._directed_table
-
-    def bound_directed_sets(self):
-        """Refuse a carrier whose directed subsets are too many to list,
-        counted without listing them.  On a finite carrier a set is
-        directed exactly when it has a greatest element d, which is then
-        its supremum: the directed sets are d together with any subset of
-        the elements strictly below d, 2^(|down d| - 1) of them."""
+        """(mask, sup) of every directed subset, in ascending mask order,
+        built once per poset; only the oracles and ``way_below_sets`` read
+        it.  On a finite carrier a set is directed exactly when it has a
+        greatest element d, which is then its supremum: the directed sets
+        are d together with any subset of the elements strictly below d,
+        2^(|down d| - 1) of them, so a carrier with too many is refused,
+        on every read, before any is listed."""
         limits.check_subset_cap(self.n, "directed-subset enumeration")
         count = sum(1 << (col.bit_count() - 1) for col in self.down)
         limits.check_limit(count, "directed-subset table", limits.DIRECTED_LIMIT)
+        return self._directed_table
 
     @cached_view
     def _directed_table(self):
@@ -429,10 +426,8 @@ class FinitePoset:
 
     @cached_view
     def _upper_table(self):
-        out = []
-        for m in self.iter_upper_masks():
-            out.append(m)
-            limits.check_limit(len(out), "upper-set enumeration", limits.OPENS_LIMIT)
+        out = list(islice(self.iter_upper_masks(), limits.OPENS_LIMIT + 1))
+        limits.check_limit(len(out), "upper-set enumeration", limits.OPENS_LIMIT)
         out.sort(key=set_order_key(self.n))
         return tuple(out)
 

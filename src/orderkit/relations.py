@@ -62,11 +62,13 @@ def fin_family(P: FinitePoset, x: int, *, oracle=False) -> tuple:
     upper set U exactly when its supremum, which it contains, lies in U,
     and every s >= x is the supremum of {s}; so the members are the upper
     sets containing the up set of x, the least of them, which
-    ``P.upper_masks_containing()`` lists for every x at once.
+    ``P.upper_masks_containing()`` lists for every x at once, bounded by
+    the upper-set count, not by n.  Only the oracle's 2^n loop is refused
+    at ``limits.SUBSET_CAP``.
     """
-    limits.check_subset_cap(P.n, "approximating-family enumeration")
     if not oracle:
         return P.upper_masks_containing()[x]
+    limits.check_subset_cap(P.n, "approximating-family enumeration")
     seen = set()
     for fmask in range(1, 1 << P.n):
         if way_below_sets(P, fmask, 1 << x):

@@ -416,15 +416,14 @@ def test_named_carriers_over_cap_exit(capsys):
 
 
 def test_large_carriers_exit_at_work_limit(capsys, tmp_path):
-    # chain(24) has 2^24 - 1 directed sets, antichain(24) 2^24 upper sets,
-    # and sigma(antichain(11)) 2^11 members, so 2^22 cells per table; a
-    # 1200-element chain has 1201 upper sets, so 1201^2 cells per table, and
-    # its upper-set walk adds 1200 elements
+    # antichain(24) has 2^24 upper sets, and sigma(antichain(11)) 2^11
+    # members, so 2^22 cells per table; a 1200-element chain has 1201 upper
+    # sets, so 1201^2 cells per table, and its upper-set walk adds 1200
+    # elements
     chain = tmp_path / "chain1200.poset"
     chain.write_text("elements: " + " ".join(f"c{i}" for i in range(1200)) + "\n"
                      + "".join(f"cover c{i} c{i + 1}\n" for i in range(1199)))
-    for argv, what in ((["check", "chain(24)"], "directed-subset"),
-                       (["check", "antichain(24)"], "upper-set"),
+    for argv, what in ((["check", "antichain(24)"], "upper-set"),
                        (["dual", "antichain(11)"], "set-lattice table"),
                        (["dual", str(chain)], "set-lattice table")):
         started = time.perf_counter()
@@ -433,6 +432,21 @@ def test_large_carriers_exit_at_work_limit(capsys, tmp_path):
         out, err = capsys.readouterr()
         assert out == "" and err.count("\n") == 1
         assert err.startswith(f"size limit: {what}")
+
+
+def test_check_carriers_past_subset_cap(capsys, tmp_path):
+    # chain(24) has 2^24 - 1 directed sets and the 32-element Boolean
+    # lattice 2^32 subsets; check lists neither, only their upper sets
+    boolean = tmp_path / "boolean5.poset"
+    boolean.write_text("elements: " + " ".join(f"s{m}" for m in range(32)) + "\n"
+                       + "".join(f"cover s{m} s{m | 1 << i}\n"
+                                 for m in range(32) for i in range(5) if not m >> i & 1))
+    for argv in (["check", "chain(24)"], ["check", str(boolean)]):
+        started = time.perf_counter()
+        assert main(argv) == 0
+        assert time.perf_counter() - started < 2
+        out, err = capsys.readouterr()
+        assert err == "" and "meet_continuous: true" in out
 
 
 def test_export_dot_of_twin_classes_needs_no_search(capsys, tmp_path):

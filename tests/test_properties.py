@@ -3,7 +3,7 @@ import pytest
 from helpers import is_completely_distributive_oracle, is_meet_continuous_algebraic
 
 from orderkit.generators import enumerate_lattices, named
-from orderkit import properties, verifier
+from orderkit import SizeLimitError, limits, properties, verifier
 from orderkit.poset import FiniteLattice, FinitePoset, iter_bits
 from orderkit.properties import (
     is_continuous,
@@ -66,11 +66,11 @@ def test_meet_continuity_closes_each_trace_once(monkeypatch, posets_upto_5):
         return closure
 
     for P in posets_upto_5[5][::7]:
-        # nothing taken out: every test passes, run once per pair x <= s
+        # nothing taken out: every test passes, run once per element
         calls.clear()
         monkeypatch.setattr(properties, "scott_closure", closure_without(P.n))
         assert is_meet_continuous(P).holds
-        assert len(calls) == sum(row.bit_count() for row in P.up)
+        assert len(calls) == P.n
         # x = t escapes, first at the first directed set with supremum above t
         for t in range(P.n):
             monkeypatch.setattr(properties, "scott_closure", closure_without(t))
@@ -81,42 +81,14 @@ def test_meet_continuity_closes_each_trace_once(monkeypatch, posets_upto_5):
             assert v.witness.subsets == (P.labels_of(first),)
 
 
-def _closure_dropping_on_call(k):
-    # the down closure, with the greatest element of the traced mask taken
-    # out on the k-th call only; the trace of a pair (x, s) is down x
-    calls = []
-
-    def closure(P, mask):
-        calls.append(mask)
-        out = P.down_closure_mask(mask)
-        if len(calls) == k + 1:
-            out &= ~(1 << P.greatest_of_mask(mask))
-        return out
-    return closure
-
-
-def _literal_meet_continuity_witness(P, fails):
-    # the definition's scan: x ascending, then the directed sets in
-    # ascending mask order, the first whose supremum s fails for x
-    for x in range(P.n):
-        for d, s in P.directed_sets():
-            if P.leq(x, s) and fails(x, s):
-                return (P.labels[x],), (P.labels_of(d),)
-    return None
-
-
-def test_meet_continuity_fault_in_one_pair(monkeypatch, posets_upto_5):
-    # a closure that drops x for one pair (x, s) alone: the pair test,
-    # which closes the pairs x ascending and then s ascending, fails with
-    # the witness the literal directed-set scan names
-    for P in [*posets_upto_5[4], *posets_upto_5[5][::9]]:
-        tested = [(x, s) for x in range(P.n) for s in iter_bits(P.up[x])]
-        for k, pair in enumerate(tested):
-            monkeypatch.setattr(properties, "scott_closure", _closure_dropping_on_call(k))
-            v = is_meet_continuous(P)
-            assert not v.holds
-            literal = _literal_meet_continuity_witness(P, lambda x, s: (x, s) == pair)
-            assert (v.witness.elements, v.witness.subsets) == literal
+def test_meet_continuity_reads_no_directed_set():
+    # chain(24) has 2^24 - 1 directed sets, too many to list; meet
+    # continuity closes one down set per element and lists none of them
+    P = named("chain(24)")
+    assert is_meet_continuous(P).holds
+    with pytest.raises(SizeLimitError) as err:
+        P.directed_sets()
+    assert err.value.cap == limits.DIRECTED_LIMIT
 
 
 def test_quasicontinuity_fault_in_fin_family_table(posets_upto_5):

@@ -2,9 +2,9 @@ import inspect
 
 import pytest
 
-from orderkit import SizeLimitError, limits, properties, relations, scott, verifier
+from orderkit import SizeLimitError, build_poset, limits, properties, relations, scott, verifier
 from orderkit.generators import named
-from orderkit.poset import iter_bits
+from orderkit.poset import iter_bits, set_order
 from orderkit.scott import scott_closed_lattice, scott_opens
 from orderkit.relations import (
     fin_family,
@@ -113,6 +113,27 @@ def test_fin_family_upper_set_limit(monkeypatch):
         fin_family(P, 0)
     assert err.value.needed == 32
     assert len(fin_family(P, 0, oracle=True)) == 16
+
+
+def test_fin_family_subset_cap_on_the_oracle_alone():
+    # a 30-element chain has 31 upper sets, which the shortcut lists; only
+    # the oracle's loop over 2^30 subsets is refused at SUBSET_CAP
+    labels = [f"c{i}" for i in range(30)]
+    P = build_poset(labels, list(zip(labels, labels[1:])))
+    top = P.index_of("c29")
+    assert fin_family(P, top) == tuple(sorted(P.up, key=set_order))
+    with pytest.raises(SizeLimitError) as err:
+        fin_family(P, top, oracle=True)
+    assert (err.value.needed, err.value.cap) == (30, limits.SUBSET_CAP)
+
+
+def test_way_below_oracle_refused_at_directed_limit():
+    # chain(24) has 2^24 - 1 directed sets: the shortcut reads none of them
+    P = named("chain(24)")
+    assert way_below(P) == P.down
+    with pytest.raises(SizeLimitError) as err:
+        way_below(P, oracle=True)
+    assert (err.value.needed, err.value.cap) == ((1 << 24) - 1, limits.DIRECTED_LIMIT)
 
 
 def test_way_way_below_chain3():

@@ -215,66 +215,49 @@ def cmd_export_dot(args):
     return EXIT_PASS
 
 
-def _check_arguments(p):
-    p.add_argument("input", help="poset file, '-' for stdin, or a named "
-                   "instance such as M3, chain(4), boolean(2)")
-    p.add_argument("--properties", default="all",
-                   help="comma-separated predicate names, or 'all'")
-    p.add_argument("--witness", action="store_true", help="show failure witnesses")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--no-assert", action="store_true",
-                   help="exit 0 even when a predicate is false")
-    p.set_defaults(func=cmd_check)
-
-
-def _dual_arguments(p):
-    p.add_argument("--scott-closed", action="store_true",
-                   help="emit the closed-set lattice instead of the opens")
-    p.add_argument("input")
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_dual)
-
-
-def _enumerate_arguments(p):
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--kind", choices=("posets", "lattices"), default="posets")
-    p.add_argument("--filter", default=None, help="predicate expression, e.g. "
-                   "'lattice & !distributive'")
-    p.add_argument("--emit", metavar="DIR", default=None,
-                   help="also write one poset file per instance into DIR")
-    p.set_defaults(func=cmd_enumerate)
-
-
-def _verify_arguments(p):
-    p.add_argument("--suite", default="full",
-                   choices=verifier.SUITE_ORDER + ("full",))
-    p.add_argument("--max-n", type=int, default=5)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--deterministic", action="store_true",
-                   help="omit wall times so identical runs are byte-identical")
-    p.set_defaults(func=cmd_verify)
-
-
-def _export_dot_arguments(p):
-    p.add_argument("input")
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_export_dot)
-
-
-# name -> (help, function adding the command's arguments to its parser)
+# name -> (help, handler, arguments), each argument the (flags, settings)
+# of one add_argument call: build_parser and _read_argv both read this
 COMMANDS = {
-    "check": ("run predicates on one poset", _check_arguments),
-    "dual": ("emit the Scott open or closed set lattice", _dual_arguments),
-    "enumerate": ("enumerate posets or lattices up to isomorphism", _enumerate_arguments),
-    "verify": ("run verification suites over enumerated universes", _verify_arguments),
-    "export-dot": ("write the Hasse diagram in DOT syntax", _export_dot_arguments),
+    "check": ("run predicates on one poset", cmd_check, (
+        (("input",), {"help": "poset file, '-' for stdin, or a named "
+                              "instance such as M3, chain(4), boolean(2)"}),
+        (("--properties",), {"default": "all",
+                             "help": "comma-separated predicate names, or 'all'"}),
+        (("--witness",), {"action": "store_true", "help": "show failure witnesses"}),
+        (("--json",), {"action": "store_true"}),
+        (("--no-assert",), {"action": "store_true",
+                            "help": "exit 0 even when a predicate is false"}),
+    )),
+    "dual": ("emit the Scott open or closed set lattice", cmd_dual, (
+        (("--scott-closed",), {"action": "store_true",
+                               "help": "emit the closed-set lattice instead of the opens"}),
+        (("input",), {}),
+        (("-o", "--output"), {}),
+    )),
+    "enumerate": ("enumerate posets or lattices up to isomorphism", cmd_enumerate, (
+        (("--n",), {"type": int, "required": True}),
+        (("--kind",), {"choices": ("posets", "lattices"), "default": "posets"}),
+        (("--filter",), {"help": "predicate expression, e.g. 'lattice & !distributive'"}),
+        (("--emit",), {"metavar": "DIR",
+                       "help": "also write one poset file per instance into DIR"}),
+    )),
+    "verify": ("run verification suites over enumerated universes", cmd_verify, (
+        (("--suite",), {"default": "full", "choices": verifier.SUITE_ORDER + ("full",)}),
+        (("--max-n",), {"type": int, "default": 5}),
+        (("--json",), {"action": "store_true"}),
+        (("--deterministic",), {"action": "store_true",
+                                "help": "omit wall times so identical runs are byte-identical"}),
+    )),
+    "export-dot": ("write the Hasse diagram in DOT syntax", cmd_export_dot, (
+        (("input",), {}),
+        (("-o", "--output"), {}),
+    )),
 }
 
 
-def build_parser(command=None):
-    """The argument parser, with every subcommand, or with only ``command``,
-    which is all ``main`` needs: building the other four costs more than
-    deciding a small instance."""
+def build_parser():
+    """The argument parser of every command, for help, usage and argument
+    errors: ``main`` reads a well-formed command line without it."""
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -282,55 +265,13 @@ def build_parser(command=None):
         description="Finite poset and lattice toolkit: predicates, Scott "
         "topology duals, exhaustive verification suites.",
     )
-    # the metavar keeps every subcommand in the usage line argparse prints
-    # for an unrecognised option; the full parser leaves it out, because
-    # argparse would also print it for "command" in its argument errors
-    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name, (help_text, add_arguments) in COMMANDS.items():
-        if command is None or name == command:
-            add_arguments(sub.add_parser(name, help=help_text))
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, handler, arguments) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flags, settings in arguments:
+            p.add_argument(*flags, **settings)
+        p.set_defaults(func=handler)
     return parser
-
-
-def command_of(argv):
-    """The subcommand ``argv`` runs, or None when its first word names none:
-    for help, no arguments or an unknown command argparse needs them all."""
-    return argv[0] if argv and argv[0] in COMMANDS else None
-
-
-class _Declared:
-    """Stands in for a command's parser in its ``_xxx_arguments`` function
-    and keeps what that declares, so ``_read_argv`` reads the options the
-    parser would build.  Only the forms those functions use are taken."""
-
-    def __init__(self):
-        self.options = {}  # option string -> (dest, is a flag, type, choices)
-        self.positionals = []
-        self.required = []  # the dests a command line must give: no default
-        self.defaults = {}
-
-    def add_argument(self, *flags, action=None, type=None, choices=None, required=False,
-                     default=None, help=None, metavar=None):
-        if action not in (None, "store_true"):
-            raise TypeError(f"action {action!r} is not read without argparse")
-        if not flags[0].startswith("-"):
-            self.positionals.append(flags[0])
-            self.required.append(flags[0])
-            return
-        # argparse's dest: the first long option string, else the first
-        dest = next((f for f in flags if f.startswith("--")), flags[0])
-        dest = dest.lstrip("-").replace("-", "_")
-        is_flag = action == "store_true"
-        if required:
-            self.required.append(dest)
-        else:
-            self.defaults[dest] = False if is_flag else default
-        for flag in flags:
-            self.options[flag] = (dest, is_flag, type, choices)
-
-    def set_defaults(self, **defaults):
-        self.defaults.update(defaults)
 
 
 def _read_argv(argv):
@@ -342,14 +283,30 @@ def _read_argv(argv):
     building its parser costs more than deciding a small instance."""
     if not argv or argv[0] not in COMMANDS:
         return None
-    declared = _Declared()
-    COMMANDS[argv[0]][1](declared)
-    values = dict(declared.defaults, command=argv[0])
-    positionals = iter(declared.positionals)
+    _, handler, arguments = COMMANDS[argv[0]]
+    values = {"command": argv[0], "func": handler}
+    options = {}  # option string -> (dest, is a flag, type, choices)
+    positionals, required = [], []  # required: the dests a command line must give
+    for flags, settings in arguments:
+        if not flags[0].startswith("-"):
+            positionals.append(flags[0])
+            required.append(flags[0])
+            continue
+        # argparse's dest: the first long option string, else the first
+        dest = next((f for f in flags if f.startswith("--")), flags[0])
+        dest = dest.lstrip("-").replace("-", "_")
+        is_flag = settings.get("action") == "store_true"
+        if settings.get("required"):
+            required.append(dest)
+        else:
+            values[dest] = False if is_flag else settings.get("default")
+        for flag in flags:
+            options[flag] = (dest, is_flag, settings.get("type"), settings.get("choices"))
+    positionals = iter(positionals)
     words = iter(argv[1:])
     for word in words:
-        if word in declared.options:
-            dest, is_flag, convert, choices = declared.options[word]
+        if word in options:
+            dest, is_flag, convert, choices = options[word]
             if is_flag:
                 values[dest] = True
                 continue
@@ -371,7 +328,7 @@ def _read_argv(argv):
             if dest is None:
                 return None
             values[dest] = word
-    if not all(dest in values for dest in declared.required):
+    if not all(dest in values for dest in required):
         return None
     return SimpleNamespace(**values)
 
@@ -389,7 +346,7 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     args = _read_argv(argv)
     if args is None:
-        args = build_parser(command_of(argv)).parse_args(argv)
+        args = build_parser().parse_args(argv)
     try:
         for dest, message in _EMPTY_PATHS.items():
             if getattr(args, dest, None) == "":

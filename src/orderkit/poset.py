@@ -371,7 +371,6 @@ class FinitePoset:
         are d together with any subset of the elements strictly below d,
         2^(|down d| - 1) of them, so a carrier with too many is refused,
         on every read, before any is listed."""
-        limits.check_subset_cap(self.n, "directed-subset enumeration")
         count = sum(1 << (col.bit_count() - 1) for col in self.down)
         limits.check_limit(count, "directed-subset table", limits.DIRECTED_LIMIT)
         return self._directed_table
@@ -557,11 +556,12 @@ class FinitePoset:
         beside the order.
 
         A chunk computed at depth k counts the 2k table cells it compares,
-        and one read from a rank class's table (below) counts one; the
-        search is refused once more than ``limits.CANON_LIMIT`` are
-        counted.  A chunk is packed into an int: the placed elements below
-        the candidate, then those above it, each weighted 2^(n-1-p) by its
-        position p.  Chunks of one depth so compare as their 0/1 tuples
+        one read from a rank class's table (below) counts one, and an orbit
+        test below a prefix of k counts k per stored automorphism, the
+        steps that find those fixing the prefix; the search is refused once
+        more than ``limits.CANON_LIMIT`` are counted.  A chunk is packed
+        into an int: the placed elements below the candidate, then those
+        above it, each weighted 2^(n-1-p) by its position p.  Chunks of one depth so compare as their 0/1 tuples
         would, and one costs a step per placed element related to the
         candidate.  Members of one rank class are incomparable, since
         comparable elements differ in their counts of elements strictly
@@ -654,6 +654,10 @@ class FinitePoset:
         def in_orbit(e, done, prefix):
             # e is in the orbit of the masked siblings under the stored
             # automorphisms that fix the prefix pointwise
+            nonlocal cells
+            cells += len(autos) * len(prefix)
+            if cells > limit:
+                raise SizeLimitError("canonical labelling", cells, limit)
             gens = [g for g in autos if all(g[p] == p for p in prefix)]
             orbit = frontier = done
             while frontier and not orbit >> e & 1:

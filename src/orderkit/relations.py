@@ -130,7 +130,6 @@ def prec(L: FiniteLattice, *, oracle=False) -> tuple:
     n = L.n
     if not oracle:
         return P.down
-    limits.check_subset_cap(n, "upper-set enumeration for interpolation order")
     cols = [P.full_mask] * n
     for v in P.upper_masks():
         inside = mask_of(y for y in range(n) if not v & ~P.up[y])

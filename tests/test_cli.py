@@ -13,7 +13,7 @@ from helpers import pooled
 from hypothesis import given, settings, strategies as st
 
 from orderkit import generators, limits
-from orderkit.cli import COMMANDS, _read_argv, build_parser, command_of, main
+from orderkit.cli import COMMANDS, _read_argv, build_parser, main
 from orderkit.errors import UnknownNameError
 from orderkit.generators import named
 
@@ -528,13 +528,13 @@ def test_verify_full_matches_golden(monkeypatch, capsys):
     assert capsys.readouterr().out == golden
 
 
-def _parse_outcome(parser, argv):
-    """(exit code, stdout, stderr) of parsing ``argv``; code None on success."""
+def _parse_outcome(parse, argv):
+    """(exit code, stdout, stderr) of ``parse(argv)``; code None on success."""
     out, err = io.StringIO(), io.StringIO()
     code = None
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            parser.parse_args(argv)
+            parse(argv)
         except SystemExit as exc:
             code = exc.code
     return code, out.getvalue(), err.getvalue()
@@ -550,11 +550,11 @@ def _parse_outcome(parser, argv):
     [],
 ], ids=lambda argv: " ".join(argv) or "no-arguments")
 def test_command_parser_matches_full_parser(argv):
-    """main builds only the invoked command's parser; help, usage and
-    argument errors must read as with every command built."""
-    full = _parse_outcome(build_parser(), argv)
+    """main leaves help, usage and argument errors to the parser of every
+    command: it exits and prints as that parser does."""
+    full = _parse_outcome(build_parser().parse_args, argv)
     assert full[0] is not None
-    assert _parse_outcome(build_parser(command_of(argv)), argv) == full
+    assert _parse_outcome(main, argv) == full
 
 
 def test_cli_import_skips_dataclass_machinery():
@@ -621,6 +621,35 @@ def _argparse_namespace(argv):
             return vars(build_parser().parse_args(argv))
         except SystemExit as exc:
             return exc.code, out.getvalue(), err.getvalue()
+
+
+def _plain_value(settings):
+    """A value the declaration ``settings`` takes: its first choice, an int
+    or a word."""
+    if "choices" in settings:
+        return settings["choices"][0]
+    return "3" if settings.get("type") is int else "x"
+
+
+def test_reader_reads_every_declaration():
+    """Each option string of each command, given once after the required
+    arguments, is read without argparse, to argparse's namespace."""
+    for command, (_, _, arguments) in COMMANDS.items():
+        needed = [command]
+        for flags, settings in arguments:
+            if not flags[0].startswith("-"):
+                needed.append(_plain_value(settings))
+            elif settings.get("required"):
+                needed += [flags[0], _plain_value(settings)]
+        uses = [[]]
+        for flags, settings in arguments:
+            value = [] if settings.get("action") == "store_true" else [_plain_value(settings)]
+            uses += [[flag, *value] for flag in flags if flag.startswith("-")]
+        for use in uses:
+            argv = needed + use
+            read = _read_argv(argv)
+            assert read is not None, argv
+            assert vars(read) == _argparse_namespace(argv), argv
 
 
 @given(st.lists(st.sampled_from(_ARGV_WORDS), max_size=6),

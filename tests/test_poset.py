@@ -367,15 +367,16 @@ def test_canonical_idempotent(posets_upto_5):
 
 def test_canonical_labelling_limit(monkeypatch):
     # sigma(antichain(4)) is the 16-element Boolean lattice; its labelling
-    # counts 820 cells: 2k for each chunk it computes at depth k, and one
-    # for each it reads from a rank class's table (2300 when a read chunk
-    # counted 2k too)
+    # counts 834 cells: 2k for each chunk it computes at depth k, one for
+    # each it reads from a rank class's table (2314 when a read chunk
+    # counted 2k too), and k per stored automorphism for each orbit test
+    # below a prefix of k (14 in all)
     sigma = scott_opens(named("antichain(4)")).lattice.base
-    monkeypatch.setattr(limits, "CANON_LIMIT", 820 - 1)
+    monkeypatch.setattr(limits, "CANON_LIMIT", 834 - 1)
     with pytest.raises(SizeLimitError) as err:
         sigma.canonical_key()
-    assert err.value.cap == 820 - 1
-    monkeypatch.setattr(limits, "CANON_LIMIT", 820)
+    assert err.value.cap == 834 - 1
+    monkeypatch.setattr(limits, "CANON_LIMIT", 834)
     assert is_canonical(sigma.canonical_form())
 
 

@@ -30,13 +30,18 @@ def test_way_below_oracle_collapses_to_order():
     m3 = named("M3")
     assert way_below(m3) == m3.down
     assert way_below(m3, oracle=True) == m3.down
+    # 30 directed sets, no 2^30 loop: only DIRECTED_LIMIT bounds the oracle
+    anti = build_poset([f"a{i}" for i in range(30)], [])
+    assert way_below(anti, oracle=True) == anti.down
 
 
 def test_way_below_cap(monkeypatch):
+    # chain(4) has 1 + 2 + 4 + 8 directed sets
     P = named("chain(4)")
-    monkeypatch.setattr(limits, "SUBSET_CAP", 3)
-    with pytest.raises(SizeLimitError):
+    monkeypatch.setattr(limits, "DIRECTED_LIMIT", 14)
+    with pytest.raises(SizeLimitError) as err:
         way_below(P, oracle=True)
+    assert err.value.needed == 15
 
 
 def test_approximants():
@@ -291,6 +296,10 @@ def test_prec_examples():
     for name in ("chain(2)", "boolean(2)", "chain(1)"):
         L = named(name).as_lattice()
         assert prec(L, oracle=True) == L.base.down
+    # the oracle loops over the 31 upper sets, bounded by OPENS_LIMIT alone
+    labels = [f"c{i}" for i in range(30)]
+    L = build_poset(labels, list(zip(labels, labels[1:]))).as_lattice()
+    assert prec(L, oracle=True) == prec(L)
 
 
 ROUTED = (

@@ -30,14 +30,19 @@ EXIT_LIMIT = 3
 
 
 def load_input(spec: str) -> FinitePoset:
-    """A named instance, '-' for stdin, or a poset file path."""
+    """A named instance, '-' for stdin, or a poset file path.  A file is
+    read as bytes and decoded once, as stdin is: ``files.parse`` breaks
+    lines at CR LF and at a lone CR itself, so the text layer's newline
+    translation would only repeat that work."""
     if NAME_RE.fullmatch(spec):
         return named(spec)
+    if spec == "-":
+        data = sys.stdin.buffer.read()
+    else:
+        with open(spec, "rb") as fh:
+            data = fh.read()
     try:
-        if spec == "-":
-            text = sys.stdin.buffer.read().decode("utf-8")
-        else:
-            text = Path(spec).read_text(encoding="utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise InputError(f"{'stdin' if spec == '-' else spec}: {exc}") from None
     return files.parse(text)

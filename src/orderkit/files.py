@@ -35,7 +35,8 @@ def parse(text: str) -> FinitePoset:
             if labels is not None:
                 raise ParseError("duplicate elements line", lineno)
             labels = parts[1:]
-            if len(set(labels)) != len(labels):
+            known = set(labels)
+            if len(known) != len(labels):
                 raise ParseError("element labels must be distinct", lineno)
         elif parts[0] == "cover":
             if len(parts) != 3:
@@ -46,7 +47,7 @@ def parse(text: str) -> FinitePoset:
             if x == y:
                 raise ParseError("covers are strict, reflexive cover rejected", lineno)
             for lab in (x, y):
-                if lab not in labels:
+                if lab not in known:
                     raise UnknownLabelError(lab, line=lineno)
             covers.append((x, y))
         else:
@@ -57,7 +58,9 @@ def parse(text: str) -> FinitePoset:
 
 
 def _printable(label, forbidden='#"'):
-    return label and not any(c.isspace() or c in forbidden for c in label)
+    # scans in C: no Python step per character of the label
+    return bool(label) and not any(map(str.isspace, label)) and all(
+        c not in label for c in forbidden)
 
 
 def emit(P: FinitePoset) -> str:

@@ -891,12 +891,16 @@ def build_poset(labels, pairs, *, name="") -> FinitePoset:
     """Build a poset from related pairs, closed reflexively and transitively;
     the pairs may be covers or may already contain derived pairs.  A closure
     that relates two elements both ways raises CycleError.
+
+    The closure is reflexive, transitive and in range by construction, so
+    it is an order exactly when its rows are pairwise distinct; only when
+    two are equal does ``_validate`` run, to raise the first cycle pair.
     """
     labels = tuple(labels)
     n = len(labels)
-    if len(set(labels)) != n:
-        raise ValueError("labels must be pairwise distinct")
     index = {lab: i for i, lab in enumerate(labels)}
+    if len(index) != n:
+        raise ValueError("labels must be pairwise distinct")
     rows = [0] * n
     for a, b in pairs:
         if a not in index:
@@ -904,4 +908,7 @@ def build_poset(labels, pairs, *, name="") -> FinitePoset:
         if b not in index:
             raise UnknownLabelError(b)
         rows[index[a]] |= 1 << index[b]
-    return FinitePoset(labels, _closure_rows(n, rows), name=name)
+    P = FinitePoset._trusted(labels, _closure_rows(n, rows), name)
+    if len(set(P.up)) != n:
+        P._validate()
+    return P

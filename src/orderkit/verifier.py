@@ -489,9 +489,15 @@ class InstanceProfile:
 
     @cached_view
     def lattice(self):
-        """The poset as a lattice, or None when it is not one."""
+        """The poset as a lattice, or None when it is not one.  A poset
+        with no least element (no up row is the full mask) or no greatest
+        (no down row is) is refused before ``as_lattice`` builds its row
+        indexes."""
+        P = self.poset
+        if P.full_mask not in P.up or P.full_mask not in P.down:
+            return None
         try:
-            return self.poset.as_lattice()
+            return P.as_lattice()
         except NotALatticeError:
             return None
 

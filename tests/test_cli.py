@@ -12,10 +12,11 @@ import pytest
 from helpers import pooled
 from hypothesis import given, settings, strategies as st
 
-from orderkit import generators, limits
+from orderkit import generators, limits, properties
 from orderkit.cli import COMMANDS, _read_argv, build_parser, main
 from orderkit.errors import UnknownNameError
 from orderkit.generators import named
+from orderkit.poset import FinitePoset
 
 RUN = [sys.executable, "-m", "orderkit"]
 
@@ -101,6 +102,43 @@ def test_undecodable_stdin_exit(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1
     assert err.startswith("error: stdin: ")
+
+
+def test_crlf_and_cr_line_breaks_read_as_lf(tmp_path, capsysbinary):
+    # a file is decoded from its bytes with no newline translation: parse
+    # breaks lines at CR LF and at a lone CR itself
+    text = ("poset kite  # comment\n\nelements: a b c d\ncover a b\ncover a c\n"
+            "cover b d\ncover c d\n")
+    outputs = []
+    for form, newline in (("lf", "\n"), ("crlf", "\r\n"), ("cr", "\r")):
+        path = tmp_path / f"{form}.poset"
+        path.write_bytes(text.replace("\n", newline).encode())
+        assert main(["check", str(path), "--json", "--no-assert"]) == 0
+        assert main(["dual", str(path)]) == 0
+        outputs.append(capsysbinary.readouterr())
+    assert outputs[0].err == b"" and b'"name": "kite"' in outputs[0].out
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+def test_check_reads_lattice_rows_only_on_bounded_posets(monkeypatch, tmp_path, capsys):
+    # a poset with no least or no greatest element is not a lattice, and
+    # check says so before as_lattice builds its row indexes
+    calls = []
+    as_lattice = FinitePoset.as_lattice
+    monkeypatch.setattr(FinitePoset, "as_lattice",
+                        lambda self: calls.append(self.name) or as_lattice(self))
+    vee = tmp_path / "vee.poset"
+    vee.write_text("elements: a b c\ncover a b\ncover a c\n")
+    bowtie = tmp_path / "bowtie.poset"
+    bowtie.write_text("elements: 0 a b c d 1\ncover 0 a\ncover 0 b\ncover a c\n"
+                      "cover a d\ncover b c\ncover b d\ncover c 1\ncover d 1\n")
+    for spec, want in (("antichain(3)", 0), (str(vee), 0), (str(bowtie), 1)):
+        calls.clear()
+        assert main(["check", spec, "--json", "--no-assert"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert len(calls) == want, spec
+        for prop in properties.LATTICE_PREDICATES:
+            assert report["properties"][prop] == "skipped"
 
 
 def test_size_limit_exit():

@@ -1,8 +1,12 @@
+import sys
+
 import pytest
 
-from orderkit import CycleError, ParseError, UnknownLabelError
+from orderkit import CycleError, ParseError, UnknownLabelError, files
+from orderkit.errors import InputError
 from orderkit.files import emit, export_dot, parse
 from orderkit.generators import named
+from orderkit.poset import FinitePoset
 
 
 def test_parse_two_chain():
@@ -76,6 +80,29 @@ def test_emit_rejects_bad_labels():
     P = FinitePoset(("a b",), (1,))
     with pytest.raises(ValueError):
         emit(P)
+
+
+def test_printable_matches_the_per_character_rule():
+    # the rule _printable scans in C, one character at a time
+    def printable(label, forbidden):
+        return bool(label) and not any(c.isspace() or c in forbidden for c in label)
+
+    spaces = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+    assert "\u3000" in spaces and len(spaces) >= 29  # 29 on Python 3.11
+    labels = ["", "a", "{a,b}", "\u00e9", "#", '"', "\\", "a#b", 'x"', "p\\q", "{a,b}#"]
+    for c in spaces:
+        labels += [c, f"a{c}b", f"{c}#", f'"{c}']
+    for writer, forbidden in ((emit, '#"'), (export_dot, files._DOT_FORBIDDEN)):
+        for label in labels:
+            want = printable(label, forbidden)
+            assert bool(files._printable(label, forbidden)) == want, (label, forbidden)
+            P = FinitePoset((label,), (1,))
+            if want:
+                assert label in writer(P)
+            else:
+                with pytest.raises(InputError):
+                    writer(P)
+    assert files._printable("a\\b") and not files._printable("a\\b", files._DOT_FORBIDDEN)
 
 
 def test_export_dot_chain2():

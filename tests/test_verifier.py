@@ -6,7 +6,8 @@ import pytest
 from helpers import first_match, pooled
 
 from orderkit import ParseError, limits, properties, verifier
-from orderkit.generators import enumerate_lattices, named
+from orderkit.errors import NotALatticeError
+from orderkit.generators import NAMED_POSET_EXAMPLES, enumerate_lattices, named
 from orderkit.poset import FiniteLattice, FinitePoset
 from orderkit.properties import is_join_continuous
 from orderkit.verifier import (
@@ -329,6 +330,21 @@ def test_profile_on_non_lattice():
     assert prof.verdict("join_continuous") is None
     assert prof.value("join_continuous") is False
     assert prof.value("continuous") is True
+
+
+def test_bounds_test_refuses_only_non_lattices(posets_upto_6):
+    # InstanceProfile.lattice refuses a poset with no least or greatest
+    # element before as_lattice runs; it is None exactly when as_lattice
+    # refuses, and otherwise the same lattice
+    posets = [P for level in posets_upto_6.values() for P in level]
+    posets += [named(name) for name in NAMED_POSET_EXAMPLES]
+    posets.append(FinitePoset((), ()))
+    for P in posets:
+        try:
+            want = P.as_lattice()
+        except NotALatticeError:
+            want = None
+        assert InstanceProfile(P).lattice == want, P
 
 
 def test_truth_values_scan_for_no_witness(monkeypatch):

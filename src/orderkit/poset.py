@@ -253,11 +253,6 @@ class FinitePoset:
                     )
         raise AssertionError("the row test and the pair scan disagree")
 
-    def validate(self):
-        """Re-check the order axioms; raises if violated."""
-        self._validate()
-        return True
-
     # -- basic views ---------------------------------------------------
 
     @cached_view
@@ -316,9 +311,6 @@ class FinitePoset:
     def __repr__(self):
         shown = self.name or ",".join(self.labels)
         return f"FinitePoset({shown!r}, n={self.n})"
-
-    def with_name(self, name):
-        return FinitePoset._trusted(self.labels, self.up, name)
 
     # -- closures, bounds, directedness --------------------------------
 
@@ -825,6 +817,12 @@ class FiniteLattice:
     def upper_meets(self):
         """The meet of every upper set, aligned with ``base.upper_masks()``."""
         return tuple(self.meet_mask(u) for u in self.base.upper_masks())
+
+    @cached_view
+    def down_complement_meets(self):
+        """The meet of P minus (down y), for every element y of P."""
+        full = self.base.full_mask
+        return tuple(self.meet_mask(full ^ d) for d in self.base.down)
 
     def join_mask(self, mask):
         """Join of the masked subset; bottom for the empty mask."""

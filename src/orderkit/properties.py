@@ -249,9 +249,10 @@ def supinf_hyper_rhs(L: FiniteLattice, x: int, *, oracle=False) -> int:
 
 def supinf_prime_rhs(L: FiniteLattice, x: int) -> int:
     """Join over single elements y not above x of the meet of the
-    complement of (down y)."""
-    P = L.base
-    return L.join_mask(mask_of(L.meet_mask(P.full_mask ^ d) for d in P.down if not d >> x & 1))
+    complement of (down y); the meets are computed once per lattice, in
+    ``L.down_complement_meets``."""
+    meets = zip(L.base.down, L.down_complement_meets)
+    return L.join_mask(mask_of(m for d, m in meets if not d >> x & 1))
 
 
 POSET_PREDICATES = {

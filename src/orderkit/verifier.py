@@ -29,7 +29,7 @@ from . import limits, properties
 from .errors import NotALatticeError, ParseError
 from .files import emit
 from .generators import check_ceiling, enumerate_lattices, enumerate_posets
-from .poset import FiniteLattice, Verdict, Witness, cached_view, iter_bits, mask_of
+from .poset import FiniteLattice, Verdict, Witness, cached_view, iter_bits
 from .scott import scott_closed_lattice, scott_opens
 
 
@@ -48,8 +48,9 @@ def lemma31_check(L: FiniteLattice, *, oracle=False) -> Verdict:
     are those of D.  The shortcut therefore tests M = max(D) for each down
     set D, in ascending mask order, and reads the left sides, their meets,
     from ``L.upper_meets``.  Its first failing max(D) is the first failing
-    M in mask order, since every M with down set D contains max(D).  The
-    oracle tries all 2^n subsets.
+    M in mask order, since every M with down set D contains max(D); in a
+    transitive order the non-maximal members of M change neither side of
+    the set identity either.  The oracle tries all 2^n subsets.
     """
     P = L.base
     if oracle:
@@ -57,52 +58,23 @@ def lemma31_check(L: FiniteLattice, *, oracle=False) -> Verdict:
         cases = ((mmask, None) for mmask in range(1 << L.n))
     else:
         cases = sorted(zip(_maximal_of_downsets(P), L.upper_meets))
-    full = P.full_mask
-    singles = [L.meet_mask(full ^ d) for d in P.down]
+    full, down, singles = P.full_mask, P.down, L.down_complement_meets
     for mmask, lhs in cases:  # lhs is None when not cached
         rest = full ^ P.down_closure_mask(mmask)
-        failure = _identity_failure(P, mmask, rest)
-        if failure is not None:
-            return failure
+        inter, meets = full, 0
+        for m in iter_bits(mmask):
+            inter &= full ^ down[m]
+            meets |= 1 << singles[m]
+        if inter != rest:
+            return Verdict(False, Witness(subsets=(P.labels_of(mmask),),
+                                          note="set identity mismatch"))
         if lhs is None:
             lhs = L.meet_mask(rest)
-        rhs = L.join_mask(mask_of(singles[m] for m in iter_bits(mmask)))
+        rhs = L.join_mask(meets)
         if lhs != rhs:
             w = Witness(subsets=(P.labels_of(mmask),), lhs=P.labels[lhs], rhs=P.labels[rhs])
             return Verdict(False, w)
     return Verdict(True)
-
-
-def downset_complement_identity(L: FiniteLattice, *, oracle=False) -> Verdict:
-    """Just the set identity part of lemma31_check.  The oracle tests every
-    subset M.  The shortcut tests the antichains, each the maximal elements
-    of one down set: in a transitive order a subset's non-maximal members
-    change neither side, so the identity fails at M exactly when it fails
-    at max(M), whose mask is no larger, and the failing antichain of least
-    mask is the oracle's first witness."""
-    P = L.base
-    if oracle:
-        limits.check_subset_cap(L.n, "subset enumeration for the set identity")
-        subsets = range(1 << L.n)
-    else:
-        subsets = sorted(_maximal_of_downsets(P))
-    for mmask in subsets:
-        failure = _identity_failure(P, mmask, P.full_mask ^ P.down_closure_mask(mmask))
-        if failure is not None:
-            return failure
-    return Verdict(True)
-
-
-def _identity_failure(P, mmask, rest):
-    """The failing verdict of the set identity at M, or None when the
-    intersection of the complements of (down m), m in M, is ``rest``."""
-    full = P.full_mask
-    inter = full
-    for m in iter_bits(mmask):
-        inter &= full ^ P.down[m]
-    if inter == rest:
-        return None
-    return Verdict(False, Witness(subsets=(P.labels_of(mmask),), note="set identity mismatch"))
 
 
 def _maximal_of_downsets(P):
@@ -118,91 +90,86 @@ def _maximal_of_downsets(P):
 
 
 def _profile_verdict(holds, profile, note=""):
-    prof = tuple(profile.items())
     if holds:
-        return Verdict(True, profile=prof)
-    return Verdict(False, Witness(note=note or "biconditional sides differ"), profile=prof)
+        return Verdict(True, profile=profile)
+    return Verdict(False, Witness(note=note or "biconditional sides differ"), profile=profile)
 
 
 def _profile_of(instance):
     return instance if isinstance(instance, InstanceProfile) else InstanceProfile(instance)
 
 
+def _agree(instance, *sides):
+    """The verdict that the sides, each a conjunction of named values,
+    are all true or all false.  ``opens_x`` and ``closeds_x`` read x on
+    σ(P) and Γ(P).  Every name is read, in the order given, whatever the
+    values before it, so the profile always names them all."""
+    p = _profile_of(instance)
+    profile = []
+    truths = set()
+    for side in sides:
+        truth = True
+        for name in side:
+            where, _, law = name.partition("_")
+            if where == "opens":
+                value = p.sigma.value(law)
+            elif where == "closeds":
+                value = p.gamma.value(law)
+            else:
+                value = p.value(name)
+            profile.append((name, value))
+            truth = truth and value
+        truths.add(truth)
+    return _profile_verdict(len(truths) == 1, tuple(profile))
+
+
 def thm32_check(L) -> Verdict:
     """join continuous and hypercontinuous, together, iff prime continuous."""
-    p = _profile_of(L)
-    jc = p.value("join_continuous")
-    hc = p.value("hypercontinuous")
-    pc = p.value("prime_continuous")
-    return _profile_verdict(
-        (jc and hc) == pc,
-        {"join_continuous": jc, "hypercontinuous": hc, "prime_continuous": pc},
-    )
+    return _agree(L, ("join_continuous", "hypercontinuous"), ("prime_continuous",))
 
 
 def thm34_check(P) -> Verdict:
     """meet continuous and quasicontinuous, together, iff continuous."""
-    p = _profile_of(P)
-    mc = p.value("meet_continuous")
-    qc = p.value("quasicontinuous")
-    c = p.value("continuous")
-    return _profile_verdict(
-        (mc and qc) == c,
-        {"meet_continuous": mc, "quasicontinuous": qc, "continuous": c},
-    )
+    return _agree(P, ("meet_continuous", "quasicontinuous"), ("continuous",))
 
 
 def thm21_check(P) -> Verdict:
     """P continuous iff its open-set lattice is prime continuous."""
-    p = _profile_of(P)
-    c = p.value("continuous")
-    pc = p.sigma.value("prime_continuous")
-    return _profile_verdict(
-        c == pc, {"continuous": c, "opens_prime_continuous": pc}
-    )
+    return _agree(P, ("continuous",), ("opens_prime_continuous",))
 
 
 def thm23_check(P) -> Verdict:
     """P meet continuous iff its open-set lattice is join continuous iff
     its closed-set lattice is a frame."""
-    p = _profile_of(P)
-    mc = p.value("meet_continuous")
-    jc = p.sigma.value("join_continuous")
-    fr = p.gamma.value("frame")
-    return _profile_verdict(
-        mc == jc == fr,
-        {"meet_continuous": mc, "opens_join_continuous": jc, "closeds_frame": fr},
-    )
+    return _agree(P, ("meet_continuous",), ("opens_join_continuous",), ("closeds_frame",))
 
 
 def thm25_check(P) -> Verdict:
     """P quasicontinuous iff its open-set lattice is hypercontinuous."""
-    p = _profile_of(P)
-    qc = p.value("quasicontinuous")
-    hc = p.sigma.value("hypercontinuous")
-    return _profile_verdict(
-        qc == hc, {"quasicontinuous": qc, "opens_hypercontinuous": hc}
-    )
+    return _agree(P, ("quasicontinuous",), ("opens_hypercontinuous",))
+
+
+# (premise, conclusion) of each implication, in report order; its names,
+# in order of first appearance, are the profile
+_CHAIN = (
+    ("prime_continuous", "join_continuous"),
+    ("prime_continuous", "frame"),
+    ("prime_continuous", "hypercontinuous"),
+    ("hypercontinuous", "continuous"),
+)
+_CHAIN_NAMES = tuple(dict.fromkeys(name for pair in _CHAIN for name in pair))
 
 
 def chain_check(L) -> Verdict:
     """The implication chain between the lattice continuities: prime
     implies join, frame and hyper; hyper implies continuous."""
     p = _profile_of(L)
-    profile = {
-        name: p.value(name)
-        for name in ("prime_continuous", "join_continuous", "frame",
-                     "hypercontinuous", "continuous")
-    }
-    pc, jc, fr, hc, c = profile.values()
-    implications = {
-        "prime_continuous->join_continuous": (not pc) or jc,
-        "prime_continuous->frame": (not pc) or fr,
-        "prime_continuous->hypercontinuous": (not pc) or hc,
-        "hypercontinuous->continuous": (not hc) or c,
-    }
-    bad = [name for name, ok in implications.items() if not ok]
-    return _profile_verdict(not bad, profile, "broken implication " + bad[0] if bad else "")
+    profile = {name: p.value(name) for name in _CHAIN_NAMES}
+    for premise, conclusion in _CHAIN:
+        if profile[premise] and not profile[conclusion]:
+            note = f"broken implication {premise}->{conclusion}"
+            return _profile_verdict(False, tuple(profile.items()), note)
+    return _profile_verdict(True, tuple(profile.items()))
 
 
 def characterization_check(L) -> Verdict:

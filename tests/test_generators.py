@@ -382,7 +382,8 @@ def _lattice_filter(n):
     literal = []
     for P in enumerate_posets(n):
         try:
-            literal.append(P.with_name(f"L{n}.{len(literal)}").as_lattice())
+            name = f"L{n}.{len(literal)}"
+            literal.append(FinitePoset._trusted(P.labels, P.up, name).as_lattice())
         except NotALatticeError:
             pass
     return literal
@@ -484,7 +485,7 @@ def test_enumeration_deterministic():
 
 def test_enumeration_emits_valid_canonical(posets_upto_5):
     for P in posets_upto_5[4]:
-        assert P.validate()
+        _assert_valid(P)
         assert is_canonical(P)
 
 
@@ -508,7 +509,7 @@ def test_trusted_builds_pass_validation(posets_upto_5, lattices_upto_7):
         for P in batch:
             _assert_valid(P)
             for Q in (scott_opens(P).lattice.base, scott_closed_lattice(P).lattice.base,
-                      P.dual(), P.canonical_form(), P.with_name("renamed")):
+                      P.dual(), P.canonical_form()):
                 _assert_valid(Q)
 
 
@@ -534,16 +535,16 @@ def test_random_poset_deterministic():
     a = random_poset(6, seed=42, density=0.3)
     b = random_poset(6, seed=42, density=0.3)
     assert a == b
-    assert a.validate()
+    _assert_valid(a)
     c = random_poset(6, seed=43, density=0.3)
-    assert c.validate()
+    _assert_valid(c)
 
 
 @given(st.integers(1, 7), st.integers(0, 2**20), st.floats(0, 1))
 @settings(max_examples=50, deadline=None)
 def test_random_poset_always_valid(n, seed, density):
     P = random_poset(n, seed=seed, density=density)
-    assert P.validate()
+    _assert_valid(P)
     try:
         P.as_lattice()
     except NotALatticeError:

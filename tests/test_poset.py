@@ -134,7 +134,7 @@ def test_validate_matches_pair_scan():
         expected = _literal_axiom_error(labels, rows)
         if expected is None:
             seen["valid"] += 1
-            assert FinitePoset(labels, rows).validate()
+            FinitePoset(labels, rows)
             continue
         seen["cyclic" if isinstance(expected, CycleError) else "intransitive"] += 1
         with pytest.raises(type(expected)) as err:
@@ -578,7 +578,7 @@ def test_up_closure_monotone(posets_upto_5):
 @settings(max_examples=60, deadline=None)
 def test_random_poset_axioms(n, seed, density):
     P = random_poset(n, seed=seed, density=density)
-    assert P.validate()
+    FinitePoset(P.labels, P.up)
     # closure laws
     full = P.full_mask
     for mask in (0, full, 1, full >> 1):

@@ -308,7 +308,7 @@ ROUTED = (
     properties.is_continuous, properties.is_join_continuous, properties.is_frame,
     properties.is_hypercontinuous, properties.is_prime_continuous,
     properties.supinf_hyper_rhs, properties._distributes,
-    verifier.lemma31_check, verifier.downset_complement_identity,
+    verifier.lemma31_check,
 )
 
 

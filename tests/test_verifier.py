@@ -15,7 +15,6 @@ from orderkit.verifier import (
     chain_check,
     characterization_check,
     compile_expression,
-    downset_complement_identity,
     InstanceProfile,
     lemma31_check,
     run_suite,
@@ -62,17 +61,20 @@ def test_lemma31_on_join_continuous(lattices_upto_6):
 
 
 def test_downset_complement_identity(lattices_upto_6):
-    for L in lattices_upto_6[5]:
-        assert downset_complement_identity(L).holds
+    # lemma31_check asserts the set identity at each M before the equation:
+    # on no lattice with n <= 6 does it fail
+    for batch in lattices_upto_6.values():
+        for L in batch:
+            v = lemma31_check(L)
+            assert v.holds or v.witness.note != "set identity mismatch", L.name
 
 
 def _downset_route_disagreements(lattices):
     """The names of the lattices on which a down-set route and the literal
-    loop over all 2^n subsets differ: lemma31_check with its exact witness,
-    the set identity, or the hypercontinuous sup-inf form at some x."""
+    loop over all 2^n subsets differ: lemma31_check, set identity included,
+    with its exact witness, or the hypercontinuous sup-inf form at some x."""
     return [L.name for L in lattices
             if lemma31_check(L) != lemma31_check(L, oracle=True)
-            or downset_complement_identity(L) != downset_complement_identity(L, oracle=True)
             or any(properties.supinf_hyper_rhs(L, x)
                    != properties.supinf_hyper_rhs(L, x, oracle=True) for x in range(L.n))]
 
@@ -126,18 +128,18 @@ def test_route_check_catches_a_skipped_downset(monkeypatch, lattices_upto_6):
 
 def test_set_identity_routes_report_a_fault_alike(monkeypatch, lattices_upto_7):
     # a down closure that drops the lowest member of every set of two or
-    # more breaks the identity; both routes name the same first subset
+    # more breaks the identity on every lattice but the chains; both routes
+    # of lemma31_check name the same first subset, before the equation
     closure = FinitePoset.down_closure_mask
     monkeypatch.setattr(FinitePoset, "down_closure_mask",
                         lambda P, m: closure(P, m & (m - 1) if m.bit_count() > 1 else m))
     failing = 0
     for batch in lattices_upto_7.values():
         for L in batch:
-            v = downset_complement_identity(L)
-            assert v == downset_complement_identity(L, oracle=True), L.name
+            v = lemma31_check(L)
+            assert v == lemma31_check(L, oracle=True), L.name
             if not v.holds:
-                # reported before the equation, on both routes
-                assert lemma31_check(L) == lemma31_check(L, oracle=True) == v
+                assert v.witness.note == "set identity mismatch", L.name
                 failing += 1
     assert failing == 71
 
@@ -199,6 +201,70 @@ def test_chain_check(m3, n5):
     assert chain_check(m3.as_lattice()).holds
     assert chain_check(n5.as_lattice()).holds
     assert chain_check(named("boolean(2)").as_lattice()).holds
+
+
+def _force_false(monkeypatch, forced):
+    """Make ``InstanceProfile.value`` answer False for the laws in ``forced``,
+    on every profile, and return the list of the laws it is asked for."""
+    value = InstanceProfile.value
+    read = []
+
+    def forcing(profile, name):
+        read.append(name)
+        return False if name in forced else value(profile, name)
+
+    monkeypatch.setattr(InstanceProfile, "value", forcing)
+    return read
+
+
+def _law(name):
+    return name.removeprefix("opens_").removeprefix("closeds_")
+
+
+@pytest.mark.parametrize("check, names", [
+    (thm32_check, ("join_continuous", "hypercontinuous", "prime_continuous")),
+    (thm34_check, ("meet_continuous", "quasicontinuous", "continuous")),
+    (thm21_check, ("continuous", "opens_prime_continuous")),
+    (thm23_check, ("meet_continuous", "opens_join_continuous", "closeds_frame")),
+    (thm25_check, ("quasicontinuous", "opens_hypercontinuous")),
+], ids=lambda p: getattr(p, "__name__", None))
+def test_theorem_with_a_side_forced_false_reports_its_whole_profile(monkeypatch, check, names):
+    # every name is true on boolean(2), a distributive lattice.  Each one
+    # forced false in turn makes the sides differ, and the verdict still
+    # reads every name, in order, the ones after the false side included
+    P = named("boolean(2)")
+    for forced in names:
+        read = _force_false(monkeypatch, {_law(forced)})
+        v = check(P)
+        assert not v.holds, forced
+        assert v.witness.note == "biconditional sides differ"
+        assert v.profile == tuple((name, name != forced) for name in names)
+        assert read == [_law(name) for name in names]
+        monkeypatch.undo()
+    v = check(P)
+    assert v.holds and v.witness is None
+    assert v.profile == tuple((name, True) for name in names)
+
+
+@pytest.mark.parametrize("forced, broken", [
+    ((), None),
+    (("prime_continuous",), None),
+    (("join_continuous",), "prime_continuous->join_continuous"),
+    (("frame",), "prime_continuous->frame"),
+    (("hypercontinuous",), "prime_continuous->hypercontinuous"),
+    (("continuous",), "hypercontinuous->continuous"),
+    (("frame", "continuous"), "prime_continuous->frame"),
+    (("prime_continuous", "continuous"), "hypercontinuous->continuous"),
+])
+def test_chain_check_names_the_first_broken_implication(monkeypatch, forced, broken):
+    names = ("prime_continuous", "join_continuous", "frame", "hypercontinuous", "continuous")
+    read = _force_false(monkeypatch, set(forced))
+    v = chain_check(named("boolean(2)"))
+    assert v.holds == (broken is None)
+    if broken is not None:
+        assert v.witness.note == "broken implication " + broken
+    assert v.profile == tuple((name, name not in forced) for name in names)
+    assert read == list(names)
 
 
 def test_characterization_check(m3):

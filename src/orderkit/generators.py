@@ -40,6 +40,7 @@ from .errors import NotALatticeError, SizeLimitError, UnknownNameError
 from .poset import (
     FinitePoset,
     _closure_rows,
+    build_poset,
     degree_signature,
     iter_bits,
     mask_of,
@@ -55,6 +56,11 @@ def default_labels(n):
     return tuple(f"x{i}" for i in range(n))
 
 
+# the covers of M3, 0 below the three incomparable atoms a, b, c, all below
+# 1, and of the pentagon N5, 0 < a < c < 1 and 0 < b < 1; each two-letter
+# word is one cover pair
+_FIVE_COVERS = {"M3": "0a 0b 0c a1 b1 c1", "N5": "0a ac c1 0b b1"}
+
 # every named instance, and nothing else; k is ASCII digits only
 NAME_RE = re.compile(r"M3|N5|(chain|antichain|boolean)\(([0-9]+)\)")
 
@@ -65,10 +71,8 @@ def named(name: str) -> FinitePoset:
     m = NAME_RE.fullmatch(name)
     if not m:
         raise UnknownNameError(name)
-    if name == "M3":
-        return _m3()
-    if name == "N5":
-        return _n5()
+    if name in _FIVE_COVERS:
+        return build_poset("0abc1", _FIVE_COVERS[name].split(), name=name)
     kind, digits = m.group(1), m.group(2).lstrip("0") or "0"
     # bound the carrier before building it, from the digit string when it is
     # longer than the cap's (int() refuses more than 4300 digits); boolean(k)
@@ -95,32 +99,6 @@ def named(name: str) -> FinitePoset:
     labels = tuple(str(i) for i in range(size))
     rows = [mask_of(j for j in range(size) if i & j == i) for i in range(size)]
     return FinitePoset(labels, rows, name=name)
-
-
-def _m3():
-    # 0 below the three incomparable atoms a, b, c, all below 1
-    labels = ("0", "a", "b", "c", "1")
-    rows = [
-        mask_of([0, 1, 2, 3, 4]),
-        mask_of([1, 4]),
-        mask_of([2, 4]),
-        mask_of([3, 4]),
-        mask_of([4]),
-    ]
-    return FinitePoset(labels, rows, name="M3")
-
-
-def _n5():
-    # pentagon: 0 < a < c < 1 and 0 < b < 1, with b incomparable to a and c
-    labels = ("0", "a", "b", "c", "1")
-    rows = [
-        mask_of([0, 1, 2, 3, 4]),
-        mask_of([1, 3, 4]),
-        mask_of([2, 4]),
-        mask_of([3, 4]),
-        mask_of([4]),
-    ]
-    return FinitePoset(labels, rows, name="N5")
 
 
 NAMED_LATTICE_EXAMPLES = (

@@ -422,23 +422,6 @@ class FinitePoset:
         out.sort(key=set_order_key(self.n))
         return tuple(out)
 
-    def upper_masks_containing(self):
-        """For each element x, the upper sets containing x, in
-        ``set_order``: one table per poset, built in one pass over
-        ``upper_masks()`` and refused, as that is, on every read once
-        ``limits.OPENS_LIMIT`` is passed."""
-        self.upper_masks()
-        return self._containing_table
-
-    @cached_view
-    def _containing_table(self):
-        rows = [[] for _ in range(self.n)]
-        add = [row.append for row in rows]
-        for u in self.upper_masks():
-            for e in iter_bits(u):
-                add[e](u)
-        return tuple(map(tuple, rows))
-
     # -- structure ------------------------------------------------------
 
     def hasse(self):

@@ -61,13 +61,15 @@ def fin_family(P: FinitePoset, x: int, *, oracle=False) -> tuple:
     set is the up set of its minimal elements.  A directed set meets an
     upper set U exactly when its supremum, which it contains, lies in U,
     and every s >= x is the supremum of {s}; so the members are the upper
-    sets containing the up set of x, the least of them, which
-    ``P.upper_masks_containing()`` lists for every x at once, bounded by
-    the upper-set count, not by n.  Only the oracle's 2^n loop is refused
-    at ``limits.SUBSET_CAP``.
+    sets containing x, the least of them the up set of x: one filter of
+    the poset's cached ``P.upper_masks()``, which keeps its order and its
+    refusal past ``limits.OPENS_LIMIT``, bounded by the upper-set count,
+    not by n.  Only the oracle's 2^n loop is refused at
+    ``limits.SUBSET_CAP``.
     """
     if not oracle:
-        return P.upper_masks_containing()[x]
+        bit = 1 << x
+        return tuple([u for u in P.upper_masks() if u & bit])
     limits.check_subset_cap(P.n, "approximating-family enumeration")
     seen = set()
     for fmask in range(1, 1 << P.n):

@@ -141,6 +141,26 @@ def test_check_reads_lattice_rows_only_on_bounded_posets(monkeypatch, tmp_path, 
             assert report["properties"][prop] == "skipped"
 
 
+def test_empty_carrier(tmp_path, capsys):
+    # a file holding only "elements:" is the empty poset: every poset
+    # predicate holds vacuously, it is no lattice, and its σ(P) and Γ(P)
+    # are the one-element lattice {∅}
+    empty = tmp_path / "empty.poset"
+    empty.write_text("elements:\n")
+    assert main(["check", str(empty), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["n"] == 0 and report["witnesses"] == {}
+    assert report["properties"] == {
+        **{prop: True for prop in properties.POSET_PREDICATES},
+        **{prop: "skipped" for prop in properties.LATTICE_PREDICATES},
+    }
+    for argv, name in ((["dual"], "sigma(P)"), (["dual", "--scott-closed"], "gamma(P)")):
+        assert main([*argv, str(empty)]) == 0
+        assert capsys.readouterr().out == f"poset {name}\nelements: {{}}\n"
+    assert main(["export-dot", str(empty)]) == 0
+    assert capsys.readouterr().out == 'digraph "poset" {\n  rankdir=BT;\n}\n'
+
+
 def test_size_limit_exit():
     assert main(["enumerate", "--n", "10"]) == 3
 
